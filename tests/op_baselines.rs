@@ -1,4 +1,4 @@
-//! Op-count regression gate.
+//! Op-count and score-digest regression gates.
 //!
 //! The triangular-sweep refactor halved the dense outer-accumulation
 //! arithmetic (every unordered pair is computed once; the mirror pass is a
@@ -8,7 +8,14 @@
 //! re-introduction of redundant arithmetic — or an accidental drop that
 //! would indicate skipped work — fails CI by name.
 //!
-//! To regenerate after an *intended* cost-model change:
+//! A second gate pins a 64-bit digest of the output score *bits* of every
+//! dense all-pairs algorithm (plus threshold-sieved variants) against
+//! `baselines/score_digests.txt`, so "scores are bitwise unchanged" is a
+//! checked property of a refactor, not a claim. The digest runs run at the
+//! default pool width, which `SIMRANK_TEST_THREADS` pins: every width of
+//! the determinism matrix must reproduce the same file.
+//!
+//! To regenerate after an *intended* cost-model or arithmetic change:
 //!
 //! ```text
 //! SIMRANK_UPDATE_BASELINES=1 cargo test --test op_baselines
@@ -16,12 +23,13 @@
 
 use simrank::algo::montecarlo::Fingerprints;
 use simrank::algo::prank::{prank_with_report, PRankOptions};
-use simrank::algo::{dsr, dynamic, naive, oip, psum, SimRankOptions};
+use simrank::algo::{dsr, dynamic, naive, oip, psum, Report, SimMatrix, SimRankOptions};
 use simrank::graph::{fixtures, gen, DiGraph, EdgeDelta};
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/op_counts.txt");
+const DIGEST_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/score_digests.txt");
 
 /// The fixture graphs the gate runs on: the paper's Fig. 1a example, a
 /// uniform random graph, and a copying-model web graph (the in-set overlap
@@ -50,6 +58,15 @@ fn dynamic_script(g: &DiGraph) -> Vec<EdgeDelta> {
         }
     }
     deltas
+}
+
+/// The `dynamic_resweep/*` case: converge on `g`, apply the fixed edit
+/// script, and re-converge warm from the stale scores.
+fn resweep_case(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
+    let warm = naive::naive_simrank(g, opts);
+    let mut mg = g.clone();
+    mg.apply_batch(&dynamic_script(g)).expect("valid script");
+    dynamic::resweep_with_report(&mg, &warm, opts)
 }
 
 /// Measures every `<algorithm>/<graph>` case. Counts are thread-invariant
@@ -105,23 +122,108 @@ fn measured_cases() -> Vec<(String, u64)> {
         // Dynamic maintenance: warm resweep and index repair after the
         // fixed edit script. The warm paths stop on a convergence check,
         // so pinning their adds also pins the iteration/round counts.
-        let script = dynamic_script(&g);
-        out.push((format!("dynamic_resweep/{gname}"), {
-            let warm = naive::naive_simrank(&g, &opts);
-            let mut mg = g.clone();
-            mg.apply_batch(&script).expect("valid script");
-            dynamic::resweep_with_report(&mg, &warm, &opts).1.adds
-        }));
+        out.push((
+            format!("dynamic_resweep/{gname}"),
+            resweep_case(&g, &opts).1.adds,
+        ));
         out.push((format!("dynamic_repair/{gname}"), {
             let index = simrank::algo::index::SimRankIndex::build(&g, &opts);
             index
-                .repair_with_report(&script, &opts)
+                .repair_with_report(&dynamic_script(&g), &opts)
                 .expect("valid script")
                 .1
                 .adds
         }));
     }
     out
+}
+
+/// FNV-1a over the IEEE-754 bits of the stored triangle, row-major with
+/// the diagonal: any bit flip in any score (even `0.0` vs `-0.0`) changes
+/// the digest.
+fn score_digest(s: &SimMatrix) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (_, _, v) in s.iter_upper() {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digests every dense all-pairs `<algorithm>/<graph>` output, plain and
+/// `δ = 0.05`-sieved (`*_t05`). Runs at the default pool width so the
+/// determinism matrix checks each width against the same committed file.
+fn measured_digests() -> Vec<(String, u64)> {
+    let opts = SimRankOptions::default()
+        .with_damping(0.6)
+        .with_iterations(5);
+    let sieved = opts.with_threshold(0.05);
+    let prank_opts = |base| PRankOptions { base, lambda: 0.5 };
+    let mut out = Vec::new();
+    for (gname, g) in fixture_graphs() {
+        let cases = [
+            ("naive", naive::naive_simrank(&g, &opts)),
+            ("naive_t05", naive::naive_simrank(&g, &sieved)),
+            ("psum", psum::psum_simrank(&g, &opts)),
+            ("psum_t05", psum::psum_simrank(&g, &sieved)),
+            ("oip", oip::oip_simrank(&g, &opts)),
+            ("oip_t05", oip::oip_simrank(&g, &sieved)),
+            ("oip_dsr", dsr::oip_dsr_simrank(&g, &opts)),
+            ("oip_dsr_t05", dsr::oip_dsr_simrank(&g, &sieved)),
+            ("prank", prank_with_report(&g, &prank_opts(opts)).0),
+            ("dynamic_resweep", resweep_case(&g, &opts).0),
+        ];
+        for (algo, scores) in cases {
+            out.push((format!("{algo}/{gname}"), score_digest(&scores)));
+        }
+    }
+    out
+}
+
+#[test]
+fn score_digests_match_committed_baselines() {
+    let measured = measured_digests();
+    if std::env::var_os("SIMRANK_UPDATE_BASELINES").is_some() {
+        let mut body = String::from(
+            "# FNV-1a digests of the output score bits on the fixture graphs (see\n\
+             # tests/op_baselines.rs). Regenerate after intended arithmetic\n\
+             # changes with: SIMRANK_UPDATE_BASELINES=1 cargo test --test op_baselines\n",
+        );
+        for (name, digest) in &measured {
+            body.push_str(&format!("{name} {digest:016x}\n"));
+        }
+        std::fs::write(DIGEST_PATH, body).expect("write baselines/score_digests.txt");
+        return;
+    }
+
+    let committed = std::fs::read_to_string(DIGEST_PATH).expect(
+        "baselines/score_digests.txt missing — generate it with \
+         SIMRANK_UPDATE_BASELINES=1 cargo test --test op_baselines",
+    );
+    let baseline: BTreeMap<&str, &str> = committed
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.split_once(' ').expect("digest lines are `<case> <hex>`"))
+        .collect();
+    for (name, digest) in &measured {
+        let want = baseline.get(name.as_str()).unwrap_or_else(|| {
+            panic!("no committed digest for `{name}` — regenerate score_digests.txt")
+        });
+        assert_eq!(
+            format!("{digest:016x}"),
+            want.trim(),
+            "{name}: output score bits changed"
+        );
+    }
+    for name in baseline.keys() {
+        assert!(
+            measured.iter().any(|(m, _)| m == name),
+            "stale digest entry `{name}` no longer measured"
+        );
+    }
 }
 
 #[test]
