@@ -48,7 +48,7 @@ pub(crate) fn oip_dsr_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Re
         opts,
         Mode::Differential,
         opts.differential_iterations(),
-        None,
+        |_, _| {},
     )
 }
 
@@ -58,17 +58,10 @@ pub fn oip_dsr_simrank_observe(
     g: &DiGraph,
     opts: &SimRankOptions,
     iterations: u32,
-    mut observer: impl FnMut(u32, &ScoreGrid),
+    observer: impl FnMut(u32, &ScoreGrid),
 ) -> (SimMatrix, Report) {
     let plan = SharingPlan::build(g, opts);
-    let (grid, report) = engine::run(
-        g,
-        &plan,
-        opts,
-        Mode::Differential,
-        iterations,
-        Some(&mut observer),
-    );
+    let (grid, report) = engine::run(g, &plan, opts, Mode::Differential, iterations, observer);
     (grid.to_sim_matrix(), report)
 }
 
@@ -84,7 +77,7 @@ pub fn oip_dsr_simrank_with_plan(
         opts,
         Mode::Differential,
         opts.differential_iterations(),
-        None,
+        |_, _| {},
     );
     (grid.to_sim_matrix(), report)
 }

@@ -5,9 +5,9 @@
 //! `K = ⌈log_C ε⌉` Jeh–Widom iterations from the identity. When edges
 //! arrive or vanish, a from-scratch rerun discards everything the previous
 //! run converged to. This module reuses it instead: [`resweep`] seeds the
-//! iteration with the **previously converged scores** and runs the exact
-//! same triangular sweep (shared verbatim with [`crate::naive`] — same
-//! kernels, same pool sharding, same op counting) only until
+//! shared iteration driver with the **previously converged scores** and
+//! runs the exact same triangular sweep as [`crate::naive`] (same kernel,
+//! same pool sharding, same op counting) only until
 //! [`ScoreGrid::max_abs_diff`](crate::ScoreGrid::max_abs_diff) between
 //! consecutive iterates falls under the re-convergence tolerance.
 //!
@@ -37,8 +37,9 @@
 //! `tests/dynamic_replay.rs` pin the `≤ 1e-8` oracle at tight `ε`).
 //! Determinism is a separate, stronger contract: for a *fixed* warm start
 //! and edit batch, the resweep is bit-for-bit identical at every worker
-//! count, and its merged op count is exact ([`OpCounter`] shard merge) —
-//! both enforced by the `dynamic/*` cases in `baselines/op_counts.txt`.
+//! count, and its merged op count is exact
+//! ([`OpCounter`](crate::instrument::OpCounter) shard merge) — both
+//! enforced by the `dynamic_resweep/*` cases of `tests/op_baselines.rs`.
 //!
 //! The single-source index path has its own warm-start analogue:
 //! [`SimRankIndex::repair`](crate::SimRankIndex::repair) re-solves the
@@ -46,12 +47,11 @@
 //! a dense grid.
 
 use crate::convergence;
-use crate::grid::ScoreGrid;
-use crate::instrument::{OpCounter, PhaseTimer, Report};
+use crate::instrument::Report;
+use crate::iterate::{iterate, Start, Stop};
 use crate::matrix::SimMatrix;
-use crate::naive::{sweep_row_weights, triangular_sweep};
+use crate::naive::NaiveKernel;
 use crate::options::SimRankOptions;
-use crate::par;
 use crate::store::ScoreStore;
 use simrank_graph::{BatchSummary, DiGraph, EdgeDelta, GraphError};
 
@@ -106,18 +106,7 @@ pub fn resweep_with_report(
     warm: &SimMatrix,
     opts: &SimRankOptions,
 ) -> (SimMatrix, Report) {
-    let n = g.node_count();
-    assert_eq!(
-        warm.order(),
-        n,
-        "warm-start matrix order must match the (mutated) graph"
-    );
-    let mut cur = ScoreGrid::zeros(n);
-    for a in 0..n {
-        warm.copy_row_into(a, cur.row_mut(a));
-    }
-    let (grid, report) = resweep_grid(g, cur, opts);
-    (grid.to_sim_matrix(), report)
+    resweep_from_store(g, warm, opts)
 }
 
 /// As [`resweep`], but warm-started from any [`ScoreStore`] backend (the
@@ -128,69 +117,21 @@ pub fn resweep_from_store(
     warm: &dyn ScoreStore,
     opts: &SimRankOptions,
 ) -> (SimMatrix, Report) {
-    let n = g.node_count();
-    assert_eq!(
-        warm.order(),
-        n,
-        "warm-start store order must match the (mutated) graph"
-    );
-    let mut cur = ScoreGrid::zeros(n);
-    for a in 0..n {
-        warm.copy_row_into(a, cur.row_mut(a));
-    }
-    let (grid, report) = resweep_grid(g, cur, opts);
-    (grid.to_sim_matrix(), report)
-}
-
-/// The shared iteration driver: sweeps `cur` until consecutive iterates
-/// agree to [`resweep_tolerance`] (or the cap is hit).
-fn resweep_grid(g: &DiGraph, mut cur: ScoreGrid, opts: &SimRankOptions) -> (ScoreGrid, Report) {
-    let n = g.node_count();
     let c = opts.damping;
     let tol = resweep_tolerance(c, opts.epsilon);
     // A warm start never needs more sweeps than a cold run bound for the
     // same stopping tolerance; a pinned iteration count wins if tighter.
     let cold_cap = convergence::geometric_iterations(c, tol.min(0.5));
     let cap = opts.iterations.map_or(cold_cap, |k| k.min(cold_cap).max(1));
-    let mut timer = PhaseTimer::start();
-    let mut counter = OpCounter::new();
-    let mut next = ScoreGrid::zeros(n);
-    let workers = par::effective_workers(opts.threads, n);
-    let row_blocks = par::weighted_blocks(&sweep_row_weights(g), workers);
-    let mut items: Vec<usize> = Vec::with_capacity(row_blocks.len());
-    let mut iterations = 0u32;
-    par::WorkerPool::scoped(workers, |pool| {
-        while iterations < cap {
-            counter.add(triangular_sweep(
-                g,
-                c,
-                opts.threshold,
-                &row_blocks,
-                &mut items,
-                pool,
-                &cur,
-                &mut next,
-            ));
-            // The diff is computed by the lane-chunked kernel fold
-            // (`f64::max` is associative), so the stopping decision — and
-            // therefore the iteration count and total op count — is
-            // identical at every worker count.
-            let diff = cur.max_abs_diff(&next);
-            std::mem::swap(&mut cur, &mut next);
-            iterations += 1;
-            if diff <= tol {
-                break;
-            }
-        }
-    });
-    let report = Report {
-        iterations,
-        adds: counter.total(),
-        share_sums: timer.lap(),
-        workers,
-        ..Default::default()
-    };
-    (cur, report)
+    let (grid, report) = iterate(
+        g.node_count(),
+        opts.threshold,
+        &mut NaiveKernel::new(g, opts),
+        Start::Warm(warm),
+        Stop::Residual { tol, cap },
+        |_, _| {},
+    );
+    (grid.to_sim_matrix(), report)
 }
 
 /// Owning driver for an evolving graph: holds the current graph and its

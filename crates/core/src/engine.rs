@@ -1,47 +1,50 @@
-//! The shared OIP iteration engine.
+//! The shared OIP sweep kernel.
 //!
 //! Both `OIP-SR` (conventional SimRank, paper Algorithm 1) and `OIP-DSR`
 //! (differential SimRank, Eq. 15 in component form) run the same two-level
 //! partial-sums machinery; the paper notes the `T` recurrence "takes the
 //! same form as the conventional SimRank formula except for the damping
-//! factor". This module executes a prebuilt [`SharingPlan`] once per
-//! iteration:
+//! factor", and P-Rank reuses it once per link direction. This module
+//! replays a prebuilt [`SharingPlan`] once per sweep:
 //!
 //! * **inner pass** — replay the schedule, maintaining
 //!   `Partial_{I(u)}(y) = Σ_{x∈I(u)} s_k(x, y)` buffers via Proposition 3
 //!   updates along tree edges;
 //! * **outer pass** (procedure `OP`) — for each finished source buffer, walk
 //!   the same tree in preorder maintaining scalar
-//!   `OuterPartial^{I(u)}_{I(w)}` values via Proposition 4 updates, emitting
-//!   `s_{k+1}(u, w)` — **only for the triangular pair set** `w ≥ u`
-//!   (SimRank is symmetric, so the strictly-lower pairs are redundant
-//!   arithmetic): the walk prunes whole subtrees via [`SharingPlan::prune`]
-//!   whenever their largest target id falls below the source's threshold,
-//!   and a bandwidth-only mirror pass (`par::mirror_upper_to_lower`)
-//!   restores the full square before the next iteration reads rows.
-
+//!   `OuterPartial^{I(u)}_{I(w)}` values via Proposition 4 updates, adding
+//!   `factor/(d_u·d_w)·OuterPartial` into `s_{k+1}(u, w)` — **only for the
+//!   triangular pair set** `w ≥ u` (SimRank is symmetric, so the
+//!   strictly-lower pairs are redundant arithmetic): the walk prunes whole
+//!   subtrees via [`SharingPlan::prune`] whenever their largest target id
+//!   falls below the source's threshold.
+//!
+//! The [`crate::iterate`] driver runs the iteration around [`OipKernel`]:
+//! sieve, diagonal pin, mirror and swap.
+//!
 //! # Parallel replay
 //!
 //! The schedule decomposes into [`SharingPlan::segments`] — one contiguous
 //! range per root subtree, each starting from scratch and touching only its
-//! own buffers. The engine shards those segments across a persistent
-//! [`par::WorkerPool`] (spawned once per `run`, balanced by step count),
-//! gives every worker a private buffer pool and outer array, and lets each
-//! worker emit its own sources' rows of `S_{k+1}` through a disjoint-row
-//! writer; each iteration is one barrier-synchronized sweep. Per-row
-//! arithmetic is untouched, so results are bit-for-bit identical for every
-//! thread count.
+//! own buffers. Each [`Pass`] shards those segments across the driver's
+//! pool (balanced by step count), gives every worker a private buffer pool
+//! and outer array, and lets each worker emit its own sources' rows of
+//! `S_{k+1}` through a disjoint-row writer. Passes run one after another,
+//! and the sweep's return is the barrier that orders them, so the
+//! per-entry addition order never changes. Per-row arithmetic is
+//! untouched, so results are bit-for-bit identical for every thread count.
 
 use crate::grid::ScoreGrid;
-use crate::instrument::{MemoryModel, OpCounter, PhaseTimer, Report};
+use crate::instrument::{OpCounter, Report};
+use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::options::SimRankOptions;
-use crate::par;
 use crate::plan::{EdgeOp, SharingPlan, Step};
 use simrank_graph::DiGraph;
+use simrank_par as par;
 
 /// Which recurrence the engine iterates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// Conventional SimRank (Eq. 2): damping `C` inside the update, diagonal
     /// pinned to 1 every iteration, `S₀ = I`.
     Conventional,
@@ -51,229 +54,323 @@ pub enum Mode {
     Differential,
 }
 
-/// An observer invoked after every completed iteration with `(k, S_k)`;
-/// used by the convergence experiments (Fig. 6e/6f) to find the first
-/// iteration reaching a target accuracy.
-pub type Observer<'a> = &'a mut dyn FnMut(u32, &ScoreGrid);
-
-/// Runs `iterations` of the given mode over `g` with the prebuilt `plan`.
+/// Runs `iterations` of the given mode over `g` with the prebuilt `plan`,
+/// invoking `observer(k, S_k)` after every iteration (`Ŝ_k` in
+/// differential mode) — the hook the convergence experiments (Fig. 6e/6f)
+/// use to find the first iteration reaching a target accuracy.
 ///
 /// Returns the final score grid and the instrumentation report. In
 /// `Differential` mode the returned grid is the accumulated `Ŝ_K`, not the
 /// auxiliary `T_K`.
-pub fn run(
+pub(crate) fn run(
     g: &DiGraph,
     plan: &SharingPlan,
     opts: &SimRankOptions,
     mode: Mode,
     iterations: u32,
-    mut observer: Option<Observer<'_>>,
+    mut observer: impl FnMut(u32, &ScoreGrid),
 ) -> (ScoreGrid, Report) {
     let n = g.node_count();
-    let mut timer = PhaseTimer::start();
-    let mut counter = OpCounter::new();
-    let mut mem = MemoryModel::new();
-
-    // Ping-pong grids.
-    let mut cur = ScoreGrid::identity(n);
-    let mut next = ScoreGrid::zeros(n);
-
-    // Differential accumulator Ŝ₀ = e^{-C}·I and running coefficient.
-    let e_neg_c = (-opts.damping).exp();
-    let mut s_hat = match mode {
-        Mode::Differential => Some(ScoreGrid::scaled_identity(n, e_neg_c)),
-        Mode::Conventional => None,
-    };
-    let mut coef_term = 1.0f64; // C^k / k! running product
-
-    // Shard the independent schedule segments across workers, balancing by
-    // step count (root subtrees can be wildly uneven).
-    let workers = par::effective_workers(opts.threads, plan.segments.len());
-    let seg_weights: Vec<usize> = plan.segments.iter().map(|s| s.len()).collect();
-    let shares: Vec<Vec<usize>> = par::balance(&seg_weights, workers);
-    let workers = shares.len().max(1);
-
-    // Per-worker replay state: a private buffer pool for inner partial sums
-    // plus the outer scalar per tree node (index 0 = root, unused).
-    struct WorkerState {
-        pool: Vec<Vec<f64>>,
-        outer: Vec<f64>,
-    }
-    let mut states: Vec<WorkerState> = (0..workers)
-        .map(|_| WorkerState {
-            pool: (0..plan.slots).map(|_| vec![0.0f64; n]).collect(),
-            outer: vec![0.0f64; plan.targets.len() + 1],
-        })
-        .collect();
-    mem.alloc(workers * (plan.slots * n + plan.targets.len() + 1) * 8);
-    if mode == Mode::Differential {
-        // Beyond the ping-pong score state every algorithm carries, the
-        // differential model memoizes the auxiliary `T_k` (Eq. 15). The
-        // accumulation `Ŝ += coef·T` is row-streamable, so — matching the
-        // paper's O(n)-intermediate accounting in Proposition 5 and
-        // Fig. 6d's "a bit more space than OIP-SR" observation — we charge
-        // two extra row buffers (one `T` row, one `Ŝ` row in flight).
-        mem.alloc(2 * n * 8);
-    }
-
-    let in_deg: Vec<f64> = plan
-        .targets
-        .iter()
-        .map(|&v| g.in_degree(v) as f64)
-        .collect();
-    let damping = match mode {
+    let factor = match mode {
         Mode::Conventional => opts.damping,
         Mode::Differential => 1.0,
     };
+    let mut kernel = OipKernel::new(n, &[(g, plan, factor)], opts, mode);
+    // Differential accumulator Ŝ₀ = e^{-C}·I and running coefficient.
+    let e_neg_c = (-opts.damping).exp();
+    let mut s_hat = (mode == Mode::Differential).then(|| ScoreGrid::scaled_identity(n, e_neg_c));
+    let mut coef_term = 1.0f64; // C^k / k! running product
+    let (grid, report) = iterate(
+        n,
+        opts.threshold,
+        &mut kernel,
+        Start::Identity,
+        Stop::Fixed(iterations),
+        |k, t| match s_hat.as_mut() {
+            Some(s_hat) => {
+                // Ŝ_k = Ŝ_{k-1} + e^{-C}·C^k/k!·T_k.
+                coef_term *= opts.damping / k as f64;
+                s_hat.add_assign_scaled(t, e_neg_c * coef_term);
+                observer(k, s_hat);
+            }
+            None => observer(k, t),
+        },
+    );
+    // Beyond the ping-pong score state every algorithm carries, the
+    // differential model memoizes the auxiliary `T_k` (Eq. 15). The
+    // accumulation `Ŝ += coef·T` is row-streamable, so — matching the
+    // paper's O(n)-intermediate accounting in Proposition 5 and Fig. 6d's
+    // "a bit more space than OIP-SR" observation — we charge two extra row
+    // buffers (one `T` row, one `Ŝ` row in flight).
+    let accumulator_rows = match mode {
+        Mode::Conventional => 0,
+        Mode::Differential => 2 * n * 8,
+    };
+    let report = Report {
+        mst_build: plan.build_time,
+        tree_weight: plan.tree_weight,
+        d_eff: plan.d_eff(),
+        peak_intermediate_bytes: kernel.state_bytes() + accumulator_rows,
+        peak_live_buffers: report.workers * plan.slots,
+        ..report
+    };
+    (s_hat.unwrap_or(grid), report)
+}
 
-    // One persistent pool for the whole run: the workers park between
-    // iterations instead of being re-spawned, and each iteration's replay
-    // is a single barrier-synchronized sweep. Sweep items are plain worker
-    // indices, hoisted once and recycled through `sweep_drain` so the
-    // queue buffer is allocated a single time for the whole run.
-    let mut items: Vec<usize> = Vec::with_capacity(shares.len());
-    par::WorkerPool::scoped(workers, |pool| {
-        for k in 0..iterations {
-            next.clear();
-            {
-                // SAFETY (RowWriter): every target is emitted exactly once
-                // per iteration and workers own disjoint segment sets, so
-                // each row of `next` is written by exactly one worker.
-                let writer = par::RowWriter::new(next.data_mut(), n.max(1));
-                let slots = par::SlotWriter::new(&mut states);
-                items.extend(0..shares.len());
-                counter.add(pool.sweep_drain(&mut items, |wi, counter| {
-                    // SAFETY (SlotWriter): each worker index appears exactly
-                    // once per sweep, so state `wi` is this item's alone.
-                    let state = unsafe { slots.slot_mut(wi) };
-                    for &seg in shares[wi].iter() {
-                        replay_segment(
-                            g,
-                            plan,
-                            opts,
-                            mode,
-                            damping,
-                            &cur,
-                            &writer,
-                            &plan.segments[seg],
-                            state.pool.as_mut_slice(),
-                            &mut state.outer,
-                            &in_deg,
-                            counter,
-                        );
+/// One OIP replay over one graph: the plan, its segments balanced across
+/// the pool, and the scale `factor/(d_u·d_w)` of every emitted pair.
+struct Pass<'a> {
+    g: &'a DiGraph,
+    plan: &'a SharingPlan,
+    factor: f64,
+    /// Whether the pair set includes `w = u` (differential mode; the
+    /// conventional diagonal is pinned by the driver instead).
+    diagonal: bool,
+    /// Proposition 4 outer-sum sharing, or the one-by-one ablation.
+    outer_sharing: bool,
+    /// In-degree of each plan target, as `f64`.
+    in_deg: Vec<f64>,
+    /// Segment indices per worker.
+    shares: Vec<Vec<usize>>,
+}
+
+/// Per-worker replay state: a private buffer pool for inner partial sums
+/// plus the outer scalar per tree node (index 0 = root, unused).
+struct WorkerState {
+    pool: Vec<Vec<f64>>,
+    outer: Vec<f64>,
+}
+
+/// The OIP sweep: one or more [`Pass`]es accumulated into `next` in
+/// order. OIP-SR and OIP-DSR run one pass over `G`; P-Rank runs one over
+/// `G` and one over `Gᵀ`, each scaled by its λ-factor.
+pub(crate) struct OipKernel<'a> {
+    passes: Vec<Pass<'a>>,
+    states: Vec<WorkerState>,
+    mode: Mode,
+    n: usize,
+}
+
+impl<'a> OipKernel<'a> {
+    /// Builds the kernel for order-`n` grids from `(graph, plan, factor)`
+    /// passes, allocating one replay state per worker, sized for the
+    /// largest plan.
+    pub(crate) fn new(
+        n: usize,
+        passes: &[(&'a DiGraph, &'a SharingPlan, f64)],
+        opts: &SimRankOptions,
+        mode: Mode,
+    ) -> Self {
+        // Shard the independent schedule segments across workers,
+        // balancing by step count (root subtrees can be wildly uneven).
+        let max_segments = passes.iter().map(|p| p.1.segments.len()).max();
+        let workers = par::effective_workers(opts.threads, max_segments.unwrap_or(0));
+        let passes: Vec<Pass<'a>> = passes
+            .iter()
+            .map(|&(g, plan, factor)| {
+                let seg_weights: Vec<usize> = plan.segments.iter().map(|s| s.len()).collect();
+                Pass {
+                    g,
+                    plan,
+                    factor,
+                    diagonal: mode == Mode::Differential,
+                    outer_sharing: opts.outer_sharing,
+                    in_deg: plan
+                        .targets
+                        .iter()
+                        .map(|&v| g.in_degree(v) as f64)
+                        .collect(),
+                    shares: par::balance(&seg_weights, workers),
+                }
+            })
+            .collect();
+        let workers = passes.iter().map(|p| p.shares.len()).max().unwrap_or(0);
+        let slots = passes.iter().map(|p| p.plan.slots).max().unwrap_or(0);
+        let outer_len = passes.iter().map(|p| p.plan.targets.len() + 1).max();
+        let states = (0..workers.max(1))
+            .map(|_| WorkerState {
+                pool: (0..slots).map(|_| vec![0.0f64; n]).collect(),
+                outer: vec![0.0f64; outer_len.unwrap_or(1)],
+            })
+            .collect();
+        OipKernel {
+            passes,
+            states,
+            mode,
+            n,
+        }
+    }
+
+    /// Bytes of replay state across all workers (buffer pools plus outer
+    /// arrays).
+    pub(crate) fn state_bytes(&self) -> usize {
+        let per_worker = |s: &WorkerState| s.pool.len() * self.n + s.outer.len();
+        self.states.iter().map(per_worker).sum::<usize>() * 8
+    }
+}
+
+impl Kernel for OipKernel<'_> {
+    fn workers(&self) -> usize {
+        self.states.len()
+    }
+
+    fn pins_diagonal(&self) -> bool {
+        self.mode == Mode::Conventional
+    }
+
+    fn sweep(
+        &mut self,
+        pool: &mut par::WorkerPool<'_>,
+        items: &mut Vec<usize>,
+        cur: &ScoreGrid,
+        next: &mut ScoreGrid,
+    ) -> u64 {
+        let mut adds = 0;
+        for pass in &self.passes {
+            // SAFETY (RowWriter): within one pass every target is emitted
+            // exactly once and workers own disjoint segment sets, so each
+            // row of `next` is written by exactly one worker.
+            let writer = par::RowWriter::new(next.data_mut(), self.n.max(1));
+            let slots = par::SlotWriter::new(&mut self.states);
+            items.extend(0..pass.shares.len());
+            adds += pool.sweep_drain(items, |wi, counter| {
+                // SAFETY (SlotWriter): each worker index appears exactly
+                // once per sweep, so state `wi` is this item's alone.
+                let state = unsafe { slots.slot_mut(wi) };
+                for &seg in &pass.shares[wi] {
+                    pass.replay_segment(cur, &writer, &pass.plan.segments[seg], state, counter);
+                }
+            });
+        }
+        adds
+    }
+}
+
+impl Pass<'_> {
+    /// Replays one self-contained schedule segment (a root subtree)
+    /// against a private buffer pool, emitting finished sources through
+    /// the shared disjoint-row writer.
+    fn replay_segment(
+        &self,
+        cur: &ScoreGrid,
+        writer: &par::RowWriter<'_>,
+        segment: &std::ops::Range<usize>,
+        state: &mut WorkerState,
+        counter: &mut OpCounter,
+    ) {
+        let (g, plan) = (self.g, self.plan);
+        let n = cur.order();
+        let pool = state.pool.as_mut_slice();
+        for step in &plan.schedule[segment.clone()] {
+            match *step {
+                Step::Scratch { t, slot } => {
+                    let buf = &mut pool[slot as usize];
+                    buf.fill(0.0);
+                    let ins = g.in_neighbors(plan.targets[t as usize]);
+                    for &x in ins {
+                        cur.add_row_into(x as usize, buf);
                     }
-                }));
-            }
-            if mode == Mode::Conventional {
-                next.set_diagonal(1.0);
-            }
-            // The sweep above wrote only pairs `w ≥ u` (strictly upper plus,
-            // in differential mode, the diagonal): mirror the upper triangle
-            // down so the next iteration's partial sums read full rows.
-            par::mirror_upper_to_lower(pool, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-            if let Some(s_hat) = s_hat.as_mut() {
-                // Ŝ_{k+1} = Ŝ_k + e^{-C}·C^{k+1}/(k+1)!·T_{k+1}.
-                coef_term *= opts.damping / (k as f64 + 1.0);
-                s_hat.add_assign_scaled(&cur, e_neg_c * coef_term);
-            }
-            if let Some(obs) = observer.as_mut() {
-                match (&s_hat, mode) {
-                    (Some(s), Mode::Differential) => obs(k + 1, s),
-                    (_, Mode::Conventional) => obs(k + 1, &cur),
-                    _ => unreachable!(),
+                    counter.add(((ins.len() as u64).saturating_sub(1)) * n as u64);
+                }
+                Step::CopyUpdate {
+                    t,
+                    parent_slot,
+                    slot,
+                } => {
+                    // Split-borrow the two distinct slots.
+                    let (src, dst) = borrow_two(pool, parent_slot as usize, slot as usize);
+                    dst.copy_from_slice(src);
+                    apply_update(cur, &plan.ops[t as usize], dst, counter, n);
+                }
+                Step::InPlace { t, slot } => {
+                    apply_update(
+                        cur,
+                        &plan.ops[t as usize],
+                        &mut pool[slot as usize],
+                        counter,
+                        n,
+                    );
+                }
+                Step::Emit { t, slot } => {
+                    let u = plan.targets[t as usize] as usize;
+                    // SAFETY: each target is emitted exactly once per pass
+                    // and this worker owns the segment, so row `u` is this
+                    // thread's alone.
+                    let row = unsafe { writer.row_mut(u) };
+                    // Triangular pair set: only targets `w ≥ lo` are
+                    // written (the driver mirrors the lower triangle).
+                    let lo = if self.diagonal { u } else { u + 1 };
+                    let partial = &pool[slot as usize];
+                    self.emit_source(t as usize, lo, partial, &mut state.outer, row, counter);
                 }
             }
         }
-    });
+    }
 
-    let share_sums = timer.lap();
-    let report = Report {
-        iterations,
-        adds: counter.total(),
-        mst_build: plan.build_time,
-        share_sums,
-        tree_weight: plan.tree_weight,
-        d_eff: plan.d_eff(),
-        peak_intermediate_bytes: mem.peak(),
-        peak_live_buffers: workers * plan.slots,
-        workers,
-    };
-    let result = match mode {
-        Mode::Conventional => cur,
-        Mode::Differential => s_hat.expect("differential accumulator exists"),
-    };
-    (result, report)
-}
-
-/// Replays one self-contained schedule segment (a root subtree) against a
-/// private buffer pool, emitting finished sources through the shared
-/// disjoint-row writer.
-#[allow(clippy::too_many_arguments)]
-fn replay_segment(
-    g: &DiGraph,
-    plan: &SharingPlan,
-    opts: &SimRankOptions,
-    mode: Mode,
-    damping: f64,
-    cur: &ScoreGrid,
-    writer: &par::RowWriter<'_>,
-    segment: &std::ops::Range<usize>,
-    pool: &mut [Vec<f64>],
-    outer: &mut [f64],
-    in_deg: &[f64],
-    counter: &mut OpCounter,
-) {
-    let n = cur.order();
-    for step in &plan.schedule[segment.clone()] {
-        match *step {
-            Step::Scratch { t, slot } => {
-                let buf = &mut pool[slot as usize];
-                buf.fill(0.0);
-                let ins = g.in_neighbors(plan.targets[t as usize]);
-                for &x in ins {
-                    cur.add_row_into(x as usize, buf);
+    /// The outer pass (procedure `OP`) for one source vertex, adding
+    /// `factor/(d_u·d_w)·OuterPartial` into `row[w]` for every target
+    /// `w ≥ lo`.
+    fn emit_source(
+        &self,
+        t: usize,
+        lo: usize,
+        partial: &[f64],
+        outer: &mut [f64],
+        row: &mut [f64],
+        counter: &mut OpCounter,
+    ) {
+        let (g, plan) = (self.g, self.plan);
+        let scale = |wt: usize| self.factor / (self.in_deg[t] * self.in_deg[wt]);
+        if self.outer_sharing {
+            // Preorder walk sharing OuterPartial scalars (Proposition 4),
+            // pruned to the subtrees that still contain a needed target: a
+            // computed node's parent is always computed too (ancestors of a
+            // needed node are needed), so the surviving scalars are
+            // bit-identical to the full walk's.
+            let pre = &plan.preorder;
+            let mut i = 0;
+            while i < pre.len() {
+                let node = pre[i] as usize;
+                if (plan.prune.subtree_max[node] as usize) < lo {
+                    i = plan.prune.subtree_end[i];
+                    continue;
                 }
-                counter.add(((ins.len() as u64).saturating_sub(1)) * n as u64);
+                let wt = node - 1;
+                let val = match &plan.ops[wt] {
+                    EdgeOp::Scratch => {
+                        let ins = g.in_neighbors(plan.targets[wt]);
+                        let s = par::kernel::gather_sum(partial, ins);
+                        counter.add((ins.len() as u64).saturating_sub(1));
+                        s
+                    }
+                    EdgeOp::Update { sub, add } => {
+                        let parent = plan.arb.parent(node).expect("non-root node has a parent");
+                        // Proposition 4 delta as two lane-chunked gathers over
+                        // the symmetric-difference lists.
+                        let s = outer[parent] - par::kernel::gather_sum(partial, sub)
+                            + par::kernel::gather_sum(partial, add);
+                        counter.add((sub.len() + add.len()) as u64);
+                        s
+                    }
+                };
+                outer[node] = val;
+                let w = plan.targets[wt] as usize;
+                if w >= lo {
+                    row[w] += scale(wt) * val;
+                }
+                i += 1;
             }
-            Step::CopyUpdate {
-                t,
-                parent_slot,
-                slot,
-            } => {
-                // Split-borrow the two distinct slots.
-                let (src, dst) = borrow_two(pool, parent_slot as usize, slot as usize);
-                dst.copy_from_slice(src);
-                apply_update(cur, &plan.ops[t as usize], dst, counter, n);
-            }
-            Step::InPlace { t, slot } => {
-                apply_update(
-                    cur,
-                    &plan.ops[t as usize],
-                    &mut pool[slot as usize],
-                    counter,
-                    n,
-                );
-            }
-            Step::Emit { t, slot } => {
-                let u = plan.targets[t as usize] as usize;
-                // SAFETY: each target is emitted exactly once per iteration
-                // and this worker owns the segment, so row `u` is this
-                // thread's alone.
-                let row = unsafe { writer.row_mut(u) };
-                emit_source(
-                    g,
-                    plan,
-                    opts,
-                    mode,
-                    damping,
-                    t as usize,
-                    &pool[slot as usize],
-                    in_deg,
-                    outer,
-                    row,
-                    counter,
-                );
+        } else {
+            // Ablation: outer sums accumulated one-by-one, as in psum-SR
+            // Eq. (5) — restricted to the same halved pair set.
+            for (wt, &w) in plan.targets.iter().enumerate() {
+                if (w as usize) < lo {
+                    continue;
+                }
+                let ins = g.in_neighbors(w);
+                let s = par::kernel::gather_sum(partial, ins);
+                counter.add((ins.len() as u64).saturating_sub(1));
+                row[w as usize] += scale(wt) * s;
             }
         }
     }
@@ -294,107 +391,6 @@ fn apply_update(cur: &ScoreGrid, op: &EdgeOp, buf: &mut [f64], counter: &mut OpC
             counter.add((sub.len() + add.len()) as u64 * n as u64);
         }
     }
-}
-
-/// The outer pass (procedure `OP`) for one source vertex.
-#[allow(clippy::too_many_arguments)]
-fn emit_source(
-    g: &DiGraph,
-    plan: &SharingPlan,
-    opts: &SimRankOptions,
-    mode: Mode,
-    damping: f64,
-    t: usize,
-    partial: &[f64],
-    in_deg: &[f64],
-    outer: &mut [f64],
-    row: &mut [f64],
-    counter: &mut OpCounter,
-) {
-    let u = plan.targets[t] as usize;
-    let du = in_deg[t];
-    // Triangular pair set: symmetry makes the strictly-lower pairs
-    // redundant, so only targets `w ≥ lo` are written (the mirror pass
-    // recovers the lower triangle). Conventional mode excludes the
-    // diagonal (pinned to 1 afterwards); differential mode must compute it.
-    let lo = match mode {
-        Mode::Conventional => u + 1,
-        Mode::Differential => u,
-    };
-    if opts.outer_sharing {
-        // Preorder walk sharing OuterPartial scalars (Proposition 4),
-        // pruned to the subtrees that still contain a needed target: a
-        // computed node's parent is always computed too (ancestors of a
-        // needed node are needed), so the surviving scalars are
-        // bit-identical to the full walk's.
-        let pre = &plan.preorder;
-        let mut i = 0;
-        while i < pre.len() {
-            let node = pre[i] as usize;
-            if (plan.prune.subtree_max[node] as usize) < lo {
-                i = plan.prune.subtree_end[i];
-                continue;
-            }
-            let wt = node - 1;
-            let val = match &plan.ops[wt] {
-                EdgeOp::Scratch => {
-                    let ins = g.in_neighbors(plan.targets[wt]);
-                    let s = par::kernel::gather_sum(partial, ins);
-                    counter.add((ins.len() as u64).saturating_sub(1));
-                    s
-                }
-                EdgeOp::Update { sub, add } => {
-                    let parent = plan.arb.parent(node).expect("non-root node has a parent");
-                    // Proposition 4 delta as two lane-chunked gathers over
-                    // the symmetric-difference lists.
-                    let s = outer[parent] - par::kernel::gather_sum(partial, sub)
-                        + par::kernel::gather_sum(partial, add);
-                    counter.add((sub.len() + add.len()) as u64);
-                    s
-                }
-            };
-            outer[node] = val;
-            let w = plan.targets[wt] as usize;
-            if w >= lo {
-                write_score(row, opts, damping, w, du, in_deg[wt], val);
-            }
-            i += 1;
-        }
-    } else {
-        // Ablation: outer sums accumulated one-by-one, as in psum-SR
-        // Eq. (5) — restricted to the same halved pair set.
-        for (wt, &w) in plan.targets.iter().enumerate() {
-            if (w as usize) < lo {
-                continue;
-            }
-            let ins = g.in_neighbors(w);
-            let s = par::kernel::gather_sum(partial, ins);
-            counter.add((ins.len() as u64).saturating_sub(1));
-            write_score(row, opts, damping, w as usize, du, in_deg[wt], s);
-        }
-    }
-}
-
-/// Final per-pair write with threshold sieving. Callers restrict `w` to
-/// the triangular pair set (`w > u` conventional, `w ≥ u` differential),
-/// so no diagonal guard is needed here.
-#[inline]
-fn write_score(
-    row: &mut [f64],
-    opts: &SimRankOptions,
-    damping: f64,
-    w: usize,
-    du: f64,
-    dw: f64,
-    outer_val: f64,
-) {
-    let mut val = damping / (du * dw) * outer_val;
-    if let Some(delta) = opts.threshold {
-        if val < delta {
-            val = 0.0;
-        }
-    }
-    row[w] = val;
 }
 
 /// Disjoint mutable borrows of two pool slots.
@@ -418,7 +414,7 @@ mod tests {
     fn run_fixture(mode: Mode, k: u32, opts: &SimRankOptions) -> ScoreGrid {
         let g = paper_fig1a();
         let plan = SharingPlan::build(&g, opts);
-        run(&g, &plan, opts, mode, k, None).0
+        run(&g, &plan, opts, mode, k, |_, _| {}).0
     }
 
     #[test]
@@ -505,9 +501,9 @@ mod tests {
         );
         let opts = SimRankOptions::default();
         let plan = SharingPlan::build(&g, &opts);
-        let (_, with) = run(&g, &plan, &opts, Mode::Conventional, 3, None);
+        let (_, with) = run(&g, &plan, &opts, Mode::Conventional, 3, |_, _| {});
         let opts_off = opts.with_outer_sharing(false);
-        let (_, without) = run(&g, &plan, &opts_off, Mode::Conventional, 3, None);
+        let (_, without) = run(&g, &plan, &opts_off, Mode::Conventional, 3, |_, _| {});
         assert!(
             with.adds < without.adds,
             "sharing {} vs one-by-one {}",
@@ -541,7 +537,7 @@ mod tests {
         let plan = SharingPlan::build(&g, &opts);
         let mut ks = Vec::new();
         let mut cb = |k: u32, _s: &ScoreGrid| ks.push(k);
-        let _ = run(&g, &plan, &opts, Mode::Conventional, 4, Some(&mut cb));
+        let _ = run(&g, &plan, &opts, Mode::Conventional, 4, &mut cb);
         assert_eq!(ks, vec![1, 2, 3, 4]);
     }
 
@@ -570,10 +566,10 @@ mod tests {
         let base = SimRankOptions::default().with_iterations(6).with_threads(1);
         let plan = SharingPlan::build(&g, &base);
         for mode in [Mode::Conventional, Mode::Differential] {
-            let (s1, r1) = run(&g, &plan, &base, mode, 6, None);
+            let (s1, r1) = run(&g, &plan, &base, mode, 6, |_, _| {});
             for t in [2usize, 3, 5, 8] {
                 let opts = base.with_threads(t);
-                let (st, rt) = run(&g, &plan, &opts, mode, 6, None);
+                let (st, rt) = run(&g, &plan, &opts, mode, 6, |_, _| {});
                 assert_eq!(s1.max_abs_diff(&st), 0.0, "mode {mode:?} threads {t}");
                 assert_eq!(r1.adds, rt.adds, "op counts must merge exactly");
                 assert!(rt.workers >= 1 && rt.workers <= t);
@@ -586,7 +582,7 @@ mod tests {
         let g = paper_fig1a();
         let opts = SimRankOptions::default();
         let plan = SharingPlan::build(&g, &opts);
-        let (_, report) = run(&g, &plan, &opts, Mode::Conventional, 3, None);
+        let (_, report) = run(&g, &plan, &opts, Mode::Conventional, 3, |_, _| {});
         assert_eq!(report.iterations, 3);
         assert!(report.adds > 0);
         assert_eq!(report.tree_weight, 8);

@@ -1,7 +1,7 @@
 //! Full-square iteration workspace for similarity scores.
 
 use crate::matrix::SimMatrix;
-use crate::par::kernel;
+use simrank_par::kernel;
 
 /// A full (non-packed) `n × n` score matrix used *inside* iterations.
 ///

@@ -47,7 +47,7 @@
 //! `(0, 1)` because the normal system is symmetric positive
 //! (semi-)definite. Each CGLS round applies `M` once and `Mᵀ` once:
 //!
-//! * `M·x` shards per-vertex rows over the [`crate::par::WorkerPool`] —
+//! * `M·x` shards per-vertex rows over the [`simrank_par::WorkerPool`] —
 //!   disjoint writes, identical per-vertex arithmetic, so the product is
 //!   a pure function of the inputs at any pool width.
 //! * `Mᵀ·x` scatters weighted rows into per-shard accumulators over a
@@ -95,8 +95,8 @@
 
 use crate::instrument::{OpCounter, PhaseTimer, Report};
 use crate::options::SimRankOptions;
-use crate::par;
 use simrank_graph::{DiGraph, EdgeDelta, GraphError, NodeId};
+use simrank_par as par;
 
 /// Hard cap on diagonal-correction solver rounds. CGLS usually converges
 /// in far fewer (in exact arithmetic it terminates in at most `n` steps,

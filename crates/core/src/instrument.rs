@@ -45,7 +45,7 @@ pub struct Report {
     /// Largest number of simultaneously live partial-sum buffers.
     pub peak_live_buffers: usize,
     /// Worker threads used by the persistent worker-pool executor
-    /// ([`crate::par::WorkerPool`]). Every pooled path reports its pool
+    /// ([`simrank_par::WorkerPool`]). Every pooled path reports its pool
     /// width here: `naive`, `psum`, the OIP engine, both P-Rank direction
     /// passes, `Fingerprints::sample`, and `mtx` (whose SVD, matrix
     /// products, and densification all shard over one pool) — no
@@ -96,41 +96,6 @@ impl PhaseTimer {
     }
 }
 
-/// Tracks peak intermediate allocation sizes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MemoryModel {
-    current: usize,
-    peak: usize,
-}
-
-impl MemoryModel {
-    /// Fresh tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers an allocation of `bytes`.
-    pub fn alloc(&mut self, bytes: usize) {
-        self.current += bytes;
-        self.peak = self.peak.max(self.current);
-    }
-
-    /// Registers a release of `bytes`.
-    pub fn free(&mut self, bytes: usize) {
-        self.current = self.current.saturating_sub(bytes);
-    }
-
-    /// Peak concurrent intermediate bytes observed.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Currently tracked bytes.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,17 +130,6 @@ mod tests {
         merged.merge(&shard_a);
         merged.merge(&shard_b);
         assert_eq!(merged.total(), single.total());
-    }
-
-    #[test]
-    fn memory_peak_tracks_high_water_mark() {
-        let mut m = MemoryModel::new();
-        m.alloc(100);
-        m.alloc(50);
-        m.free(120);
-        m.alloc(40);
-        assert_eq!(m.peak(), 150);
-        assert_eq!(m.current(), 70);
     }
 
     #[test]

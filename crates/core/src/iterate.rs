@@ -1,0 +1,241 @@
+//! The one dense all-pairs iteration driver.
+//!
+//! Every dense sweep in this crate — [`crate::naive`], [`crate::psum`],
+//! the OIP engine behind [`crate::oip`] and [`crate::dsr`],
+//! [`crate::prank`], and the warm [`crate::dynamic`] resweep — is the same
+//! ping-pong loop around a different per-sweep kernel. [`iterate`] owns
+//! that loop: the two grids and their start state, the single
+//! [`WorkerPool`] for the whole run, the hoisted sweep-item queue, exact
+//! op-count merging, the stop rule, the per-iteration hook, and the shared
+//! part of the [`Report`]. A [`Kernel`] only computes one sweep's upper
+//! triangle.
+//!
+//! Each sweep runs the same steps in the same order:
+//!
+//! 1. `next.clear()`;
+//! 2. the kernel writes the pairs `b > a` of `next` (and `b = a` when it
+//!    does not pin the diagonal) from the full rows of `cur`;
+//! 3. the threshold sieve (when `threshold` is set) zeroes every
+//!    upper-triangle score below `δ`, as Lizorkin et al. define it on the
+//!    finished score;
+//! 4. pinned-diagonal kernels set `s(a, a) = 1` (Eq. 2);
+//! 5. the bandwidth-only mirror pass copies the upper triangle down, so
+//!    the next sweep reads whole contiguous rows;
+//! 6. the grids swap, and `after_each(k, S_k)` runs.
+//!
+//! The sieve and the pin touch each entry independently and the mirror is
+//! a pure copy, so none of them depends on the pool width: a kernel that
+//! is bit-for-bit thread invariant stays so under the driver.
+
+use crate::grid::ScoreGrid;
+use crate::instrument::{OpCounter, PhaseTimer, Report};
+use crate::store::ScoreStore;
+use simrank_par::WorkerPool;
+
+/// The grid the first sweep reads.
+pub(crate) enum Start<'a> {
+    /// A cold run from `S₀ = I`.
+    Identity,
+    /// A warm resweep from previously converged scores (every stored
+    /// entry of the backend, so thresholded stores start sieved).
+    Warm(&'a dyn ScoreStore),
+}
+
+/// When the driver stops sweeping.
+pub(crate) enum Stop {
+    /// Exactly this many sweeps.
+    Fixed(u32),
+    /// Until consecutive iterates differ by at most `tol` in the max norm,
+    /// but never more than `cap` sweeps.
+    Residual {
+        /// Stopping tolerance on `max |S_{k+1} − S_k|`.
+        tol: f64,
+        /// Sweep cap.
+        cap: u32,
+    },
+}
+
+/// One dense sweep `next ← F(cur)`, called once per iteration. The row
+/// and segment bodies inside stay monomorphic; only this call is dynamic.
+pub(crate) trait Kernel {
+    /// The pool width the kernel balanced its shards for.
+    fn workers(&self) -> usize;
+
+    /// Whether the driver pins `s(a, a) = 1` after each sweep. Kernels that
+    /// do not pin write the diagonal themselves.
+    fn pins_diagonal(&self) -> bool {
+        true
+    }
+
+    /// Writes the upper triangle of the cleared `next` from the full rows
+    /// of `cur`, draining the sweep items it pushes onto the (empty)
+    /// `items` queue, and returns the merged add count.
+    fn sweep(
+        &mut self,
+        pool: &mut WorkerPool<'_>,
+        items: &mut Vec<usize>,
+        cur: &ScoreGrid,
+        next: &mut ScoreGrid,
+    ) -> u64;
+}
+
+/// Runs `kernel` over order-`n` grids from `start` until `stop`, calling
+/// `after_each(k, S_k)` after sweep `k = 1, 2, …`.
+///
+/// Returns the final grid (full square) and a [`Report`] with
+/// `iterations`, `adds`, `share_sums` and `workers` filled in; callers add
+/// their kernel-specific fields.
+pub(crate) fn iterate(
+    n: usize,
+    threshold: Option<f64>,
+    kernel: &mut dyn Kernel,
+    start: Start<'_>,
+    stop: Stop,
+    mut after_each: impl FnMut(u32, &ScoreGrid),
+) -> (ScoreGrid, Report) {
+    let mut timer = PhaseTimer::start();
+    let mut cur = match start {
+        Start::Identity => ScoreGrid::identity(n),
+        Start::Warm(store) => {
+            assert_eq!(
+                store.order(),
+                n,
+                "warm-start store order must match the (mutated) graph"
+            );
+            let mut grid = ScoreGrid::zeros(n);
+            for a in 0..n {
+                store.copy_row_into(a, grid.row_mut(a));
+            }
+            grid
+        }
+    };
+    let mut next = ScoreGrid::zeros(n);
+    let (cap, tol) = match stop {
+        Stop::Fixed(k) => (k, None),
+        Stop::Residual { tol, cap } => (cap, Some(tol)),
+    };
+    let workers = kernel.workers();
+    let mut counter = OpCounter::new();
+    // Sweep items are recycled through `sweep_drain`, so the queue buffer
+    // is allocated once for the whole run.
+    let mut items: Vec<usize> = Vec::new();
+    let mut iterations = 0u32;
+    WorkerPool::scoped(workers, |pool| {
+        while iterations < cap {
+            next.clear();
+            counter.add(kernel.sweep(pool, &mut items, &cur, &mut next));
+            if let Some(delta) = threshold {
+                sieve_upper(&mut next, delta);
+            }
+            if kernel.pins_diagonal() {
+                next.set_diagonal(1.0);
+            }
+            simrank_par::mirror_upper_to_lower(pool, next.data_mut(), n);
+            // The diff is a lane-chunked max fold (`f64::max` is
+            // associative), so the stopping decision — and with it the
+            // iteration and op counts — is identical at every width.
+            let converged = tol.is_some_and(|tol| cur.max_abs_diff(&next) <= tol);
+            std::mem::swap(&mut cur, &mut next);
+            iterations += 1;
+            after_each(iterations, &cur);
+            if converged {
+                break;
+            }
+        }
+    });
+    let report = Report {
+        iterations,
+        adds: counter.total(),
+        share_sums: timer.lap(),
+        workers,
+        ..Default::default()
+    };
+    (cur, report)
+}
+
+/// Threshold sieve: zeroes every score below `delta` in the upper
+/// triangle, diagonal included (pinned kernels re-pin it right after).
+fn sieve_upper(grid: &mut ScoreGrid, delta: f64) {
+    for a in 0..grid.order() {
+        for v in &mut grid.row_mut(a)[a..] {
+            if *v < delta {
+                *v = 0.0;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sharded_mirror_matches_sequential() {
+        let n = 17;
+        let mut seq = ScoreGrid::zeros(n);
+        for i in 0..n {
+            for j in i..n {
+                seq.set(i, j, (i * 31 + j) as f64 * 0.01);
+            }
+        }
+        // Poison the lower triangle: the mirror must overwrite all of it.
+        for i in 1..n {
+            for j in 0..i {
+                seq.set(i, j, -7.0);
+            }
+        }
+        let sharded = seq.clone();
+        seq.mirror_upper_to_lower();
+        for workers in [1usize, 2, 3, 4] {
+            let mut g = sharded.clone();
+            WorkerPool::scoped(workers, |pool| {
+                simrank_par::mirror_upper_to_lower(pool, g.data_mut(), n)
+            });
+            assert_eq!(g, seq, "workers = {workers}");
+        }
+    }
+
+    fn bits(s: &crate::SimMatrix) -> Vec<u64> {
+        s.iter_upper().map(|(_, _, v)| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn observers_see_each_iterate_bitwise_at_every_width() {
+        // The `after_each` hook behind both public observers: it fires
+        // once per iteration with k = 1..=K in order, and the k-th grid is
+        // bit-identical to a fresh K = k run, at every pool width.
+        use crate::dsr::{oip_dsr_simrank, oip_dsr_simrank_observe};
+        use crate::oip::{oip_simrank, oip_simrank_observe};
+        use crate::SimRankOptions;
+        let g = simrank_graph::gen::gnm(40, 160, 7);
+        let iterations = 5;
+        for differential in [false, true] {
+            for threads in [1usize, 2, 4, 8] {
+                let opts = SimRankOptions::default().with_threads(threads);
+                let mut seen = Vec::new();
+                let hook = |k: u32, s: &ScoreGrid| seen.push((k, bits(&s.to_sim_matrix())));
+                let (last, report) = if differential {
+                    oip_dsr_simrank_observe(&g, &opts, iterations, hook)
+                } else {
+                    oip_simrank_observe(&g, &opts, iterations, hook)
+                };
+                assert_eq!(report.iterations, iterations);
+                let ks: Vec<u32> = seen.iter().map(|(k, _)| *k).collect();
+                assert_eq!(ks, (1..=iterations).collect::<Vec<_>>());
+                for (k, grid) in &seen {
+                    let fresh_opts = opts.with_iterations(*k);
+                    let fresh = if differential {
+                        oip_dsr_simrank(&g, &fresh_opts)
+                    } else {
+                        oip_simrank(&g, &fresh_opts)
+                    };
+                    assert!(
+                        *grid == bits(&fresh),
+                        "differential = {differential}, k = {k}, threads = {threads}"
+                    );
+                }
+                assert!(seen[seen.len() - 1].1 == bits(&last));
+            }
+        }
+    }
+}

@@ -32,9 +32,13 @@
 //!
 //! The OIP machinery is split into the precomputed [`plan::SharingPlan`]
 //! (`DMST-Reduce`: transition-cost graph, minimum spanning arborescence,
-//! Proposition-3 update ops, buffer schedule) and the per-iteration
-//! [`engine`] that replays it for either the conventional or the
-//! differential recurrence. [`convergence`] carries the iteration-count
+//! Proposition-3 update ops, buffer schedule) and the per-sweep OIP
+//! engine that replays it for either the conventional or the
+//! differential recurrence. Every dense all-pairs sweep — naive, psum,
+//! the OIP engine, P-Rank and the warm [`dynamic`] resweep — runs under
+//! one crate-private iteration driver, which owns the ping-pong grids,
+//! the worker pool, the threshold sieve, the diagonal pin, the mirror
+//! pass and the stop rule. [`convergence`] carries the iteration-count
 //! theory (geometric bound, Proposition 7, Corollaries 1–2 with a
 //! from-scratch Lambert-W implementation), [`instrument`] the measurements
 //! the paper's figures report (phase timings, addition counts, `d′`, peak
@@ -68,10 +72,10 @@
 //! # Parallel execution
 //!
 //! **Every** algorithm runs on the persistent worker-pool executor (the
-//! `simrank_par` crate, re-exported at [`par`]): each run spawns a
-//! [`par::WorkerPool`] once, parks the workers between
+//! `simrank_par` crate): each run spawns a
+//! [`simrank_par::WorkerPool`] once, parks the workers between
 //! barrier-synchronized sweeps, and shards `naive`/`psum` by row band,
-//! the OIP [`engine`] and both `prank` direction passes by sharing-tree
+//! the OIP engine and both `prank` direction passes by sharing-tree
 //! segment, `montecarlo` fingerprint sampling by node band (with
 //! deterministic per-walk seeding), `SharingPlan::build`'s candidate-pair
 //! scan by weighted column block, and `mtx` by SVD tournament round /
@@ -83,10 +87,11 @@
 pub mod convergence;
 pub mod dsr;
 pub mod dynamic;
-pub mod engine;
+mod engine;
 pub mod grid;
 pub mod index;
 pub mod instrument;
+mod iterate;
 pub mod matrix;
 pub mod matrixform;
 pub mod montecarlo;
@@ -94,7 +99,6 @@ pub mod mtx;
 pub mod naive;
 pub mod oip;
 pub mod options;
-pub mod par;
 pub mod persist;
 pub mod plan;
 pub mod prank;

@@ -1,6 +1,6 @@
 //! Packed symmetric storage for all-pairs similarity scores.
 
-use crate::par::kernel;
+use simrank_par::kernel;
 
 /// A symmetric `n × n` matrix stored as the lower triangle
 /// (`n(n+1)/2` entries), with `get`/`set` insensitive to argument order.

@@ -14,7 +14,7 @@
 //! an independent RNG stream: each walk is seeded by a SplitMix64 mix of
 //! `(user_seed, node, round)`, so its trajectory depends only on those
 //! three values — never on which worker runs it or in what order. Node
-//! bands shard across the persistent [`crate::par::WorkerPool`] and the
+//! bands shard across the persistent [`simrank_par::WorkerPool`] and the
 //! resulting fingerprint table is **bit-identical at every thread count**
 //! (a property test and the CI determinism matrix enforce this). The
 //! walk-step counts each worker accumulates merge exactly, so
@@ -22,10 +22,10 @@
 
 use crate::instrument::Report;
 use crate::options::SimRankOptions;
-use crate::par;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simrank_graph::{DiGraph, NodeId};
+use simrank_par as par;
 use std::num::NonZeroUsize;
 
 /// Estimates `s(a, b)` from `samples` coupled backward walks of length at

@@ -15,7 +15,7 @@
 //!
 //! # Parallel execution
 //!
-//! The whole path runs on one persistent [`par::WorkerPool`]
+//! The whole path runs on one persistent [`simrank_par::WorkerPool`]
 //! ([`SimRankOptions::threads`] flows through): the Jacobi SVD shards
 //! tournament rounds of disjoint column-pair rotations
 //! ([`Svd::compute_with`]), every dense product shards output-row bands
@@ -30,10 +30,10 @@
 use crate::instrument::{PhaseTimer, Report};
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
-use crate::par;
 use crate::store::LowRankScores;
 use simrank_graph::DiGraph;
 use simrank_linalg::{CsrMatrix, DenseMatrix, Svd};
+use simrank_par as par;
 use std::time::Duration;
 
 /// Closed-form peak-intermediate-memory model for a rank-`r` `mtx-SR`

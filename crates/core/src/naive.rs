@@ -2,17 +2,18 @@
 //!
 //! Direct evaluation of Eq. (2): for every **unordered** pair `(a, b)`,
 //! `b > a`, sum `s_k(i, j)` over all `(i, j) ∈ I(a) × I(b)` — SimRank is
-//! symmetric, so the strictly-lower pairs are recovered by a bandwidth-only
-//! mirror pass instead of being recomputed. `O(K·d²·n²/2)` time. This is
-//! the correctness oracle for every optimized variant and the baseline the
-//! paper's complexity ladder starts from.
+//! symmetric, so only the upper triangle is computed and the
+//! shared iteration driver mirrors it down. `O(K·d²·n²/2)` time. This
+//! is the correctness oracle for every optimized variant and the baseline
+//! the paper's complexity ladder starts from.
 
 use crate::grid::ScoreGrid;
-use crate::instrument::{OpCounter, PhaseTimer, Report};
+use crate::instrument::Report;
+use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
-use crate::par;
 use simrank_graph::DiGraph;
+use simrank_par as par;
 
 /// All-pairs SimRank by the naive double-sum iteration.
 pub fn naive_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
@@ -25,47 +26,41 @@ pub fn naive_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatr
     (grid.to_sim_matrix(), report)
 }
 
-/// The iteration body, returning the final full-square grid (authoritative
+/// The cold run, returning the final full-square grid (authoritative
 /// upper triangle) so the store layer can finalize into any backend
 /// without a second square.
 pub(crate) fn naive_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Report) {
-    let n = g.node_count();
-    let k_max = opts.conventional_iterations();
-    let c = opts.damping;
-    let mut timer = PhaseTimer::start();
-    let mut counter = OpCounter::new();
-    let mut cur = ScoreGrid::identity(n);
-    let mut next = ScoreGrid::zeros(n);
-    let workers = par::effective_workers(opts.threads, n);
-    let row_blocks = par::weighted_blocks(&sweep_row_weights(g), workers);
-    // Sweep items are plain block indices, hoisted once and recycled
-    // through `sweep_drain` so the queue buffer is allocated a single
-    // time for the whole run instead of once per iteration.
-    let mut items: Vec<usize> = Vec::with_capacity(row_blocks.len());
-    par::WorkerPool::scoped(workers, |pool| {
-        for _ in 0..k_max {
-            counter.add(triangular_sweep(
-                g,
-                c,
-                opts.threshold,
-                &row_blocks,
-                &mut items,
-                pool,
-                &cur,
-                &mut next,
-            ));
-            std::mem::swap(&mut cur, &mut next);
+    iterate(
+        g.node_count(),
+        opts.threshold,
+        &mut NaiveKernel::new(g, opts),
+        Start::Identity,
+        Stop::Fixed(opts.conventional_iterations()),
+        |_, _| {},
+    )
+}
+
+/// The triangular Jeh–Widom sweep, shared verbatim by the cold
+/// [`naive_grid`] run and the warm-start [`crate::dynamic`] resweep so the
+/// two are the same arithmetic by construction.
+pub(crate) struct NaiveKernel<'a> {
+    g: &'a DiGraph,
+    c: f64,
+    workers: usize,
+    /// Row blocks carved by [`sweep_row_weights`]; one sweep item each.
+    row_blocks: Vec<std::ops::Range<usize>>,
+}
+
+impl<'a> NaiveKernel<'a> {
+    pub(crate) fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
+        let workers = par::effective_workers(opts.threads, g.node_count());
+        NaiveKernel {
+            g,
+            c: opts.damping,
+            workers,
+            row_blocks: par::weighted_blocks(&sweep_row_weights(g), workers),
         }
-    });
-    let report = Report {
-        iterations: k_max,
-        adds: counter.total(),
-        share_sums: timer.lap(),
-        peak_intermediate_bytes: 0,
-        workers,
-        ..Default::default()
-    };
-    (cur, report)
+    }
 }
 
 /// Per-row work profile of one triangular sweep, fed to
@@ -76,7 +71,7 @@ pub(crate) fn naive_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Repo
 /// weight instead: `d_a · Σ_{b>a} d_b` pair arithmetic plus the `n − a`
 /// target scan (weight 1 for in-isolated rows so every row lands in a
 /// block).
-pub(crate) fn sweep_row_weights(g: &DiGraph) -> Vec<usize> {
+fn sweep_row_weights(g: &DiGraph) -> Vec<usize> {
     let n = g.node_count();
     let mut row_weights = vec![0usize; n];
     let mut suffix_deg = 0usize;
@@ -88,63 +83,50 @@ pub(crate) fn sweep_row_weights(g: &DiGraph) -> Vec<usize> {
     row_weights
 }
 
-/// One triangular Jeh–Widom sweep: `next ← F(cur)` over the upper
-/// triangle, diagonal pinned to 1, lower triangle restored by the
-/// bandwidth-only mirror pass. Returns the merged add count (exact shard
-/// merge — identical on any worker count). Shared verbatim by the cold
-/// [`naive_grid`] iteration and the warm-start
-/// [`crate::dynamic`] resweep so the two are the same arithmetic by
-/// construction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn triangular_sweep(
-    g: &DiGraph,
-    c: f64,
-    threshold: Option<f64>,
-    row_blocks: &[std::ops::Range<usize>],
-    items: &mut Vec<usize>,
-    pool: &mut par::WorkerPool<'_>,
-    cur: &ScoreGrid,
-    next: &mut ScoreGrid,
-) -> u64 {
-    let n = g.node_count();
-    next.clear();
-    let writer = par::RowWriter::new(next.data_mut(), n);
-    items.extend(0..row_blocks.len());
-    let adds = pool.sweep_drain(items, |bi, counter| {
-        for a in row_blocks[bi].clone() {
-            let ins_a = g.in_neighbors(a as u32);
-            if ins_a.is_empty() {
-                continue;
-            }
-            // SAFETY: blocks partition the row range, so row `a`
-            // is claimed by exactly one item per sweep.
-            let row_out = unsafe { writer.row_mut(a) };
-            for b in a + 1..n {
-                let ins_b = g.in_neighbors(b as u32);
-                if ins_b.is_empty() {
+impl Kernel for NaiveKernel<'_> {
+    fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Writes `next(a, b)` for every `b > a` with both in-sets non-empty.
+    fn sweep(
+        &mut self,
+        pool: &mut par::WorkerPool<'_>,
+        items: &mut Vec<usize>,
+        cur: &ScoreGrid,
+        next: &mut ScoreGrid,
+    ) -> u64 {
+        let (g, c, row_blocks) = (self.g, self.c, &self.row_blocks);
+        let n = g.node_count();
+        let writer = par::RowWriter::new(next.data_mut(), n);
+        items.extend(0..row_blocks.len());
+        pool.sweep_drain(items, |bi, counter| {
+            for a in row_blocks[bi].clone() {
+                let ins_a = g.in_neighbors(a as u32);
+                if ins_a.is_empty() {
                     continue;
                 }
-                // Lane-chunked gather over I(b), one I(a)-row at
-                // a time — association is fixed by the kernel, so
-                // the sum is identical on any worker count.
-                let mut sum = 0.0;
-                for &i in ins_a {
-                    sum += par::kernel::gather_sum(cur.row(i as usize), ins_b);
-                }
-                counter.add(((ins_a.len() * ins_b.len()) as u64).saturating_sub(1));
-                let mut val = c / (ins_a.len() as f64 * ins_b.len() as f64) * sum;
-                if let Some(delta) = threshold {
-                    if val < delta {
-                        val = 0.0;
+                // SAFETY: blocks partition the row range, so row `a`
+                // is claimed by exactly one item per sweep.
+                let row_out = unsafe { writer.row_mut(a) };
+                for b in a + 1..n {
+                    let ins_b = g.in_neighbors(b as u32);
+                    if ins_b.is_empty() {
+                        continue;
                     }
+                    // Lane-chunked gather over I(b), one I(a)-row at
+                    // a time — association is fixed by the kernel, so
+                    // the sum is identical on any worker count.
+                    let mut sum = 0.0;
+                    for &i in ins_a {
+                        sum += par::kernel::gather_sum(cur.row(i as usize), ins_b);
+                    }
+                    counter.add(((ins_a.len() * ins_b.len()) as u64).saturating_sub(1));
+                    row_out[b] = c / (ins_a.len() as f64 * ins_b.len() as f64) * sum;
                 }
-                row_out[b] = val;
             }
-        }
-    });
-    next.set_diagonal(1.0);
-    par::mirror_upper_to_lower(pool, next);
-    adds
+        })
+    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub(crate) fn oip_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Report
         opts,
         Mode::Conventional,
         opts.conventional_iterations(),
-        None,
+        |_, _| {},
     )
 }
 
@@ -50,17 +50,10 @@ pub fn oip_simrank_observe(
     g: &DiGraph,
     opts: &SimRankOptions,
     iterations: u32,
-    mut observer: impl FnMut(u32, &ScoreGrid),
+    observer: impl FnMut(u32, &ScoreGrid),
 ) -> (SimMatrix, Report) {
     let plan = SharingPlan::build(g, opts);
-    let (grid, report) = engine::run(
-        g,
-        &plan,
-        opts,
-        Mode::Conventional,
-        iterations,
-        Some(&mut observer),
-    );
+    let (grid, report) = engine::run(g, &plan, opts, Mode::Conventional, iterations, observer);
     (grid.to_sim_matrix(), report)
 }
 
@@ -77,7 +70,7 @@ pub fn oip_simrank_with_plan(
         opts,
         Mode::Conventional,
         opts.conventional_iterations(),
-        None,
+        |_, _| {},
     );
     (grid.to_sim_matrix(), report)
 }

@@ -87,7 +87,7 @@ pub struct SimRankOptions {
     /// equal-weight trees on `DMST-Reduce` cost graphs.
     pub use_edmonds: bool,
     /// Worker threads for the persistent worker-pool executor
-    /// ([`crate::par::WorkerPool`]): each algorithm run spawns the pool
+    /// ([`simrank_par::WorkerPool`]): each algorithm run spawns the pool
     /// once, parks the workers between barrier-synchronized sweeps, and
     /// tears it down on exit — no per-iteration spawn cost. Defaults to
     /// the machine's available parallelism (overridable via the

@@ -27,10 +27,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::options::{CostModel, SimRankOptions};
-use crate::par;
 use crate::setops;
 use simrank_graph::{DiGraph, NodeId};
 use simrank_mst::{dag_arborescence, edmonds, Arborescence, Edge};
+use simrank_par as par;
 use std::time::{Duration, Instant};
 
 /// How a target's partial sum is obtained from its tree parent's.

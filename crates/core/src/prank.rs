@@ -10,37 +10,36 @@
 //! s(a,b) = λ·C/(|I(a)||I(b)|)·ΣΣ s(i,j)  +  (1−λ)·C/(|O(a)||O(b)|)·ΣΣ s(o,o′)
 //! ```
 //!
-//! runs two partial-sums passes per iteration — one over in-neighbor sets
-//! on `G`, one over out-neighbor sets (i.e. in-neighbor sets of the
-//! reversed graph) — each with its own OIP sharing plan. Both half-sweeps
-//! are symmetric in `(a, b)`, so each emits only the **triangular pair
-//! set** `w > u` (with subtree pruning via [`SharingPlan::prune`]); one
-//! mirror pass after the two accumulations restores the square. `λ = 1`
-//! recovers SimRank exactly.
+//! runs the OIP engine's replay twice per sweep — once over in-neighbor
+//! sets on `G`, once over out-neighbor sets (i.e. in-neighbor sets of the
+//! reversed graph) — each with its own sharing plan and scaled by its
+//! λ-factor, the second accumulating on top of the first. Both halves are
+//! symmetric in `(a, b)`, so each emits only the triangular pair set
+//! `w > u`; the shared iteration driver then sieves, pins, and mirrors
+//! the summed score once. `λ = 1` recovers SimRank exactly.
 //!
-//! # Parallel replay
-//!
-//! Each direction is one barrier-synchronized sweep over the persistent
-//! [`par::WorkerPool`]: the plan's root-subtree segments shard across
-//! workers (each with a private buffer pool and outer array), and because
-//! every source row is emitted exactly once per pass, the in-pass writes —
-//! and the out-pass accumulations on top of them — stay disjoint across
-//! workers. The sweep's return is the barrier that orders the two
-//! directions, so the per-entry addition order `in then out` never
-//! changes and scores are bit-for-bit identical at every thread count.
+//! Every source row is emitted exactly once per direction, and the first
+//! direction's sweep returns before the second starts, so the per-entry
+//! addition order `in then out` never changes and scores are bit-for-bit
+//! identical at every thread count.
 
-use crate::grid::ScoreGrid;
-use crate::instrument::{OpCounter, PhaseTimer, Report};
+use crate::engine::{Mode, OipKernel};
+use crate::instrument::{PhaseTimer, Report};
+use crate::iterate::{iterate, Start, Stop};
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
-use crate::par;
-use crate::plan::{EdgeOp, SharingPlan, Step};
+use crate::plan::SharingPlan;
 use simrank_graph::DiGraph;
 
 /// Weighting between the in-link and out-link evidence.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PRankOptions {
     /// Base SimRank options (damping, iterations, …).
+    ///
+    /// `base.threshold` sieves the *summed* in+out score of each pair
+    /// after every iteration (Lizorkin et al.'s definition applied to the
+    /// P-Rank score), not each direction separately; `base.outer_sharing`
+    /// selects the outer-sum walk of both directions.
     pub base: SimRankOptions,
     /// λ ∈ [0, 1]: 1 = in-links only (SimRank), 0 = out-links only.
     pub lambda: f64,
@@ -53,13 +52,6 @@ impl Default for PRankOptions {
             lambda: 0.5,
         }
     }
-}
-
-/// Per-worker replay state for one direction pass: a private partial-sum
-/// buffer pool plus the outer scalar per tree node.
-struct HalfState {
-    pool: Vec<Vec<f64>>,
-    outer: Vec<f64>,
 }
 
 /// All-pairs P-Rank with OIP partial-sums sharing on both link directions.
@@ -75,7 +67,6 @@ pub fn prank_with_report(g: &DiGraph, opts: &PRankOptions) -> (SimMatrix, Report
     );
     let n = g.node_count();
     let c = opts.base.damping;
-    let k_max = opts.base.conventional_iterations();
     let mut timer = PhaseTimer::start();
 
     // In-link plan on G; out-link plan is the in-link plan of reversed G.
@@ -90,260 +81,34 @@ pub fn prank_with_report(g: &DiGraph, opts: &PRankOptions) -> (SimMatrix, Report
     let out_plan = reversed.as_ref().map(|r| SharingPlan::build(r, &opts.base));
     let mst_build = timer.lap();
 
-    let mut counter = OpCounter::new();
-    let mut cur = ScoreGrid::identity(n);
-    let mut next = ScoreGrid::zeros(n);
-
-    // One pool serves both directions; each direction balances its own
-    // segments across the same worker count.
-    let seg_count = |p: &Option<SharingPlan>| p.as_ref().map_or(0, |p| p.segments.len());
-    let max_segments = seg_count(&in_plan).max(seg_count(&out_plan));
-    let workers = par::effective_workers(opts.base.threads, max_segments);
-    let shares = |p: &Option<SharingPlan>| {
-        let weights: Vec<usize> = p
-            .as_ref()
-            .map_or(Vec::new(), |p| p.segments.iter().map(|s| s.len()).collect());
-        par::balance(&weights, workers)
-    };
-    let in_shares = shares(&in_plan);
-    let out_shares = shares(&out_plan);
-
-    let plan_slots = |p: &Option<SharingPlan>| p.as_ref().map_or(0, |p| p.slots);
-    let slots = plan_slots(&in_plan).max(plan_slots(&out_plan));
-    let mut states: Vec<HalfState> = (0..workers)
-        .map(|_| HalfState {
-            pool: (0..slots).map(|_| vec![0.0f64; n]).collect(),
-            outer: vec![0.0f64; n + 1],
-        })
-        .collect();
-
-    // Sweep items are plain worker indices, hoisted once and recycled
-    // through `sweep_drain` by both direction passes so the queue buffer
-    // is allocated a single time for the whole run.
-    let mut items: Vec<usize> = Vec::with_capacity(workers);
-    par::WorkerPool::scoped(workers, |pool| {
-        for _ in 0..k_max {
-            next.clear();
-            // In-link half: accumulate λ·C/(..)·Σ into next.
-            if let Some(plan) = &in_plan {
-                counter.add(half_pass(
-                    g,
-                    plan,
-                    &cur,
-                    &mut next,
-                    &in_shares,
-                    &mut states,
-                    &mut items,
-                    in_factor,
-                    pool,
-                ));
-            }
-            // Out-link half accumulates on top (the sweep barrier above
-            // ordered the in-link writes first).
-            if let (Some(rev), Some(plan)) = (&reversed, &out_plan) {
-                counter.add(half_pass(
-                    rev,
-                    plan,
-                    &cur,
-                    &mut next,
-                    &out_shares,
-                    &mut states,
-                    &mut items,
-                    out_factor,
-                    pool,
-                ));
-            }
-            next.set_diagonal(1.0);
-            // Both half-passes wrote only strictly-upper pairs: one
-            // bandwidth-only mirror restores the square for the next
-            // iteration's row reads.
-            par::mirror_upper_to_lower(pool, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-    });
-
+    let mut passes = Vec::with_capacity(2);
+    if let Some(plan) = &in_plan {
+        passes.push((g, plan, in_factor));
+    }
+    if let (Some(rev), Some(plan)) = (&reversed, &out_plan) {
+        passes.push((rev, plan, out_factor));
+    }
+    let mut kernel = OipKernel::new(n, &passes, &opts.base, Mode::Conventional);
+    let (grid, report) = iterate(
+        n,
+        opts.base.threshold,
+        &mut kernel,
+        Start::Identity,
+        Stop::Fixed(opts.base.conventional_iterations()),
+        |_, _| {},
+    );
+    let slots = passes.iter().map(|p| p.1.slots).max().unwrap_or(0);
     let report = Report {
-        iterations: k_max,
-        adds: counter.total(),
         mst_build,
-        share_sums: timer.lap(),
         // Report only the plans a run actually built: the single-direction
         // cases (λ = 0/1) carry one tree, not a phantom second.
-        tree_weight: in_plan.as_ref().map_or(0, |p| p.tree_weight)
-            + out_plan.as_ref().map_or(0, |p| p.tree_weight),
-        d_eff: 0.5
-            * (in_plan.as_ref().map_or(0.0, |p| p.d_eff())
-                + out_plan.as_ref().map_or(0.0, |p| p.d_eff())),
-        peak_intermediate_bytes: workers * (slots * n + n + 1) * 8,
-        peak_live_buffers: workers * slots,
-        workers,
+        tree_weight: passes.iter().map(|p| p.1.tree_weight).sum(),
+        d_eff: 0.5 * passes.iter().map(|p| p.1.d_eff()).sum::<f64>(),
+        peak_intermediate_bytes: kernel.state_bytes(),
+        peak_live_buffers: report.workers * slots,
+        ..report
     };
-    (cur.to_sim_matrix(), report)
-}
-
-/// One direction's OIP pass, *adding* `factor/(d_u·d_w)·outer` into `next`,
-/// sharded across the pool and returning the merged operation count.
-#[allow(clippy::too_many_arguments)]
-fn half_pass(
-    g: &DiGraph,
-    plan: &SharingPlan,
-    cur: &ScoreGrid,
-    next: &mut ScoreGrid,
-    shares: &[Vec<usize>],
-    states: &mut [HalfState],
-    items: &mut Vec<usize>,
-    factor: f64,
-    pool: &mut par::WorkerPool<'_>,
-) -> u64 {
-    if factor == 0.0 || plan.schedule.is_empty() {
-        return 0; // degenerate λ or planless graph: skip the whole direction
-    }
-    // SAFETY (RowWriter): within one pass every source is emitted exactly
-    // once and workers own disjoint segment sets, so each row of `next`
-    // is touched by exactly one worker.
-    let n = next.order();
-    let writer = par::RowWriter::new(next.data_mut(), n.max(1));
-    let slots = par::SlotWriter::new(states);
-    items.extend(0..shares.len());
-    pool.sweep_drain(items, |wi, counter| {
-        // SAFETY (SlotWriter): each worker index appears exactly once per
-        // sweep, so state `wi` is this item's alone.
-        let state = unsafe { slots.slot_mut(wi) };
-        for &seg in shares[wi].iter() {
-            replay_half_segment(
-                g,
-                plan,
-                cur,
-                &writer,
-                &plan.segments[seg],
-                state.pool.as_mut_slice(),
-                &mut state.outer,
-                factor,
-                counter,
-            );
-        }
-    })
-}
-
-/// Replays one self-contained schedule segment (a root subtree) of a
-/// direction pass against a private buffer pool, accumulating emitted
-/// rows through the shared disjoint-row writer.
-#[allow(clippy::too_many_arguments)]
-fn replay_half_segment(
-    g: &DiGraph,
-    plan: &SharingPlan,
-    cur: &ScoreGrid,
-    writer: &par::RowWriter<'_>,
-    segment: &std::ops::Range<usize>,
-    pool: &mut [Vec<f64>],
-    outer: &mut [f64],
-    factor: f64,
-    counter: &mut OpCounter,
-) {
-    let n = cur.order();
-    for step in &plan.schedule[segment.clone()] {
-        match *step {
-            Step::Scratch { t, slot } => {
-                let buf = &mut pool[slot as usize];
-                buf.fill(0.0);
-                let ins = g.in_neighbors(plan.targets[t as usize]);
-                for &x in ins {
-                    cur.add_row_into(x as usize, buf);
-                }
-                counter.add((ins.len() as u64).saturating_sub(1) * n as u64);
-            }
-            Step::CopyUpdate {
-                t,
-                parent_slot,
-                slot,
-            } => {
-                let (a, b) = (parent_slot as usize, slot as usize);
-                let (src, dst) = if a < b {
-                    let (lo, hi) = pool.split_at_mut(b);
-                    (&lo[a], &mut hi[0])
-                } else {
-                    let (lo, hi) = pool.split_at_mut(a);
-                    (&hi[0], &mut lo[b])
-                };
-                dst.copy_from_slice(src);
-                apply(cur, &plan.ops[t as usize], dst, counter, n);
-            }
-            Step::InPlace { t, slot } => {
-                apply(
-                    cur,
-                    &plan.ops[t as usize],
-                    &mut pool[slot as usize],
-                    counter,
-                    n,
-                );
-            }
-            Step::Emit { t, slot } => {
-                let u = plan.targets[t as usize] as usize;
-                let du = g.in_degree(u as u32) as f64;
-                let partial = &pool[slot as usize];
-                // SAFETY: each source is emitted exactly once per pass and
-                // this worker owns the segment, so row `u` is this
-                // thread's alone for the whole pass.
-                let row = unsafe { writer.row_mut(u) };
-                // Triangular pair set: both P-Rank half-sweeps are
-                // symmetric, so only targets `w > u` are accumulated (the
-                // diagonal is pinned and the lower triangle mirrored after
-                // both passes). Subtrees whose largest target id is ≤ u
-                // are skipped wholesale; ancestors of needed nodes are
-                // always computed, so the surviving scalars match the
-                // full walk bit-for-bit.
-                let pre = &plan.preorder;
-                let mut i = 0;
-                while i < pre.len() {
-                    let node = pre[i] as usize;
-                    if (plan.prune.subtree_max[node] as usize) <= u {
-                        i = plan.prune.subtree_end[i];
-                        continue;
-                    }
-                    let wt = node - 1;
-                    let val = match &plan.ops[wt] {
-                        EdgeOp::Scratch => {
-                            let ins = g.in_neighbors(plan.targets[wt]);
-                            counter.add((ins.len() as u64).saturating_sub(1));
-                            par::kernel::gather_sum(partial, ins)
-                        }
-                        EdgeOp::Update { sub, add } => {
-                            let parent = plan.arb.parent(node).expect("non-root");
-                            // Proposition 4 delta as two lane-chunked
-                            // gathers over the symmetric-difference lists.
-                            let s = outer[parent] - par::kernel::gather_sum(partial, sub)
-                                + par::kernel::gather_sum(partial, add);
-                            counter.add((sub.len() + add.len()) as u64);
-                            s
-                        }
-                    };
-                    outer[node] = val;
-                    let w = plan.targets[wt] as usize;
-                    if w > u {
-                        let dw = g.in_degree(w as u32) as f64;
-                        row[w] += factor / (du * dw) * val;
-                    }
-                    i += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Proposition 3 update against the current scores.
-fn apply(cur: &ScoreGrid, op: &EdgeOp, buf: &mut [f64], counter: &mut OpCounter, n: usize) {
-    match op {
-        EdgeOp::Scratch => unreachable!("scratch ops map to Scratch steps"),
-        EdgeOp::Update { sub, add } => {
-            for &x in sub.iter() {
-                cur.sub_row_from(x as usize, buf);
-            }
-            for &x in add.iter() {
-                cur.add_row_into(x as usize, buf);
-            }
-            counter.add((sub.len() + add.len()) as u64 * n as u64);
-        }
-    }
+    (grid.to_sim_matrix(), report)
 }
 
 #[cfg(test)]
@@ -455,6 +220,33 @@ mod tests {
                 assert_eq!(r1.adds, rt.adds, "op counts must merge exactly");
                 assert!(rt.workers >= 1 && rt.workers <= t);
             }
+        }
+    }
+
+    #[test]
+    fn threshold_sieves_the_summed_score_at_every_width() {
+        // The sieve runs on the summed in+out score: no stored
+        // off-diagonal value may land in (0, δ), and the sieved result is
+        // still bit-identical at every pool width.
+        let g = gen::gnm(40, 160, 7);
+        let delta = 0.05;
+        let at = |threads| {
+            let base = SimRankOptions::default()
+                .with_iterations(5)
+                .with_threshold(delta)
+                .with_threads(threads);
+            prank(&g, &PRankOptions { base, lambda: 0.5 })
+        };
+        let s1 = at(1);
+        for (a, b, v) in s1.iter_upper() {
+            assert!(
+                a == b || v == 0.0 || v >= delta,
+                "unsieved p({a},{b}) = {v}"
+            );
+        }
+        assert!(s1.iter_upper().any(|(a, b, v)| a != b && v >= delta));
+        for t in [2usize, 4, 8] {
+            assert_eq!(at(t), s1, "threads = {t}");
         }
     }
 

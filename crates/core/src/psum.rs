@@ -5,21 +5,24 @@
 //! 1. *partial sums memoization* (Eq. 4/5): `Partial_{I(a)}(·)` computed
 //!    once per source and reused across all targets — `O(K·d·n²)` total.
 //!    The outer accumulation runs over the **triangular pair set** only
-//!    (`b > a`; SimRank is symmetric), with a bandwidth-only mirror pass
-//!    restoring the lower triangle each iteration;
+//!    (`b > a`; SimRank is symmetric);
 //! 2. *essential node-pair selection* (here: the weakly-connected-component
 //!    filter — cross-component pairs are identically zero);
 //! 3. *threshold-sieved similarities* (scores below `δ` clamped to zero).
+//!
+//! This module supplies one sweep; the shared iteration driver runs the
+//! iteration around it, including the sieve and the mirror pass.
 //!
 //! Crucially, each source's partial sum is computed **from scratch** — the
 //! redundancy across overlapping in-neighbor sets that `OIP-SR` eliminates.
 
 use crate::grid::ScoreGrid;
-use crate::instrument::{OpCounter, PhaseTimer, Report};
+use crate::instrument::Report;
+use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
-use crate::par;
 use simrank_graph::{traversal, DiGraph, NodeId};
+use simrank_par as par;
 
 /// All-pairs SimRank via partial sums memoization.
 pub fn psum_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
@@ -32,131 +35,146 @@ pub fn psum_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatri
     (grid.to_sim_matrix(), report)
 }
 
-/// The iteration body, returning the final full-square grid (authoritative
+/// The cold run, returning the final full-square grid (authoritative
 /// upper triangle) so the store layer can finalize into any backend
 /// without a second square.
 pub(crate) fn psum_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Report) {
     let n = g.node_count();
-    let k_max = opts.conventional_iterations();
-    let c = opts.damping;
-    let mut timer = PhaseTimer::start();
-    let mut counter = OpCounter::new();
-
-    let targets: Vec<NodeId> = g.nodes_with_in_edges();
-    let components = if opts.component_filter {
-        Some(component_labels(g))
-    } else {
-        None
-    };
-
-    let mut cur = ScoreGrid::identity(n);
-    let mut next = ScoreGrid::zeros(n);
-
-    // Each source's partial-sum chain is independent: shard the (sorted)
-    // target list into contiguous blocks. `targets` ascend, so a block of
-    // target indices maps to a contiguous band of output rows — the grid
-    // splits safely with no locks on the hot path. The outer loop is
-    // *triangular* (source `a` only visits targets `b > a`; the mirror
-    // pass recovers the rest), so blocks are carved by work weight —
-    // memoization `(d_a − 1)·n` plus the shrinking outer suffix
-    // `Σ_{b>a} (d_b − 1)` — not by equal length.
-    let workers = par::effective_workers(opts.threads, targets.len());
-    let mut target_weights = vec![0usize; targets.len()];
-    let mut suffix_outer = 0usize;
-    for i in (0..targets.len()).rev() {
-        let d = g.in_neighbors(targets[i]).len();
-        // The globally-last target skips its memoization pass (no b > a
-        // consumers), so it carries no (d−1)·n term.
-        let memo = if i + 1 == targets.len() {
-            0
-        } else {
-            d.saturating_sub(1) * n
-        };
-        target_weights[i] = memo + suffix_outer + (targets.len() - i);
-        suffix_outer += d.saturating_sub(1);
-    }
-    let target_blocks = par::weighted_blocks(&target_weights, workers);
-
-    // Per-block memoization buffers for Partial_{I(a)}(·): one flat
-    // `blocks × n` arena allocated once for the whole run, with each
-    // block claiming its own row through a `RowWriter`.
-    let mut partials_flat = vec![0.0f64; target_blocks.len() * n];
-    // Sweep items are plain block indices, hoisted once and recycled
-    // through `sweep_drain` so the queue buffer is allocated a single
-    // time for the whole run instead of once per iteration.
-    let mut items: Vec<usize> = Vec::with_capacity(target_blocks.len());
-
-    // The pool is spawned once for the whole run; each iteration is one
-    // barrier-synchronized sweep over the target blocks.
-    par::WorkerPool::scoped(workers, |pool| {
-        for _ in 0..k_max {
-            next.clear();
-            let writer = par::RowWriter::new(next.data_mut(), n);
-            let scratch = par::RowWriter::new(&mut partials_flat, n);
-            items.extend(0..target_blocks.len());
-            counter.add(pool.sweep_drain(&mut items, |bi, counter| {
-                let block = target_blocks[bi].clone();
-                // SAFETY: scratch row `bi` belongs to this block alone.
-                let partial = unsafe { scratch.row_mut(bi) };
-                for (idx, &a) in targets.iter().enumerate().take(block.end).skip(block.start) {
-                    if idx + 1 == targets.len() {
-                        // No targets b > a remain: the partial sum would
-                        // have zero consumers, so skip the whole
-                        // memoization pass (its row is mirror-filled).
-                        continue;
-                    }
-                    let ins_a = g.in_neighbors(a);
-                    // Memoize Partial_{I(a)}(y) for all y (Eq. 4), from scratch.
-                    partial.fill(0.0);
-                    for &x in ins_a {
-                        cur.add_row_into(x as usize, partial);
-                    }
-                    counter.add((ins_a.len() as u64).saturating_sub(1) * n as u64);
-                    let da = ins_a.len() as f64;
-                    // SAFETY: `targets` ascend, so the target ids inside a
-                    // block form disjoint row sets across blocks.
-                    let row = unsafe { writer.row_mut(a as usize) };
-                    // Triangular outer accumulation: `targets` ascend, so
-                    // the suffix after `idx` is exactly the pair set b > a.
-                    for &b in &targets[idx + 1..] {
-                        if let Some(comp) = &components {
-                            if comp[a as usize] != comp[b as usize] {
-                                continue; // essential-pair filter: provably zero
-                            }
-                        }
-                        let ins_b = g.in_neighbors(b);
-                        // Outer sum (Eq. 5) as one lane-chunked gather
-                        // over I(b) — fixed association, thread-invariant.
-                        let sum = par::kernel::gather_sum(partial, ins_b);
-                        counter.add((ins_b.len() as u64).saturating_sub(1));
-                        let mut val = c / (da * ins_b.len() as f64) * sum;
-                        if let Some(delta) = opts.threshold {
-                            if val < delta {
-                                val = 0.0;
-                            }
-                        }
-                        row[b as usize] = val;
-                    }
-                }
-            }));
-            next.set_diagonal(1.0);
-            par::mirror_upper_to_lower(pool, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-    });
-
+    let mut kernel = PsumKernel::new(g, opts);
+    let (grid, report) = iterate(
+        n,
+        opts.threshold,
+        &mut kernel,
+        Start::Identity,
+        Stop::Fixed(opts.conventional_iterations()),
+        |_, _| {},
+    );
     let report = Report {
-        iterations: k_max,
-        adds: counter.total(),
-        share_sums: timer.lap(),
         // One n-vector of partial sums per worker is the only intermediate
         // state.
-        peak_intermediate_bytes: workers * n * std::mem::size_of::<f64>(),
-        peak_live_buffers: workers,
-        workers,
-        ..Default::default()
+        peak_intermediate_bytes: report.workers * n * std::mem::size_of::<f64>(),
+        peak_live_buffers: report.workers,
+        ..report
     };
-    (cur, report)
+    (grid, report)
+}
+
+/// One psum-SR sweep over the ascending target list, sharded by weighted
+/// target block.
+struct PsumKernel<'a> {
+    g: &'a DiGraph,
+    c: f64,
+    workers: usize,
+    /// Vertices with in-edges, ascending.
+    targets: Vec<NodeId>,
+    /// Weakly-connected-component labels when the essential-pair filter
+    /// is on.
+    components: Option<Vec<u32>>,
+    target_blocks: Vec<std::ops::Range<usize>>,
+    /// Memoization buffers for `Partial_{I(a)}(·)`: one flat
+    /// `blocks × n` arena allocated once for the whole run, with each
+    /// block claiming its own row through a `RowWriter`.
+    partials_flat: Vec<f64>,
+}
+
+impl<'a> PsumKernel<'a> {
+    fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
+        let n = g.node_count();
+        let targets: Vec<NodeId> = g.nodes_with_in_edges();
+        // Each source's partial-sum chain is independent: shard the
+        // (sorted) target list into contiguous blocks. `targets` ascend,
+        // so a block of target indices maps to a contiguous band of output
+        // rows — the grid splits safely with no locks on the hot path. The
+        // outer loop is *triangular* (source `a` only visits targets
+        // `b > a`), so blocks are carved by work weight — memoization
+        // `(d_a − 1)·n` plus the shrinking outer suffix `Σ_{b>a} (d_b − 1)`
+        // — not by equal length.
+        let workers = par::effective_workers(opts.threads, targets.len());
+        let mut target_weights = vec![0usize; targets.len()];
+        let mut suffix_outer = 0usize;
+        for i in (0..targets.len()).rev() {
+            let d = g.in_neighbors(targets[i]).len();
+            // The globally-last target skips its memoization pass (no
+            // b > a consumers), so it carries no (d−1)·n term.
+            let memo = if i + 1 == targets.len() {
+                0
+            } else {
+                d.saturating_sub(1) * n
+            };
+            target_weights[i] = memo + suffix_outer + (targets.len() - i);
+            suffix_outer += d.saturating_sub(1);
+        }
+        let target_blocks = par::weighted_blocks(&target_weights, workers);
+        PsumKernel {
+            g,
+            c: opts.damping,
+            workers,
+            components: opts.component_filter.then(|| component_labels(g)),
+            partials_flat: vec![0.0f64; target_blocks.len() * n],
+            targets,
+            target_blocks,
+        }
+    }
+}
+
+impl Kernel for PsumKernel<'_> {
+    fn workers(&self) -> usize {
+        self.workers
+    }
+
+    fn sweep(
+        &mut self,
+        pool: &mut par::WorkerPool<'_>,
+        items: &mut Vec<usize>,
+        cur: &ScoreGrid,
+        next: &mut ScoreGrid,
+    ) -> u64 {
+        let (g, c, targets) = (self.g, self.c, &self.targets);
+        let (components, target_blocks) = (&self.components, &self.target_blocks);
+        let n = g.node_count();
+        let writer = par::RowWriter::new(next.data_mut(), n);
+        let scratch = par::RowWriter::new(&mut self.partials_flat, n);
+        items.extend(0..target_blocks.len());
+        pool.sweep_drain(items, |bi, counter| {
+            let block = target_blocks[bi].clone();
+            // SAFETY: scratch row `bi` belongs to this block alone.
+            let partial = unsafe { scratch.row_mut(bi) };
+            for (idx, &a) in targets.iter().enumerate().take(block.end).skip(block.start) {
+                if idx + 1 == targets.len() {
+                    // No targets b > a remain: the partial sum would
+                    // have zero consumers, so skip the whole
+                    // memoization pass (its row is mirror-filled).
+                    continue;
+                }
+                let ins_a = g.in_neighbors(a);
+                // Memoize Partial_{I(a)}(y) for all y (Eq. 4), from scratch.
+                partial.fill(0.0);
+                for &x in ins_a {
+                    cur.add_row_into(x as usize, partial);
+                }
+                counter.add((ins_a.len() as u64).saturating_sub(1) * n as u64);
+                let da = ins_a.len() as f64;
+                // SAFETY: `targets` ascend, so the target ids inside a
+                // block form disjoint row sets across blocks.
+                let row = unsafe { writer.row_mut(a as usize) };
+                // Triangular outer accumulation: `targets` ascend, so
+                // the suffix after `idx` is exactly the pair set b > a.
+                for &b in &targets[idx + 1..] {
+                    if let Some(comp) = components {
+                        if comp[a as usize] != comp[b as usize] {
+                            continue; // essential-pair filter: provably zero
+                        }
+                    }
+                    let ins_b = g.in_neighbors(b);
+                    // Outer sum (Eq. 5) as one lane-chunked gather
+                    // over I(b) — fixed association, thread-invariant.
+                    let sum = par::kernel::gather_sum(partial, ins_b);
+                    counter.add((ins_b.len() as u64).saturating_sub(1));
+                    row[b as usize] = c / (da * ins_b.len() as f64) * sum;
+                }
+            }
+        })
+    }
 }
 
 /// Weakly-connected-component labels (essential-pair filter): vertices in

@@ -54,10 +54,10 @@
 //! ```
 
 use crate::matrix::SimMatrix;
-use crate::par;
 use crate::store::{LowRankScores, ScoreStore, StoredScores, ThresholdedSparse};
 use crate::topk;
 use simrank_graph::NodeId;
+use simrank_par as par;
 use std::num::NonZeroUsize;
 
 /// Object-safe single-source / top-k query interface over any similarity

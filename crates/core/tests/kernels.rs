@@ -1,5 +1,5 @@
 //! Property suite for the deterministic lane-chunked kernel layer
-//! (`simrank_core::par::kernel`), pinning the four contracts every dense
+//! (`simrank_par::kernel`), pinning the four contracts every dense
 //! inner loop in the workspace now rests on:
 //!
 //! 1. each reduction kernel is **bitwise equal** to a straightforward
@@ -20,12 +20,12 @@
 
 use proptest::prelude::*;
 use simrank_core::index::SimRankIndex;
-use simrank_core::par::kernel;
 use simrank_core::{
     naive::naive_simrank_with_report, oip::oip_simrank_with_report, psum::psum_simrank_with_report,
     SimRankOptions,
 };
 use simrank_graph::{DiGraph, NodeId};
+use simrank_par::kernel;
 
 const LANES: usize = kernel::LANES;
 

@@ -42,8 +42,8 @@
 //! # Parallel execution
 //!
 //! **Every** algorithm runs on the workspace's persistent worker-pool
-//! executor (the `simrank_par` crate, re-exported at
-//! `simrank_core::par`): the pool is spawned once per run, workers park
+//! executor (the `simrank_par` crate, re-exported at [`par`]): the pool
+//! is spawned once per run, workers park
 //! between barrier-synchronized sweeps, and each path shards its natural
 //! unit — row bands (`naive`/`psum`), sharing-tree segments
 //! (`oip`/`oip_dsr` and both `prank` direction passes), per-walk-seeded

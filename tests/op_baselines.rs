@@ -173,6 +173,7 @@ fn measured_digests() -> Vec<(String, u64)> {
             ("oip_dsr", dsr::oip_dsr_simrank(&g, &opts)),
             ("oip_dsr_t05", dsr::oip_dsr_simrank(&g, &sieved)),
             ("prank", prank_with_report(&g, &prank_opts(opts)).0),
+            ("prank_t05", prank_with_report(&g, &prank_opts(sieved)).0),
             ("dynamic_resweep", resweep_case(&g, &opts).0),
         ];
         for (algo, scores) in cases {
