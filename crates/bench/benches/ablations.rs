@@ -9,12 +9,14 @@
 //! * `ablation_outer` — inner+outer sharing vs. inner-only (Prop. 4 off);
 //! * `ablation_cost_model` — Eq. 7's `min(|A⊖B|, |B|−1)` vs. forced
 //!   symmetric differences;
-//! * `ablation_dmst_algo` — greedy DAG fast path vs. full Chu–Liu/Edmonds
-//!   for plan construction.
+//! * `ablation_dmst_algo` — the streaming greedy DAG solver inside plan
+//!   construction vs. full Chu–Liu/Edmonds on the materialized cost graph.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use simrank_core::{oip, CostModel, SharingPlan, SimRankOptions};
+use simrank_core::{oip, setops, CostModel, SharingPlan, SimRankOptions};
 use simrank_datasets as datasets;
+use simrank_graph::DiGraph;
+use simrank_mst::{edmonds, Edge};
 
 const SEED: u64 = datasets::DEFAULT_SEED;
 
@@ -67,6 +69,21 @@ fn ablation_cost_model(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `DMST-Reduce` cost graph under Eq. 7 over `targets` (sorted by
+/// in-degree): root edges of weight `|B| − 1` plus every forward pair.
+fn cost_graph(g: &DiGraph, targets: &[u32]) -> Vec<Edge> {
+    let mut edges = Vec::new();
+    for (j, &v) in targets.iter().enumerate() {
+        let ins_j = g.in_neighbors(v);
+        edges.push(Edge::new(0, j + 1, (ins_j.len() as u64).saturating_sub(1)));
+        for (i, &u) in targets[..j].iter().enumerate() {
+            let w = setops::transition_cost(g.in_neighbors(u), ins_j);
+            edges.push(Edge::new(i + 1, j + 1, w));
+        }
+    }
+    edges
+}
+
 fn ablation_dmst_algo(c: &mut Criterion) {
     let g = graph();
     let base = SimRankOptions::default();
@@ -75,9 +92,11 @@ fn ablation_dmst_algo(c: &mut Criterion) {
     group.bench_function("greedy_dag_fast_path", |b| {
         b.iter(|| SharingPlan::build(&g, &base))
     });
-    let edmonds = base.with_edmonds(true);
+    // Both arms pay for the transition costs: the greedy scan computes
+    // them on the fly, Edmonds needs them materialized first.
+    let targets = SharingPlan::build(&g, &base).targets;
     group.bench_function("chu_liu_edmonds", |b| {
-        b.iter(|| SharingPlan::build(&g, &edmonds))
+        b.iter(|| edmonds(targets.len() + 1, &cost_graph(&g, &targets), 0))
     });
     group.finish();
 }

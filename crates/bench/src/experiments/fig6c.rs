@@ -8,7 +8,7 @@
 
 use crate::scale::Scale;
 use crate::table::{fmt_secs, Table};
-use simrank_core::{dsr, oip, psum, SimRankOptions};
+use simrank_core::{dsr, oip, psum, SharingPlan, SimRankOptions};
 use simrank_datasets as datasets;
 use std::time::Duration;
 
@@ -42,7 +42,8 @@ pub fn run(scale: Scale, seed: u64) -> Vec<DensityPoint> {
         .map(|d| {
             let g = datasets::syn(n, d, seed).graph;
             let (_, r_dsr) = dsr::oip_dsr_simrank_with_report(&g, &opts);
-            let (_, r_oip) = oip::oip_simrank_with_report(&g, &opts);
+            let plan = SharingPlan::build(&g, &opts);
+            let (_, r_oip) = oip::oip_simrank_with_plan(&g, &plan, &opts);
             let (_, r_psum) = psum::psum_simrank_with_report(&g, &opts);
             DensityPoint {
                 avg_degree: d,
@@ -50,7 +51,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<DensityPoint> {
                 oip_sr: r_oip.total_time(),
                 psum_sr: r_psum.total_time(),
                 share_ratio: r_oip.share_ratio_vs(&r_psum),
-                d_eff: r_oip.d_eff,
+                d_eff: plan.d_eff(),
             }
         })
         .collect()
@@ -109,8 +110,8 @@ mod tests {
         let opts = SimRankOptions::default().with_iterations(2);
         for d in [10usize, 30] {
             let g = datasets::syn(300, d, 5).graph;
-            let (_, r) = oip::oip_simrank_with_report(&g, &opts);
-            assert!(r.d_eff < d as f64, "d'={} should undercut d={d}", r.d_eff);
+            let d_eff = SharingPlan::build(&g, &opts).d_eff();
+            assert!(d_eff < d as f64, "d'={d_eff} should undercut d={d}");
         }
     }
 }

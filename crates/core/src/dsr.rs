@@ -33,23 +33,7 @@ pub fn oip_dsr_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
 
 /// As [`oip_dsr_simrank`], also returning instrumentation.
 pub fn oip_dsr_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
-    let (grid, report) = oip_dsr_grid(g, opts);
-    (grid.to_sim_matrix(), report)
-}
-
-/// Plan build + engine run, returning the final full-square grid
-/// (authoritative upper triangle) so the store layer can finalize into
-/// any backend without a second square.
-pub(crate) fn oip_dsr_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Report) {
-    let plan = SharingPlan::build(g, opts);
-    engine::run(
-        g,
-        &plan,
-        opts,
-        Mode::Differential,
-        opts.differential_iterations(),
-        |_, _| {},
-    )
+    oip_dsr_simrank_with_plan(g, &SharingPlan::build(g, opts), opts)
 }
 
 /// Runs `OIP-DSR` for exactly `iterations` rounds, invoking `observer` with

@@ -38,7 +38,7 @@
 //! Determinism is a separate, stronger contract: for a *fixed* warm start
 //! and edit batch, the resweep is bit-for-bit identical at every worker
 //! count, and its merged op count is exact
-//! ([`OpCounter`](crate::instrument::OpCounter) shard merge) — both
+//! ([`OpCounter`](simrank_par::OpCounter) shard merge) — both
 //! enforced by the `dynamic_resweep/*` cases of `tests/op_baselines.rs`.
 //!
 //! The single-source index path has its own warm-start analogue:

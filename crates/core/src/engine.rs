@@ -35,12 +35,12 @@
 //! untouched, so results are bit-for-bit identical for every thread count.
 
 use crate::grid::ScoreGrid;
-use crate::instrument::{OpCounter, Report};
+use crate::instrument::Report;
 use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::options::SimRankOptions;
 use crate::plan::{EdgeOp, SharingPlan, Step};
 use simrank_graph::DiGraph;
-use simrank_par as par;
+use simrank_par::{self as par, OpCounter};
 
 /// Which recurrence the engine iterates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,8 +108,6 @@ pub(crate) fn run(
     };
     let report = Report {
         mst_build: plan.build_time,
-        tree_weight: plan.tree_weight,
-        d_eff: plan.d_eff(),
         peak_intermediate_bytes: kernel.state_bytes() + accumulator_rows,
         peak_live_buffers: report.workers * plan.slots,
         ..report
@@ -585,8 +583,7 @@ mod tests {
         let (_, report) = run(&g, &plan, &opts, Mode::Conventional, 3, |_, _| {});
         assert_eq!(report.iterations, 3);
         assert!(report.adds > 0);
-        assert_eq!(report.tree_weight, 8);
-        assert!(report.d_eff > 0.0 && report.d_eff < 2.0);
+        assert_eq!(report.mst_build, plan.build_time);
         assert!(report.peak_intermediate_bytes >= 9 * 8);
     }
 }

@@ -93,10 +93,10 @@
 //! assert_eq!(top.len(), 3);
 //! ```
 
-use crate::instrument::{OpCounter, PhaseTimer, Report};
+use crate::instrument::{PhaseTimer, Report};
 use crate::options::SimRankOptions;
 use simrank_graph::{DiGraph, EdgeDelta, GraphError, NodeId};
-use simrank_par as par;
+use simrank_par::{self as par, OpCounter};
 
 /// Hard cap on diagonal-correction solver rounds. CGLS usually converges
 /// in far fewer (in exact arithmetic it terminates in at most `n` steps,

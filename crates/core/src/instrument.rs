@@ -7,12 +7,6 @@
 
 use std::time::{Duration, Instant};
 
-// The counter lives in the extracted executor crate (its sweep API hands
-// each worker a private shard); re-exported here so `crate::instrument::
-// OpCounter` — the historical path every algorithm imports — keeps
-// working.
-pub use simrank_par::OpCounter;
-
 /// Measurements accumulated during a SimRank run.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
@@ -33,11 +27,6 @@ pub struct Report {
     pub mst_build: Duration,
     /// Wall time spent in the iterative partial-sums phase.
     pub share_sums: Duration,
-    /// Total arborescence weight (sum of the chosen transition costs).
-    pub tree_weight: u64,
-    /// Effective per-vertex cost `d′`: tree weight / #non-empty in-sets.
-    /// The paper's Proposition 5 claims `d′ ≤ d`, typically `d′ ≪ d`.
-    pub d_eff: f64,
     /// Peak intermediate heap (partial-sum buffers, outer scalars, auxiliary
     /// matrices) in bytes — excludes the output similarity matrix itself,
     /// matching how the paper reports "memory space".
@@ -52,7 +41,7 @@ pub struct Report {
     /// algorithm path bypasses the executor anymore. The value never
     /// affects any other `Report` field except the memory-model ones
     /// (per-worker buffers scale with it): counts merge exactly across
-    /// shards — see [`OpCounter::merge`].
+    /// shards — see [`simrank_par::OpCounter::merge`].
     pub workers: usize,
 }
 
@@ -99,38 +88,6 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = OpCounter::new();
-        c.add(10);
-        c.add(5);
-        assert_eq!(c.total(), 15);
-    }
-
-    #[test]
-    fn counter_shards_merge_exactly() {
-        // Any split of the same operations across shards merges to the
-        // same total — the property the parallel executor relies on.
-        let ops = [3u64, 7, 11, 2, 9];
-        let mut single = OpCounter::new();
-        for &n in &ops {
-            single.add(n);
-        }
-        let mut shard_a = OpCounter::new();
-        let mut shard_b = OpCounter::new();
-        for (i, &n) in ops.iter().enumerate() {
-            if i % 2 == 0 {
-                shard_a.add(n);
-            } else {
-                shard_b.add(n);
-            }
-        }
-        let mut merged = OpCounter::new();
-        merged.merge(&shard_a);
-        merged.merge(&shard_b);
-        assert_eq!(merged.total(), single.total());
-    }
 
     #[test]
     fn share_ratio() {

@@ -28,9 +28,9 @@
 //! is bit-for-bit thread invariant stays so under the driver.
 
 use crate::grid::ScoreGrid;
-use crate::instrument::{OpCounter, PhaseTimer, Report};
+use crate::instrument::{PhaseTimer, Report};
 use crate::store::ScoreStore;
-use simrank_par::WorkerPool;
+use simrank_par::{OpCounter, WorkerPool};
 
 /// The grid the first sweep reads.
 pub(crate) enum Start<'a> {

@@ -41,15 +41,15 @@
 //! pass and the stop rule. [`convergence`] carries the iteration-count
 //! theory (geometric bound, Proposition 7, Corollaries 1–2 with a
 //! from-scratch Lambert-W implementation), [`instrument`] the measurements
-//! the paper's figures report (phase timings, addition counts, `d′`, peak
-//! intermediate memory).
+//! the paper's figures report (phase timings, addition counts, peak
+//! intermediate memory); the plan itself carries the tree weight and `d′`.
 //!
-//! Result storage is pluggable: every algorithm can finalize into any
-//! [`store::ScoreStore`] backend via [`store::simrank_stored`] — the
-//! packed triangle ([`SimMatrix`], default), a low-rank factor handle
-//! that never densifies (`mtx` only, `O(n·r + r²)` resident), or a
-//! thresholded upper-triangle CSR — selected by
-//! [`options::ScoreBackend`] on [`SimRankOptions`]. The ranking layer
+//! Result storage is pluggable behind [`store::ScoreStore`], with one
+//! producer per backend: every all-pairs entry point returns the packed
+//! triangle ([`SimMatrix`]), [`mtx::mtx_simrank_low_rank`] returns a
+//! low-rank factor handle that never densifies (`O(n·r + r²)`
+//! resident), and [`store::ThresholdedSparse::from_store`] prunes any
+//! store into a thresholded upper-triangle CSR. The ranking layer
 //! ([`topk`]) is generic over the same trait. Low-rank factors persist as
 //! the `SRL1` format ([`persist::save_low_rank`]).
 //!
@@ -113,9 +113,7 @@ pub use grid::ScoreGrid;
 pub use index::SimRankIndex;
 pub use instrument::Report;
 pub use matrix::SimMatrix;
-pub use options::{CostModel, ScoreBackend, SimRankOptions};
+pub use options::{CostModel, SimRankOptions};
 pub use plan::SharingPlan;
 pub use query::QueryEngine;
-pub use store::{
-    simrank_stored, LowRankScores, ScoreStore, StoreAlgo, StoredScores, ThresholdedSparse,
-};
+pub use store::{LowRankScores, ScoreStore, ThresholdedSparse};

@@ -22,26 +22,19 @@ pub fn naive_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
 
 /// As [`naive_simrank`], also returning instrumentation.
 pub fn naive_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
-    let (grid, report) = naive_grid(g, opts);
-    (grid.to_sim_matrix(), report)
-}
-
-/// The cold run, returning the final full-square grid (authoritative
-/// upper triangle) so the store layer can finalize into any backend
-/// without a second square.
-pub(crate) fn naive_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Report) {
-    iterate(
+    let (grid, report) = iterate(
         g.node_count(),
         opts.threshold,
         &mut NaiveKernel::new(g, opts),
         Start::Identity,
         Stop::Fixed(opts.conventional_iterations()),
         |_, _| {},
-    )
+    );
+    (grid.to_sim_matrix(), report)
 }
 
 /// The triangular Jeh–Widom sweep, shared verbatim by the cold
-/// [`naive_grid`] run and the warm-start [`crate::dynamic`] resweep so the
+/// [`naive_simrank_with_report`] run and the warm-start [`crate::dynamic`] resweep so the
 /// two are the same arithmetic by construction.
 pub(crate) struct NaiveKernel<'a> {
     g: &'a DiGraph,

@@ -21,26 +21,12 @@ pub fn oip_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
     oip_simrank_with_report(g, opts).0
 }
 
-/// As [`oip_simrank`], also returning instrumentation (tree weight, `d′`,
-/// phase timings, addition counts — the measurements behind Fig. 6a–6d).
+/// As [`oip_simrank`], also returning instrumentation (phase timings,
+/// addition counts, peak memory — the measurements behind Fig. 6a–6d).
+/// The tree weight and `d′` live on the plan: build it with
+/// [`SharingPlan::build`] and run [`oip_simrank_with_plan`] to read both.
 pub fn oip_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
-    let (grid, report) = oip_grid(g, opts);
-    (grid.to_sim_matrix(), report)
-}
-
-/// Plan build + engine run, returning the final full-square grid
-/// (authoritative upper triangle) so the store layer can finalize into
-/// any backend without a second square.
-pub(crate) fn oip_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Report) {
-    let plan = SharingPlan::build(g, opts);
-    engine::run(
-        g,
-        &plan,
-        opts,
-        Mode::Conventional,
-        opts.conventional_iterations(),
-        |_, _| {},
-    )
+    oip_simrank_with_plan(g, &SharingPlan::build(g, opts), opts)
 }
 
 /// Runs `OIP-SR` for exactly `iterations` rounds, invoking `observer` with
@@ -143,7 +129,6 @@ mod tests {
             oip_r.adds,
             psum_r.adds
         );
-        assert!(oip_r.d_eff > 0.0);
     }
 
     #[test]
@@ -165,15 +150,6 @@ mod tests {
         let last = *g.nodes_with_in_edges().last().expect("fixture has targets");
         let dead_memo = 2 * (g.in_degree(last) as u64 - 1) * 9;
         assert_eq!(oip_r.adds, psum_r.adds + dead_memo);
-    }
-
-    #[test]
-    fn edmonds_and_greedy_agree() {
-        let g = gen::gnm(50, 220, 9);
-        let opts = SimRankOptions::default().with_iterations(4);
-        let a = oip_simrank(&g, &opts);
-        let b = oip_simrank(&g, &opts.with_edmonds(true));
-        assert!(a.max_abs_diff(&b) < 1e-10);
     }
 
     #[test]

@@ -32,30 +32,6 @@ pub enum CostModel {
     SymDiffOnly,
 }
 
-/// Which score-storage backend a run finalizes its result into (see
-/// [`crate::store`] for the trait and the backend types).
-///
-/// The default, [`ScoreBackend::Packed`], is the historical packed
-/// triangle and leaves every existing entry point bit-for-bit unchanged.
-/// The alternatives trade exactness of *storage* (never of the kept
-/// values — stored entries are always bit-identical to the packed run)
-/// for memory: low-rank factors (`O(n·r + r²)`, mtx only) or a
-/// thresholded upper-triangle CSR (`O(nnz)`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ScoreBackend {
-    /// Packed lower-triangle `n(n+1)/2` dense storage ([`crate::SimMatrix`]).
-    Packed,
-    /// Serve scores straight from the mtx SVD factors — no `n × n`
-    /// materialization. Only the factorization path
-    /// ([`crate::store::StoreAlgo::Mtx`]) can produce this backend.
-    LowRank,
-    /// Upper-triangle CSR keeping only pairs with `|s| ≥ theta`.
-    Thresholded {
-        /// Drop threshold `θ ≥ 0`; `0` keeps every pair.
-        theta: f64,
-    },
-}
-
 /// Configuration for all SimRank computations.
 ///
 /// Defaults follow the paper's experimental setting: `C = 0.6`,
@@ -82,10 +58,6 @@ pub struct SimRankOptions {
     pub outer_sharing: bool,
     /// Transition-cost model (paper Eq. 7 by default).
     pub cost_model: CostModel,
-    /// Use full Chu–Liu/Edmonds instead of the DAG fast path when extracting
-    /// the minimum spanning arborescence (`ablation_dmst_algo`). Both yield
-    /// equal-weight trees on `DMST-Reduce` cost graphs.
-    pub use_edmonds: bool,
     /// Worker threads for the persistent worker-pool executor
     /// ([`simrank_par::WorkerPool`]): each algorithm run spawns the pool
     /// once, parks the workers between barrier-synchronized sweeps, and
@@ -96,11 +68,6 @@ pub struct SimRankOptions {
     /// or plan columns) and the per-item arithmetic never changes, only
     /// the interleaving.
     pub threads: NonZeroUsize,
-    /// Score-storage backend the store-aware entry point
-    /// ([`crate::store::simrank_stored`]) finalizes results into. The
-    /// packed default keeps every direct algorithm entry point
-    /// bit-for-bit unchanged.
-    pub backend: ScoreBackend,
 }
 
 impl Default for SimRankOptions {
@@ -113,9 +80,7 @@ impl Default for SimRankOptions {
             component_filter: false,
             outer_sharing: true,
             cost_model: CostModel::Min,
-            use_edmonds: false,
             threads: default_threads(),
-            backend: ScoreBackend::Packed,
         }
     }
 }
@@ -166,29 +131,11 @@ impl SimRankOptions {
         self
     }
 
-    /// Selects full Chu–Liu/Edmonds for tree extraction.
-    pub fn with_edmonds(mut self, on: bool) -> Self {
-        self.use_edmonds = on;
-        self
-    }
-
     /// Sets the worker-thread count (must be at least 1). `1` reproduces the
     /// historical single-threaded execution exactly; any `N` produces
     /// bit-for-bit the same scores.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = NonZeroUsize::new(threads).expect("threads must be at least 1, got 0");
-        self
-    }
-
-    /// Selects the score-storage backend for store-aware entry points.
-    pub fn with_backend(mut self, backend: ScoreBackend) -> Self {
-        if let ScoreBackend::Thresholded { theta } = backend {
-            assert!(
-                theta >= 0.0 && theta.is_finite(),
-                "threshold theta must be finite and ≥ 0, got {theta}"
-            );
-        }
-        self.backend = backend;
         self
     }
 
@@ -220,21 +167,6 @@ mod tests {
         assert_eq!(o.threshold, None);
         assert!(o.outer_sharing);
         assert_eq!(o.cost_model, CostModel::Min);
-        assert_eq!(o.backend, ScoreBackend::Packed);
-    }
-
-    #[test]
-    fn backend_builder() {
-        let o = SimRankOptions::default().with_backend(ScoreBackend::Thresholded { theta: 0.01 });
-        assert_eq!(o.backend, ScoreBackend::Thresholded { theta: 0.01 });
-        let o = o.with_backend(ScoreBackend::LowRank);
-        assert_eq!(o.backend, ScoreBackend::LowRank);
-    }
-
-    #[test]
-    #[should_panic(expected = "theta")]
-    fn rejects_negative_theta() {
-        let _ = SimRankOptions::default().with_backend(ScoreBackend::Thresholded { theta: -0.1 });
     }
 
     #[test]
@@ -244,13 +176,12 @@ mod tests {
             .with_epsilon(1e-4)
             .with_threshold(1e-5)
             .with_outer_sharing(false)
-            .with_cost_model(CostModel::ScratchOnly)
-            .with_edmonds(true);
+            .with_cost_model(CostModel::ScratchOnly);
         assert_eq!(o.damping, 0.8);
         assert_eq!(o.epsilon, 1e-4);
         assert_eq!(o.threshold, Some(1e-5));
         assert!(!o.outer_sharing);
-        assert!(o.use_edmonds);
+        assert_eq!(o.cost_model, CostModel::ScratchOnly);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //!
 //! 1. the *cost graph* `G*` over non-empty in-neighbor sets with transition
 //!    costs `TC(A → B) = min(|A ⊖ B|, |B| − 1)` (Eq. 7), rooted at `∅`;
-//! 2. its minimum spanning arborescence (procedure `DMST-Reduce`) — by
-//!    default via a streaming greedy that is exact because `G*`'s edges only
-//!    go forward along the (in-degree, id) total order (so `G*` is a DAG and
-//!    per-vertex cheapest-incoming-edge selection is optimal), or via full
-//!    Chu–Liu/Edmonds when [`CostModel`]/options request it;
+//! 2. its minimum spanning arborescence (procedure `DMST-Reduce`) via a
+//!    streaming greedy that is exact because `G*`'s edges only go forward
+//!    along the (in-degree, id) total order (so `G*` is a DAG and
+//!    per-vertex cheapest-incoming-edge selection is optimal; the unit
+//!    tests pin it against full Chu–Liu/Edmonds);
 //! 3. per-tree-edge update *ops* — the `(A ∖ B, B ∖ A)` lists of
 //!    Proposition 3, or `Scratch` when recomputing is cheaper;
 //! 4. a replayable *schedule* of buffer steps covering the whole tree with
@@ -29,7 +29,7 @@
 use crate::options::{CostModel, SimRankOptions};
 use crate::setops;
 use simrank_graph::{DiGraph, NodeId};
-use simrank_mst::{dag_arborescence, edmonds, Arborescence, Edge};
+use simrank_mst::Arborescence;
 use simrank_par as par;
 use std::time::{Duration, Instant};
 
@@ -156,11 +156,7 @@ impl SharingPlan {
         let t = targets.len();
 
         // --- Transition costs and arborescence. ---
-        let arb = if opts.use_edmonds {
-            Self::solve_edmonds(g, &targets, opts.cost_model)
-        } else {
-            Self::solve_greedy(g, &targets, opts)
-        };
+        let arb = Self::solve_greedy(g, &targets, opts);
 
         // --- Per-target ops from the chosen tree edges. ---
         let mut ops = Vec::with_capacity(t);
@@ -212,7 +208,9 @@ impl SharingPlan {
         }
     }
 
-    /// Effective per-target transition cost `d′` (Proposition 5's constant).
+    /// Effective per-target transition cost `d′` (Proposition 5's
+    /// constant): tree weight / #non-empty in-sets. Proposition 5 claims
+    /// `d′ ≤ d`, typically `d′ ≪ d`.
     pub fn d_eff(&self) -> f64 {
         if self.targets.is_empty() {
             0.0
@@ -287,42 +285,6 @@ impl SharingPlan {
             weights[j + 1] = best_w[j];
         }
         Arborescence::from_parents(0, parents, weights)
-    }
-
-    /// Full Chu–Liu/Edmonds on the materialized cost graph (ablation path;
-    /// quadratic edge list, intended for moderate `t`).
-    fn solve_edmonds(g: &DiGraph, targets: &[NodeId], model: CostModel) -> Arborescence {
-        let t = targets.len();
-        let mut edges = Vec::with_capacity(t + t * (t.saturating_sub(1)) / 2);
-        for (j, &v) in targets.iter().enumerate() {
-            edges.push(Edge::new(
-                0,
-                j + 1,
-                (g.in_degree(v) as u64).saturating_sub(1),
-            ));
-        }
-        if model != CostModel::ScratchOnly {
-            for i in 0..t {
-                let ins_i = g.in_neighbors(targets[i]);
-                for j in (i + 1)..t {
-                    let ins_j = g.in_neighbors(targets[j]);
-                    let w = match model {
-                        CostModel::Min => setops::transition_cost(ins_i, ins_j),
-                        CostModel::SymDiffOnly => {
-                            setops::symmetric_difference_size(ins_i, ins_j) as u64
-                        }
-                        CostModel::ScratchOnly => unreachable!(),
-                    };
-                    edges.push(Edge::new(i + 1, j + 1, w));
-                }
-            }
-        }
-        // The cost graph always has root edges to every node, so a spanning
-        // arborescence exists; fall back to the greedy result on the
-        // (unreachable) failure path to keep the API total.
-        edmonds(t + 1, &edges, 0)
-            .or_else(|| dag_arborescence(t + 1, &edges, 0))
-            .expect("cost graph is spanning from the root")
     }
 
     /// Splits the schedule at every root-child compute step. The schedule
@@ -512,6 +474,7 @@ impl SharingPlan {
 mod tests {
     use super::*;
     use simrank_graph::fixtures::{fig1a, paper_fig1a};
+    use simrank_mst::{edmonds, Edge};
 
     fn default_plan() -> SharingPlan {
         SharingPlan::build(&paper_fig1a(), &SimRankOptions::default())
@@ -721,12 +684,56 @@ mod tests {
         }
     }
 
+    /// The full `DMST-Reduce` cost graph `G*`: a root edge of weight
+    /// `|B| − 1` to every target, plus one edge per forward pair in the
+    /// sorted target order (none under `ScratchOnly`).
+    fn cost_graph(g: &DiGraph, targets: &[NodeId], model: CostModel) -> Vec<Edge> {
+        let t = targets.len();
+        let mut edges: Vec<Edge> = (0..t)
+            .map(|j| Edge::new(0, j + 1, (g.in_degree(targets[j]) as u64).saturating_sub(1)))
+            .collect();
+        for j in 0..t {
+            for i in 0..j {
+                let (ins_i, ins_j) = (g.in_neighbors(targets[i]), g.in_neighbors(targets[j]));
+                let w = match model {
+                    CostModel::Min => setops::transition_cost(ins_i, ins_j),
+                    CostModel::SymDiffOnly => {
+                        setops::symmetric_difference_size(ins_i, ins_j) as u64
+                    }
+                    CostModel::ScratchOnly => continue,
+                };
+                edges.push(Edge::new(i + 1, j + 1, w));
+            }
+        }
+        edges
+    }
+
+    /// General Chu–Liu/Edmonds is the oracle for the streaming greedy:
+    /// `G*` is a DAG, so the greedy tree must have the optimal weight
+    /// under every cost model.
     #[test]
     fn edmonds_matches_greedy_weight() {
-        let g = paper_fig1a();
-        let greedy = SharingPlan::build(&g, &SimRankOptions::default());
-        let ed = SharingPlan::build(&g, &SimRankOptions::default().with_edmonds(true));
-        assert_eq!(greedy.tree_weight, ed.tree_weight);
+        let graphs = [
+            paper_fig1a(),
+            simrank_graph::gen::gnm(50, 220, 9),
+            simrank_graph::gen::copying_web_graph(
+                simrank_graph::gen::CopyingParams::berkstan_like(80),
+                1,
+            ),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            for model in [
+                CostModel::Min,
+                CostModel::SymDiffOnly,
+                CostModel::ScratchOnly,
+            ] {
+                let plan = SharingPlan::build(g, &SimRankOptions::default().with_cost_model(model));
+                let t = plan.targets.len();
+                let oracle = edmonds(t + 1, &cost_graph(g, &plan.targets, model), 0)
+                    .expect("G* spans from the root");
+                assert_eq!(plan.tree_weight, oracle.total_weight, "graph {i} {model:?}");
+            }
+        }
     }
 
     #[test]

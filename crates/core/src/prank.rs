@@ -100,10 +100,6 @@ pub fn prank_with_report(g: &DiGraph, opts: &PRankOptions) -> (SimMatrix, Report
     let slots = passes.iter().map(|p| p.1.slots).max().unwrap_or(0);
     let report = Report {
         mst_build,
-        // Report only the plans a run actually built: the single-direction
-        // cases (λ = 0/1) carry one tree, not a phantom second.
-        tree_weight: passes.iter().map(|p| p.1.tree_weight).sum(),
-        d_eff: 0.5 * passes.iter().map(|p| p.1.d_eff()).sum::<f64>(),
         peak_intermediate_bytes: kernel.state_bytes(),
         peak_live_buffers: report.workers * slots,
         ..report

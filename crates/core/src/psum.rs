@@ -31,14 +31,6 @@ pub fn psum_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
 
 /// As [`psum_simrank`], also returning instrumentation.
 pub fn psum_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
-    let (grid, report) = psum_grid(g, opts);
-    (grid.to_sim_matrix(), report)
-}
-
-/// The cold run, returning the final full-square grid (authoritative
-/// upper triangle) so the store layer can finalize into any backend
-/// without a second square.
-pub(crate) fn psum_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Report) {
     let n = g.node_count();
     let mut kernel = PsumKernel::new(g, opts);
     let (grid, report) = iterate(
@@ -56,7 +48,7 @@ pub(crate) fn psum_grid(g: &DiGraph, opts: &SimRankOptions) -> (ScoreGrid, Repor
         peak_live_buffers: report.workers,
         ..report
     };
-    (grid, report)
+    (grid.to_sim_matrix(), report)
 }
 
 /// One psum-SR sweep over the ascending target list, sharded by weighted

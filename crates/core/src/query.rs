@@ -30,8 +30,8 @@
 //! * [`crate::index::SimRankIndex`] — `O(K·(n+m))` per query, nothing
 //!   `n × n` ever.
 //! * Every [`ScoreStore`] backend ([`SimMatrix`], [`LowRankScores`],
-//!   [`ThresholdedSparse`], [`StoredScores`]) plus `&dyn ScoreStore`
-//!   trait objects — one `copy_row_into` pass per query.
+//!   [`ThresholdedSparse`]) plus `&dyn ScoreStore` trait objects — one
+//!   `copy_row_into` pass per query.
 //! * [`crate::montecarlo::FingerprintEngine`] — a
 //!   [`crate::montecarlo::Fingerprints`] table bound to its damping
 //!   factor, `O(rounds · walk_len)` per candidate.
@@ -54,7 +54,7 @@
 //! ```
 
 use crate::matrix::SimMatrix;
-use crate::store::{LowRankScores, ScoreStore, StoredScores, ThresholdedSparse};
+use crate::store::{LowRankScores, ScoreStore, ThresholdedSparse};
 use crate::topk;
 use simrank_graph::NodeId;
 use simrank_par as par;
@@ -176,7 +176,7 @@ macro_rules! impl_query_engine_for_store {
     )+};
 }
 
-impl_query_engine_for_store!(SimMatrix, LowRankScores, ThresholdedSparse, StoredScores);
+impl_query_engine_for_store!(SimMatrix, LowRankScores, ThresholdedSparse);
 
 impl QueryEngine for &dyn ScoreStore {
     fn order(&self) -> usize {
@@ -253,12 +253,10 @@ mod tests {
         let opts = SimRankOptions::default().with_iterations(8);
         let packed = psum_simrank(&g, &opts);
         let sparse = ThresholdedSparse::from_store(&packed, 0.0);
-        let stored = StoredScores::Sparse(sparse.clone());
         let dynamic: &dyn ScoreStore = &packed;
         for u in [0 as NodeId, 7, 29] {
             let want = QueryEngine::single_source(&packed, u);
             assert_eq!(QueryEngine::single_source(&sparse, u), want);
-            assert_eq!(QueryEngine::single_source(&stored, u), want);
             assert_eq!(QueryEngine::single_source(&dynamic, u), want);
             let want_top = QueryEngine::top_k(&packed, u, 6);
             assert_eq!(QueryEngine::top_k(&sparse, u, 6), want_top);

@@ -3,15 +3,14 @@
 //! Every dense algorithm in this workspace historically bottomed out in an
 //! `n(n+1)/2` packed triangle ([`SimMatrix`]), which caps all-pairs runs at
 //! tens of thousands of vertices no matter how fast the sweeps are. This
-//! module puts the *result side* behind a trait so the storage
-//! representation becomes a per-run choice ([`ScoreBackend`] on
-//! [`SimRankOptions`]):
+//! module puts the *result side* behind a trait, with one producer per
+//! representation:
 //!
-//! | Backend | Type | Resident bytes | When |
-//! |---|---|---|---|
-//! | `Packed` | [`SimMatrix`] | `n(n+1)/2 · 8` | default; exact, O(1) `get` |
-//! | `LowRank` | [`LowRankScores`] | `(2nr + r²) · 8` | mtx factors served straight from rank space — **no** `n × n` materialization |
-//! | `Thresholded` | [`ThresholdedSparse`] | `≈ nnz · 12` | near-zero pairs dropped at finalization |
+//! | Backend | Type | Produced by | Resident bytes | When |
+//! |---|---|---|---|---|
+//! | Packed | [`SimMatrix`] | every all-pairs entry point (`naive`, `psum`, `oip`, `oip_dsr`, `mtx`, …) | `n(n+1)/2 · 8` | default; exact, O(1) `get` |
+//! | Low-rank | [`LowRankScores`] | [`crate::mtx::mtx_simrank_low_rank`] | `(2nr + r²) · 8` | mtx factors served straight from rank space — **no** `n × n` materialization |
+//! | Thresholded | [`ThresholdedSparse`] | [`ThresholdedSparse::from_store`] over any store | `≈ nnz · 12` | near-zero pairs dropped |
 //!
 //! The low-rank backend answers `get` in `O(r)` and a full row / top-k in
 //! `O(n·r)` by contracting the mtx factors `S = (1−C)·(I + U·Ms·Uᵀ)`
@@ -20,17 +19,8 @@
 //! counterpart of SLING-style near-zero pruning. Both reproduce the packed
 //! backend **bit-for-bit** on the entries they store, and construction is
 //! bit-for-bit thread-invariant like every other path in the workspace.
-//!
-//! [`simrank_stored`] is the algorithm-agnostic entry point: pick an
-//! algorithm ([`StoreAlgo`]) and a backend, get back a [`StoredScores`]
-//! that queries uniformly through the trait.
 
-use crate::grid::ScoreGrid;
-use crate::instrument::Report;
 use crate::matrix::SimMatrix;
-use crate::mtx;
-use crate::options::{ScoreBackend, SimRankOptions};
-use simrank_graph::DiGraph;
 use simrank_linalg::DenseMatrix;
 use simrank_par as par;
 
@@ -131,7 +121,7 @@ impl ScoreStore for SimMatrix {
 /// Nothing `n × n` is ever materialized: `get` contracts one length-`r`
 /// dot product (`O(r)`), a full row or top-k query costs `O(n·r)`. At the
 /// same rank the values are **bit-for-bit identical** to the densified
-/// [`mtx::mtx_simrank`] output — the per-pair arithmetic is the same
+/// [`crate::mtx::mtx_simrank`] output — the per-pair arithmetic is the same
 /// `gm.row(lo) · u.row(hi)` contraction the triangular densification runs,
 /// just evaluated lazily.
 ///
@@ -241,9 +231,7 @@ impl ScoreStore for LowRankScores {
 
 /// Upper-triangle CSR storage holding only pairs with `|s| ≥ θ`.
 ///
-/// Built at finalization from a dense sweep's [`ScoreGrid`] (whose upper
-/// triangle is authoritative — no second `n × n` square is formed) or from
-/// any other store row-by-row. Rows are keyed by the smaller vertex `lo`
+/// Built from any other store row-by-row ([`Self::from_store`]). Rows are keyed by the smaller vertex `lo`
 /// with ascending `hi` columns, so `get` is a binary search in row
 /// `min(a, b)` and absent pairs read as `0.0`. With `θ = 0` every pair is
 /// kept (including exact zeros) and the store reproduces the dense oracle
@@ -258,14 +246,8 @@ pub struct ThresholdedSparse {
 }
 
 impl ThresholdedSparse {
-    /// Builds from a dense sweep's grid, reading the authoritative upper
-    /// triangle directly.
-    pub fn from_grid(grid: &ScoreGrid, theta: f64) -> Self {
-        Self::build(grid.order(), theta, |lo| &grid.row(lo)[lo..])
-    }
-
-    /// Builds from any score store via one reused `O(n)` row buffer —
-    /// the low-rank-to-sparse path, still never holding `n × n`.
+    /// Builds from any score store via one reused `O(n)` row buffer, so
+    /// a low-rank source is never expanded to `n × n`.
     pub fn from_store(store: &dyn ScoreStore, theta: f64) -> Self {
         let n = store.order();
         let mut row = vec![0.0; n];
@@ -273,14 +255,6 @@ impl ThresholdedSparse {
         for lo in 0..n {
             store.copy_row_into(lo, &mut row);
             out.push_row(lo, &row[lo..]);
-        }
-        out
-    }
-
-    fn build<'g>(n: usize, theta: f64, mut upper_row: impl FnMut(usize) -> &'g [f64]) -> Self {
-        let mut out = Self::with_capacity(n, theta);
-        for lo in 0..n {
-            out.push_row(lo, upper_row(lo));
         }
         out
     }
@@ -369,146 +343,16 @@ impl ScoreStore for ThresholdedSparse {
     }
 }
 
-/// A finalized score result from [`simrank_stored`] — one of the three
-/// backends, queried uniformly through [`ScoreStore`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum StoredScores {
-    /// Packed-triangular dense storage (the historical default).
-    Packed(SimMatrix),
-    /// Low-rank factor handle (mtx only).
-    LowRank(LowRankScores),
-    /// Thresholded upper-triangle CSR.
-    Sparse(ThresholdedSparse),
-}
-
-impl StoredScores {
-    /// The store as a trait object (convenience for serving code that
-    /// holds `&dyn ScoreStore`).
-    pub fn as_store(&self) -> &dyn ScoreStore {
-        match self {
-            StoredScores::Packed(s) => s,
-            StoredScores::LowRank(s) => s,
-            StoredScores::Sparse(s) => s,
-        }
-    }
-}
-
-impl ScoreStore for StoredScores {
-    fn order(&self) -> usize {
-        self.as_store().order()
-    }
-
-    fn get(&self, a: usize, b: usize) -> f64 {
-        self.as_store().get(a, b)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.as_store().heap_bytes()
-    }
-
-    fn for_each_stored(&self, f: &mut dyn FnMut(usize, usize, f64)) {
-        self.as_store().for_each_stored(f);
-    }
-
-    fn copy_row_into(&self, x: usize, out: &mut [f64]) {
-        self.as_store().copy_row_into(x, out);
-    }
-
-    fn add_row_into(&self, x: usize, out: &mut [f64]) {
-        self.as_store().add_row_into(x, out);
-    }
-
-    fn max_abs_diff(&self, other: &dyn ScoreStore) -> f64 {
-        self.as_store().max_abs_diff(other)
-    }
-}
-
-/// Which algorithm [`simrank_stored`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreAlgo {
-    /// Jeh–Widom double-sum iteration ([`crate::naive`]).
-    Naive,
-    /// Partial-sums memoization ([`crate::psum`]).
-    Psum,
-    /// OIP partial-sums sharing ([`crate::oip`]).
-    Oip,
-    /// Differential SimRank with OIP sharing ([`crate::dsr`]).
-    OipDsr,
-    /// SVD-based `mtx-SR` ([`crate::mtx`]) — the only algorithm that can
-    /// produce the [`ScoreBackend::LowRank`] backend.
-    Mtx {
-        /// Truncation rank; `None` keeps the full numerical rank.
-        rank: Option<usize>,
-    },
-}
-
-/// Runs `algo` and finalizes its result into the backend selected by
-/// `opts.backend`.
-///
-/// With [`ScoreBackend::Packed`] this is byte-identical (scores *and*
-/// instrumentation) to the algorithm's own entry point — the packed path
-/// is untouched. [`ScoreBackend::Thresholded`] reads each dense sweep's
-/// final [`ScoreGrid`] upper triangle directly (no second square);
-/// combined with `Mtx` it goes through the low-rank store row-by-row, so
-/// nothing `n × n` is ever formed. [`ScoreBackend::LowRank`] requires
-/// `StoreAlgo::Mtx` — the dense iterative algorithms have no
-/// factorization to hand out, and asking for one panics.
-pub fn simrank_stored(
-    g: &DiGraph,
-    opts: &SimRankOptions,
-    algo: StoreAlgo,
-) -> (StoredScores, Report) {
-    match algo {
-        StoreAlgo::Naive => finalize_dense(crate::naive::naive_grid(g, opts), opts),
-        StoreAlgo::Psum => finalize_dense(crate::psum::psum_grid(g, opts), opts),
-        StoreAlgo::Oip => finalize_dense(crate::oip::oip_grid(g, opts), opts),
-        StoreAlgo::OipDsr => finalize_dense(crate::dsr::oip_dsr_grid(g, opts), opts),
-        StoreAlgo::Mtx { rank } => match opts.backend {
-            ScoreBackend::Packed => {
-                let (s, report) = mtx::mtx_simrank_with_report(g, opts, rank);
-                (StoredScores::Packed(s), report)
-            }
-            ScoreBackend::LowRank => {
-                let (s, report) = mtx::mtx_simrank_low_rank_with_report(g, opts, rank);
-                (StoredScores::LowRank(s), report)
-            }
-            ScoreBackend::Thresholded { theta } => {
-                let (s, report) = mtx::mtx_simrank_low_rank_with_report(g, opts, rank);
-                (
-                    StoredScores::Sparse(ThresholdedSparse::from_store(&s, theta)),
-                    report,
-                )
-            }
-        },
-    }
-}
-
-/// Finalizes a dense sweep's grid into the selected backend.
-fn finalize_dense(
-    (grid, report): (ScoreGrid, Report),
-    opts: &SimRankOptions,
-) -> (StoredScores, Report) {
-    let stored = match opts.backend {
-        ScoreBackend::Packed => StoredScores::Packed(grid.to_sim_matrix()),
-        ScoreBackend::Thresholded { theta } => {
-            StoredScores::Sparse(ThresholdedSparse::from_grid(&grid, theta))
-        }
-        ScoreBackend::LowRank => panic!(
-            "the LowRank backend is only produced by the mtx factorization \
-             path (StoreAlgo::Mtx); dense sweeps have no factors to serve"
-        ),
-    };
-    (stored, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrixform::matrix_form_simrank;
+    use crate::mtx;
+    use crate::options::SimRankOptions;
     use crate::query::QueryEngine;
     use crate::topk;
     use simrank_graph::fixtures::paper_fig1a;
-    use simrank_graph::gen;
+    use simrank_graph::{gen, DiGraph};
 
     fn coauthor(n: usize) -> DiGraph {
         gen::coauthor_graph(gen::CoauthorParams::dblp_like(n), 1)
@@ -605,8 +449,7 @@ mod tests {
         let g = paper_fig1a();
         let opts = SimRankOptions::default().with_iterations(6);
         let dense = crate::psum::psum_simrank(&g, &opts);
-        let (grid, _) = crate::psum::psum_grid(&g, &opts);
-        let sparse = ThresholdedSparse::from_grid(&grid, 0.0);
+        let sparse = ThresholdedSparse::from_store(&dense, 0.0);
         let n = g.node_count();
         assert_eq!(sparse.nnz(), n * (n + 1) / 2);
         let mut a_row = vec![0.0; n];
@@ -623,8 +466,6 @@ mod tests {
         for q in 0..n as u32 {
             assert_eq!(QueryEngine::top_k(&sparse, q, 5), topk::top_k(&dense, q, 5));
         }
-        // from_store (the row-buffer path) builds the identical structure.
-        assert_eq!(ThresholdedSparse::from_store(&dense, 0.0), sparse);
     }
 
     #[test]
@@ -633,8 +474,7 @@ mod tests {
         let theta = 0.02;
         let opts = SimRankOptions::default().with_iterations(8);
         let dense = crate::psum::psum_simrank(&g, &opts);
-        let (grid, _) = crate::psum::psum_grid(&g, &opts);
-        let sparse = ThresholdedSparse::from_grid(&grid, theta);
+        let sparse = ThresholdedSparse::from_store(&dense, theta);
         let n = g.node_count();
         assert!(
             sparse.nnz() < n * (n + 1) / 2,
@@ -653,86 +493,63 @@ mod tests {
         assert_eq!(kept, sparse.nnz());
     }
 
-    /// The dispatcher: Packed routes byte-identically through the
-    /// existing entry points; Thresholded at θ = 0 agrees with it.
+    /// Every stored entry of `a` equals `b`'s, bit for bit, and `a`
+    /// stores the full upper triangle.
+    fn assert_stores_bitwise_equal(a: &dyn ScoreStore, b: &dyn ScoreStore, what: &str) {
+        let n = b.order();
+        assert_eq!(a.order(), n, "{what}");
+        let mut stored = 0usize;
+        a.for_each_stored(&mut |lo, hi, v| {
+            assert_eq!(v.to_bits(), b.get(lo, hi).to_bits(), "{what} ({lo},{hi})");
+            stored += 1;
+        });
+        assert_eq!(stored, n * (n + 1) / 2, "{what}");
+    }
+
+    /// At θ = 0 the thresholded store of every all-pairs algorithm is its
+    /// packed result, bit for bit; for mtx it is built from the low-rank
+    /// store, so no `n × n` square is formed on the way.
     #[test]
-    fn dispatcher_backends_agree_across_algorithms() {
+    fn store_backends_agree_across_algorithms() {
         let g = paper_fig1a();
         let opts = SimRankOptions::default().with_iterations(5);
-        let sparse_opts = opts.with_backend(ScoreBackend::Thresholded { theta: 0.0 });
-        for algo in [
-            StoreAlgo::Naive,
-            StoreAlgo::Psum,
-            StoreAlgo::Oip,
-            StoreAlgo::OipDsr,
-            StoreAlgo::Mtx { rank: None },
-        ] {
-            let (packed, _) = simrank_stored(&g, &opts, algo);
-            assert!(matches!(packed, StoredScores::Packed(_)));
-            let (sparse, _) = simrank_stored(&g, &sparse_opts, algo);
-            assert!(matches!(sparse, StoredScores::Sparse(_)));
-            assert_eq!(
-                ScoreStore::max_abs_diff(&sparse, &packed),
-                0.0,
-                "{algo:?} backends disagree"
-            );
+        let runs = [
+            ("naive", crate::naive::naive_simrank(&g, &opts)),
+            ("psum", crate::psum::psum_simrank(&g, &opts)),
+            ("oip", crate::oip::oip_simrank(&g, &opts)),
+            ("oip_dsr", crate::dsr::oip_dsr_simrank(&g, &opts)),
+        ];
+        for (name, packed) in &runs {
+            let sparse = ThresholdedSparse::from_store(packed, 0.0);
+            assert_stores_bitwise_equal(&sparse, packed, name);
         }
-        // Packed dispatch reproduces the direct entry point exactly.
-        let (packed, report) = simrank_stored(&g, &opts, StoreAlgo::Psum);
-        let (direct, direct_report) = crate::psum::psum_simrank_with_report(&g, &opts);
-        match packed {
-            StoredScores::Packed(s) => assert_eq!(s, direct),
-            other => panic!("expected packed, got {other:?}"),
-        }
-        assert_eq!(report.adds, direct_report.adds);
-        // Mtx + LowRank yields the factor handle.
-        let lr_opts = opts.with_backend(ScoreBackend::LowRank);
-        let (lr, _) = simrank_stored(&g, &lr_opts, StoreAlgo::Mtx { rank: None });
-        let dense_mtx = mtx::mtx_simrank(&g, &opts, None);
-        assert!(matches!(lr, StoredScores::LowRank(_)));
-        assert_eq!(ScoreStore::max_abs_diff(&lr, &dense_mtx), 0.0);
+        let packed = mtx::mtx_simrank(&g, &opts, None);
+        let low_rank = mtx::mtx_simrank_low_rank(&g, &opts, None);
+        assert_stores_bitwise_equal(&low_rank, &packed, "mtx low-rank");
+        let sparse = ThresholdedSparse::from_store(&low_rank, 0.0);
+        assert_stores_bitwise_equal(&sparse, &packed, "mtx thresholded");
     }
 
-    #[test]
-    #[should_panic(expected = "LowRank backend")]
-    fn dense_algorithms_reject_low_rank_backend() {
-        let g = paper_fig1a();
-        let opts = SimRankOptions::default()
-            .with_iterations(3)
-            .with_backend(ScoreBackend::LowRank);
-        let _ = simrank_stored(&g, &opts, StoreAlgo::Psum);
-    }
-
-    /// Backend construction is bit-for-bit thread-invariant, like every
-    /// other path: the CI determinism matrix re-runs this at
+    /// Thresholded and low-rank construction are bit-for-bit
+    /// thread-invariant: the CI determinism matrix re-runs this at
     /// `SIMRANK_TEST_THREADS = 1/2/4/8`.
     #[test]
     fn parallel_store_backend_construction_is_thread_invariant() {
         let g = gen::gnm(30, 110, 5);
         let opts = SimRankOptions::default().with_iterations(6);
-        for backend in [
-            ScoreBackend::Packed,
-            ScoreBackend::Thresholded { theta: 1e-3 },
-        ] {
-            let opts = opts.with_backend(backend);
-            for algo in [
-                StoreAlgo::Psum,
-                StoreAlgo::Oip,
-                StoreAlgo::Mtx { rank: None },
-            ] {
-                let (base, _) = simrank_stored(&g, &opts.with_threads(1), algo);
-                for t in [2usize, 4, 8] {
-                    let (s, _) = simrank_stored(&g, &opts.with_threads(t), algo);
-                    assert_eq!(s, base, "{algo:?}/{backend:?} diverged at threads={t}");
-                }
-            }
-        }
-        let lr_opts = opts.with_backend(ScoreBackend::LowRank);
-        let (base, _) = simrank_stored(&g, &lr_opts.with_threads(1), StoreAlgo::Mtx { rank: None });
+        let build = |t: usize| {
+            let opts = opts.with_threads(t);
+            let low_rank = mtx::mtx_simrank_low_rank(&g, &opts, None);
+            let sparse = [
+                ThresholdedSparse::from_store(&crate::psum::psum_simrank(&g, &opts), 1e-3),
+                ThresholdedSparse::from_store(&crate::oip::oip_simrank(&g, &opts), 1e-3),
+                ThresholdedSparse::from_store(&low_rank, 1e-3),
+            ];
+            (low_rank, sparse)
+        };
+        let base = build(1);
         for t in [2usize, 4, 8] {
-            let (s, _) =
-                simrank_stored(&g, &lr_opts.with_threads(t), StoreAlgo::Mtx { rank: None });
-            assert_eq!(s, base, "low-rank factors diverged at threads={t}");
+            assert_eq!(build(t), base, "store construction diverged at threads={t}");
         }
     }
 
@@ -740,19 +557,19 @@ mod tests {
     fn empty_graph_degenerates_cleanly_in_every_backend() {
         let empty = DiGraph::from_edges(0, []).unwrap();
         let opts = SimRankOptions::default().with_iterations(3);
-        for backend in [
-            ScoreBackend::Packed,
-            ScoreBackend::Thresholded { theta: 0.1 },
-        ] {
-            let (s, _) = simrank_stored(&empty, &opts.with_backend(backend), StoreAlgo::Naive);
-            assert_eq!(ScoreStore::order(&s), 0);
-        }
-        let (s, _) = simrank_stored(
-            &empty,
-            &opts.with_backend(ScoreBackend::LowRank),
-            StoreAlgo::Mtx { rank: None },
-        );
-        assert_eq!(ScoreStore::order(&s), 0);
+        let packed = crate::naive::naive_simrank(&empty, &opts);
+        assert_eq!(ScoreStore::order(&packed), 0);
+        let sparse = ThresholdedSparse::from_store(&packed, 0.1);
+        assert_eq!(ScoreStore::order(&sparse), 0);
+        assert_eq!(sparse.nnz(), 0);
+        let low_rank = mtx::mtx_simrank_low_rank(&empty, &opts, None);
+        assert_eq!(ScoreStore::order(&low_rank), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta")]
+    fn rejects_negative_theta() {
+        let _ = ThresholdedSparse::from_store(&SimMatrix::identity(2), -0.1);
     }
 
     #[test]

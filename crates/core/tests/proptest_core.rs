@@ -137,7 +137,7 @@ proptest! {
         prop_assert!(fast.max_abs_diff(&reference) < 1e-10);
     }
 
-    /// Cost-model and MST-algorithm ablations never change the *scores*.
+    /// Cost-model and outer-sharing ablations never change the *scores*.
     #[test]
     fn ablations_preserve_scores(g in arb_graph(), k in 1u32..5) {
         let base = SimRankOptions::default().with_iterations(k);
@@ -145,7 +145,6 @@ proptest! {
         for opts in [
             base.with_cost_model(CostModel::ScratchOnly),
             base.with_cost_model(CostModel::SymDiffOnly),
-            base.with_edmonds(true),
             base.with_outer_sharing(false),
         ] {
             prop_assert!(oip_simrank(&g, &opts).max_abs_diff(&reference) < 1e-10);

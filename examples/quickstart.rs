@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use simrank::algo::{convergence, dsr, oip, SimRankOptions};
+use simrank::algo::{convergence, dsr, oip, SharingPlan, SimRankOptions};
 use simrank::graph::fixtures::{fig1a, paper_fig1a};
 
 fn main() {
@@ -22,7 +22,8 @@ fn main() {
     let opts = SimRankOptions::default()
         .with_damping(0.6)
         .with_epsilon(1e-3);
-    let (scores, report) = oip::oip_simrank_with_report(&g, &opts);
+    let plan = SharingPlan::build(&g, &opts);
+    let (scores, report) = oip::oip_simrank_with_plan(&g, &plan, &opts);
 
     println!("similarity of selected pairs (conventional SimRank):");
     for (x, y) in [
@@ -39,7 +40,11 @@ fn main() {
     }
     println!(
         "\nOIP machinery: tree weight {} (d' = {:.2}), {} additions, {} buffer(s), {} iterations",
-        report.tree_weight, report.d_eff, report.adds, report.peak_live_buffers, report.iterations
+        plan.tree_weight,
+        plan.d_eff(),
+        report.adds,
+        report.peak_live_buffers,
+        report.iterations
     );
 
     // Differential SimRank reaches the same accuracy in far fewer rounds.

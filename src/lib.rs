@@ -93,9 +93,9 @@ pub mod prelude {
         prank::{prank, PRankOptions},
         psum::psum_simrank,
         query::QueryEngine,
-        store::{simrank_stored, ScoreStore, StoreAlgo, StoredScores},
+        store::ScoreStore,
         topk::{top_k, top_k_ids},
-        CostModel, ScoreBackend, SimMatrix, SimRankOptions,
+        CostModel, SimMatrix, SimRankOptions,
     };
     pub use simrank_eval::{kendall_tau, ndcg_at, top_k_overlap};
     pub use simrank_graph::{DiGraph, EdgeDelta, GraphBuilder, NodeId};

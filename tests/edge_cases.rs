@@ -4,7 +4,7 @@
 //! excellent end-to-end oracles: any algebra or indexing slip in the
 //! partial-sums machinery shows up as a wrong constant, not a vague drift.
 
-use simrank::algo::{dsr, naive, oip, psum, SimRankOptions};
+use simrank::algo::{dsr, naive, oip, psum, SharingPlan, SimRankOptions};
 use simrank::graph::DiGraph;
 use simrank::prelude::*;
 
@@ -308,7 +308,8 @@ fn duplicate_in_sets_share_for_free() {
     let opts = SimRankOptions::default()
         .with_damping(0.6)
         .with_iterations(30);
-    let (s, report) = oip::oip_simrank_with_report(&g, &opts);
+    let plan = SharingPlan::build(&g, &opts);
+    let (s, _) = oip::oip_simrank_with_plan(&g, &plan, &opts);
     // All duplicate-set vertices are equally similar to each other.
     let first = s.get(2, 3);
     for a in 2..k as usize {
@@ -319,8 +320,8 @@ fn duplicate_in_sets_share_for_free() {
     // The tree weight collapses: after the first {0,1}-set vertex, each
     // duplicate costs 0 transitions (plus the two hub sets themselves).
     assert!(
-        report.tree_weight <= 4,
+        plan.tree_weight <= 4,
         "duplicate sets should make the plan nearly free, weight {}",
-        report.tree_weight
+        plan.tree_weight
     );
 }

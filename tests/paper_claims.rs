@@ -1,6 +1,6 @@
 //! End-to-end checks of the paper's headline claims through the facade.
 
-use simrank::algo::{convergence, dsr, oip, psum, SimRankOptions};
+use simrank::algo::{convergence, dsr, oip, psum, SharingPlan, SimRankOptions};
 use simrank::datasets;
 use simrank::prelude::*;
 
@@ -10,7 +10,8 @@ use simrank::prelude::*;
 fn claim_partial_sums_sharing_saves_work() {
     let g = datasets::berkstan_like(300, datasets::DEFAULT_SEED).graph;
     let opts = SimRankOptions::default().with_iterations(5);
-    let (s_oip, r_oip) = oip::oip_simrank_with_report(&g, &opts);
+    let plan = SharingPlan::build(&g, &opts);
+    let (s_oip, r_oip) = oip::oip_simrank_with_plan(&g, &plan, &opts);
     let (s_psum, r_psum) = psum::psum_simrank_with_report(&g, &opts);
     assert!(
         s_oip.max_abs_diff(&s_psum) < 1e-10,
@@ -19,7 +20,7 @@ fn claim_partial_sums_sharing_saves_work() {
     let ratio = r_oip.share_ratio_vs(&r_psum);
     assert!(ratio > 0.4, "web-graph share ratio too low: {ratio}");
     // Proposition 5: d' ≤ d.
-    assert!(r_oip.d_eff <= g.avg_in_degree() * 2.0);
+    assert!(plan.d_eff() <= g.avg_in_degree() * 2.0);
 }
 
 /// §IV: the differential model reaches tight accuracies in single-digit
