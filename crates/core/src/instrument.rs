@@ -88,6 +88,39 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simrank_par::OpCounter;
+
+    #[test]
+    fn counter_accumulates() {
+        let mut c = OpCounter::new();
+        c.add(10);
+        c.add(5);
+        assert_eq!(c.total(), 15);
+    }
+
+    #[test]
+    fn counter_shards_merge_exactly() {
+        // Any split of the same operations across shards merges to the
+        // same total — the property the parallel executor relies on.
+        let ops = [3u64, 7, 11, 2, 9];
+        let mut single = OpCounter::new();
+        for &n in &ops {
+            single.add(n);
+        }
+        let mut shard_a = OpCounter::new();
+        let mut shard_b = OpCounter::new();
+        for (i, &n) in ops.iter().enumerate() {
+            if i % 2 == 0 {
+                shard_a.add(n);
+            } else {
+                shard_b.add(n);
+            }
+        }
+        let mut merged = OpCounter::new();
+        merged.merge(&shard_a);
+        merged.merge(&shard_b);
+        assert_eq!(merged.total(), single.total());
+    }
 
     #[test]
     fn share_ratio() {

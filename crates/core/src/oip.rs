@@ -153,6 +153,16 @@ mod tests {
     }
 
     #[test]
+    fn edmonds_and_greedy_agree() {
+        let g = gen::gnm(50, 220, 9);
+        let opts = SimRankOptions::default().with_iterations(4);
+        let a = oip_simrank(&g, &opts);
+        let edmonds_plan = crate::plan::build_with_edmonds(&g, &opts);
+        let (b, _) = oip_simrank_with_plan(&g, &edmonds_plan, &opts);
+        assert!(a.max_abs_diff(&b) < 1e-10);
+    }
+
+    #[test]
     fn plan_reuse_is_equivalent() {
         let g = paper_fig1a();
         let opts = SimRankOptions::default().with_iterations(4);

@@ -151,12 +151,30 @@ impl SharingPlan {
     pub fn build(g: &DiGraph, opts: &SimRankOptions) -> SharingPlan {
         let start = Instant::now();
         // --- DMST-Reduce line 2: sort vertices by in-degree (ties by id). ---
-        let mut targets: Vec<NodeId> = g.nodes_with_in_edges();
-        targets.sort_unstable_by_key(|&v| (g.in_degree(v), v));
-        let t = targets.len();
+        let targets = Self::sorted_targets(g);
 
         // --- Transition costs and arborescence. ---
         let arb = Self::solve_greedy(g, &targets, opts);
+        Self::from_tree(g, targets, arb, opts, start)
+    }
+
+    /// Vertices with non-empty in-neighbor sets, sorted by (in-degree, id).
+    fn sorted_targets(g: &DiGraph) -> Vec<NodeId> {
+        let mut targets = g.nodes_with_in_edges();
+        targets.sort_unstable_by_key(|&v| (g.in_degree(v), v));
+        targets
+    }
+
+    /// Builds the ops, schedule and traversal metadata for an already
+    /// chosen arborescence over `targets` (sorted as in [`Self::build`]).
+    fn from_tree(
+        g: &DiGraph,
+        targets: Vec<NodeId>,
+        arb: Arborescence,
+        opts: &SimRankOptions,
+        start: Instant,
+    ) -> SharingPlan {
+        let t = targets.len();
 
         // --- Per-target ops from the chosen tree edges. ---
         let mut ops = Vec::with_capacity(t);
@@ -470,11 +488,47 @@ impl SharingPlan {
     }
 }
 
+/// Test oracle: the plan [`SharingPlan::build`] would make if
+/// `DMST-Reduce` ran full Chu–Liu/Edmonds on the materialized cost graph
+/// instead of the streaming greedy.
+#[cfg(test)]
+pub(crate) fn build_with_edmonds(g: &DiGraph, opts: &SimRankOptions) -> SharingPlan {
+    let start = Instant::now();
+    let targets = SharingPlan::sorted_targets(g);
+    let edges = cost_graph(g, &targets, opts.cost_model);
+    let arb = simrank_mst::edmonds(targets.len() + 1, &edges, 0).expect("G* spans from the root");
+    SharingPlan::from_tree(g, targets, arb, opts, start)
+}
+
+/// The full `DMST-Reduce` cost graph `G*`: a root edge of weight
+/// `|B| − 1` to every target, plus one edge per forward pair in the
+/// sorted target order (none under `ScratchOnly`).
+#[cfg(test)]
+fn cost_graph(g: &DiGraph, targets: &[NodeId], model: CostModel) -> Vec<simrank_mst::Edge> {
+    use simrank_mst::Edge;
+    let t = targets.len();
+    let mut edges: Vec<Edge> = (0..t)
+        .map(|j| Edge::new(0, j + 1, (g.in_degree(targets[j]) as u64).saturating_sub(1)))
+        .collect();
+    for j in 0..t {
+        for i in 0..j {
+            let (ins_i, ins_j) = (g.in_neighbors(targets[i]), g.in_neighbors(targets[j]));
+            let w = match model {
+                CostModel::Min => setops::transition_cost(ins_i, ins_j),
+                CostModel::SymDiffOnly => setops::symmetric_difference_size(ins_i, ins_j) as u64,
+                CostModel::ScratchOnly => continue,
+            };
+            edges.push(Edge::new(i + 1, j + 1, w));
+        }
+    }
+    edges
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use simrank_graph::fixtures::{fig1a, paper_fig1a};
-    use simrank_mst::{edmonds, Edge};
+    use simrank_mst::edmonds;
 
     fn default_plan() -> SharingPlan {
         SharingPlan::build(&paper_fig1a(), &SimRankOptions::default())
@@ -682,30 +736,6 @@ mod tests {
         for node in 1..plan.arb.len() {
             assert_eq!(plan.arb.parent(node), Some(0));
         }
-    }
-
-    /// The full `DMST-Reduce` cost graph `G*`: a root edge of weight
-    /// `|B| − 1` to every target, plus one edge per forward pair in the
-    /// sorted target order (none under `ScratchOnly`).
-    fn cost_graph(g: &DiGraph, targets: &[NodeId], model: CostModel) -> Vec<Edge> {
-        let t = targets.len();
-        let mut edges: Vec<Edge> = (0..t)
-            .map(|j| Edge::new(0, j + 1, (g.in_degree(targets[j]) as u64).saturating_sub(1)))
-            .collect();
-        for j in 0..t {
-            for i in 0..j {
-                let (ins_i, ins_j) = (g.in_neighbors(targets[i]), g.in_neighbors(targets[j]));
-                let w = match model {
-                    CostModel::Min => setops::transition_cost(ins_i, ins_j),
-                    CostModel::SymDiffOnly => {
-                        setops::symmetric_difference_size(ins_i, ins_j) as u64
-                    }
-                    CostModel::ScratchOnly => continue,
-                };
-                edges.push(Edge::new(i + 1, j + 1, w));
-            }
-        }
-        edges
     }
 
     /// General Chu–Liu/Edmonds is the oracle for the streaming greedy:
