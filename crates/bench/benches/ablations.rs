@@ -1,19 +1,15 @@
-//! Ablation benchmarks for the design choices DESIGN.md §5 calls out.
+//! Ablation benchmark for `DMST-Reduce`: the streaming greedy DAG solver
+//! inside plan construction vs. full Chu–Liu/Edmonds on the materialized
+//! cost graph. The cost graph only has forward edges in the sorted target
+//! order, so it is a DAG and the greedy tree is optimal; this bench shows
+//! what that shortcut saves (`plan::tests::edmonds_matches_greedy_weight`
+//! checks the two agree).
 //!
-//! Every ablation runs the *same* OIP engine with one knob flipped, on the
-//! same graph, so differences isolate that design choice:
-//!
-//! * `ablation_mst` — the MST sharing plan vs. trivial partitions
-//!   (`CostModel::ScratchOnly` + no outer sharing ⇒ psum-SR inside the
-//!   same code path);
-//! * `ablation_outer` — inner+outer sharing vs. inner-only (Prop. 4 off);
-//! * `ablation_cost_model` — Eq. 7's `min(|A⊖B|, |B|−1)` vs. forced
-//!   symmetric differences;
-//! * `ablation_dmst_algo` — the streaming greedy DAG solver inside plan
-//!   construction vs. full Chu–Liu/Edmonds on the materialized cost graph.
+//! OIP-SR vs. psum-SR (the no-sharing baseline) is timed by the `figures`
+//! bench (`fig6a_time`, `fig6c_density`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use simrank_core::{oip, setops, CostModel, SharingPlan, SimRankOptions};
+use simrank_core::{setops, SharingPlan, SimRankOptions};
 use simrank_datasets as datasets;
 use simrank_graph::DiGraph;
 use simrank_mst::{edmonds, Edge};
@@ -22,51 +18,6 @@ const SEED: u64 = datasets::DEFAULT_SEED;
 
 fn graph() -> simrank_graph::DiGraph {
     datasets::berkstan_like(700, SEED).graph
-}
-
-fn ablation_mst(c: &mut Criterion) {
-    let g = graph();
-    let base = SimRankOptions::default().with_iterations(4);
-    let mut group = c.benchmark_group("ablation_mst");
-    group.sample_size(10);
-    group.bench_function("with_mst_sharing", |b| {
-        b.iter(|| oip::oip_simrank(&g, &base))
-    });
-    let off = base
-        .with_cost_model(CostModel::ScratchOnly)
-        .with_outer_sharing(false);
-    group.bench_function("trivial_partitions", |b| {
-        b.iter(|| oip::oip_simrank(&g, &off))
-    });
-    group.finish();
-}
-
-fn ablation_outer(c: &mut Criterion) {
-    let g = graph();
-    let base = SimRankOptions::default().with_iterations(4);
-    let mut group = c.benchmark_group("ablation_outer");
-    group.sample_size(10);
-    group.bench_function("inner_and_outer", |b| {
-        b.iter(|| oip::oip_simrank(&g, &base))
-    });
-    let inner_only = base.with_outer_sharing(false);
-    group.bench_function("inner_only", |b| {
-        b.iter(|| oip::oip_simrank(&g, &inner_only))
-    });
-    group.finish();
-}
-
-fn ablation_cost_model(c: &mut Criterion) {
-    let g = graph();
-    let base = SimRankOptions::default().with_iterations(4);
-    let mut group = c.benchmark_group("ablation_cost_model");
-    group.sample_size(10);
-    group.bench_function("min_eq7", |b| b.iter(|| oip::oip_simrank(&g, &base)));
-    let symdiff = base.with_cost_model(CostModel::SymDiffOnly);
-    group.bench_function("symdiff_only", |b| {
-        b.iter(|| oip::oip_simrank(&g, &symdiff))
-    });
-    group.finish();
 }
 
 /// The `DMST-Reduce` cost graph under Eq. 7 over `targets` (sorted by
@@ -101,11 +52,5 @@ fn ablation_dmst_algo(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    ablations,
-    ablation_mst,
-    ablation_outer,
-    ablation_cost_model,
-    ablation_dmst_algo
-);
+criterion_group!(ablations, ablation_dmst_algo);
 criterion_main!(ablations);

@@ -1,8 +1,9 @@
 //! Fig. 6g — relative order: NDCG of OIP-DSR vs OIP-SR rankings.
 //!
 //! The paper issues three author queries on DBLP D11 and reports
-//! NDCG@{10, 30, 50} against human-judged ground truth. Substitution
-//! (DESIGN.md §4): ground truth = the converged *conventional* SimRank
+//! NDCG@{10, 30, 50} against human-judged ground truth. No human
+//! judgments exist for the simulated DBLP graph, so the substitute
+//! ground truth is the converged *conventional* SimRank
 //! ranking (residual < 1e-8), graded by ground-truth rank bands, exactly
 //! testing the claim that both algorithms — and especially the modified
 //! damping of OIP-DSR — preserve conventional SimRank's relative order.

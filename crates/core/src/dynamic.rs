@@ -52,7 +52,6 @@ use crate::iterate::{iterate, Start, Stop};
 use crate::matrix::SimMatrix;
 use crate::naive::NaiveKernel;
 use crate::options::SimRankOptions;
-use crate::store::ScoreStore;
 use simrank_graph::{BatchSummary, DiGraph, EdgeDelta, GraphError};
 
 /// Re-convergence tolerance of a warm resweep, derived from the requested
@@ -104,17 +103,6 @@ pub fn resweep(g: &DiGraph, warm: &SimMatrix, opts: &SimRankOptions) -> SimMatri
 pub fn resweep_with_report(
     g: &DiGraph,
     warm: &SimMatrix,
-    opts: &SimRankOptions,
-) -> (SimMatrix, Report) {
-    resweep_from_store(g, warm, opts)
-}
-
-/// As [`resweep`], but warm-started from any [`ScoreStore`] backend (the
-/// store's stored entries are materialized into the dense iteration grid;
-/// thresholded backends therefore warm-start from their *sieved* scores).
-pub fn resweep_from_store(
-    g: &DiGraph,
-    warm: &dyn ScoreStore,
     opts: &SimRankOptions,
 ) -> (SimMatrix, Report) {
     let c = opts.damping;
@@ -336,9 +324,13 @@ mod tests {
         let converged = naive_simrank(&g, &opts);
         g.insert_edge(4, 6).unwrap();
         let (from_matrix, _) = resweep_with_report(&g, &converged, &opts);
-        let (from_store, _) = resweep_from_store(&g, &converged as &dyn ScoreStore, &opts);
-        // The packed triangle *is* a ScoreStore: identical warm grid,
-        // identical sweeps, bit-identical output.
+        // A persisted `SRM1` result seeds the first resweep after a
+        // restart: the round trip is lossless, so the warm grid, the
+        // sweeps and the output are all bit-identical.
+        let mut bytes = Vec::new();
+        crate::persist::write_scores(&converged, &mut bytes).unwrap();
+        let loaded = crate::persist::read_scores(bytes.as_slice()).unwrap();
+        let (from_store, _) = resweep_with_report(&g, &loaded, &opts);
         assert_eq!(from_matrix, from_store);
     }
 

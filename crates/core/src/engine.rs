@@ -109,7 +109,6 @@ pub(crate) fn run(
     let report = Report {
         mst_build: plan.build_time,
         peak_intermediate_bytes: kernel.state_bytes() + accumulator_rows,
-        peak_live_buffers: report.workers * plan.slots,
         ..report
     };
     (s_hat.unwrap_or(grid), report)
@@ -124,8 +123,6 @@ struct Pass<'a> {
     /// Whether the pair set includes `w = u` (differential mode; the
     /// conventional diagonal is pinned by the driver instead).
     diagonal: bool,
-    /// Proposition 4 outer-sum sharing, or the one-by-one ablation.
-    outer_sharing: bool,
     /// In-degree of each plan target, as `f64`.
     in_deg: Vec<f64>,
     /// Segment indices per worker.
@@ -172,7 +169,6 @@ impl<'a> OipKernel<'a> {
                     plan,
                     factor,
                     diagonal: mode == Mode::Differential,
-                    outer_sharing: opts.outer_sharing,
                     in_deg: plan
                         .targets
                         .iter()
@@ -318,58 +314,43 @@ impl Pass<'_> {
         counter: &mut OpCounter,
     ) {
         let (g, plan) = (self.g, self.plan);
-        let scale = |wt: usize| self.factor / (self.in_deg[t] * self.in_deg[wt]);
-        if self.outer_sharing {
-            // Preorder walk sharing OuterPartial scalars (Proposition 4),
-            // pruned to the subtrees that still contain a needed target: a
-            // computed node's parent is always computed too (ancestors of a
-            // needed node are needed), so the surviving scalars are
-            // bit-identical to the full walk's.
-            let pre = &plan.preorder;
-            let mut i = 0;
-            while i < pre.len() {
-                let node = pre[i] as usize;
-                if (plan.prune.subtree_max[node] as usize) < lo {
-                    i = plan.prune.subtree_end[i];
-                    continue;
-                }
-                let wt = node - 1;
-                let val = match &plan.ops[wt] {
-                    EdgeOp::Scratch => {
-                        let ins = g.in_neighbors(plan.targets[wt]);
-                        let s = par::kernel::gather_sum(partial, ins);
-                        counter.add((ins.len() as u64).saturating_sub(1));
-                        s
-                    }
-                    EdgeOp::Update { sub, add } => {
-                        let parent = plan.arb.parent(node).expect("non-root node has a parent");
-                        // Proposition 4 delta as two lane-chunked gathers over
-                        // the symmetric-difference lists.
-                        let s = outer[parent] - par::kernel::gather_sum(partial, sub)
-                            + par::kernel::gather_sum(partial, add);
-                        counter.add((sub.len() + add.len()) as u64);
-                        s
-                    }
-                };
-                outer[node] = val;
-                let w = plan.targets[wt] as usize;
-                if w >= lo {
-                    row[w] += scale(wt) * val;
-                }
-                i += 1;
+        // Preorder walk sharing OuterPartial scalars (Proposition 4),
+        // pruned to the subtrees that still contain a needed target: a
+        // computed node's parent is always computed too (ancestors of a
+        // needed node are needed), so the surviving scalars are
+        // bit-identical to the full walk's.
+        let pre = &plan.preorder;
+        let mut i = 0;
+        while i < pre.len() {
+            let node = pre[i] as usize;
+            if (plan.prune.subtree_max[node] as usize) < lo {
+                i = plan.prune.subtree_end[i];
+                continue;
             }
-        } else {
-            // Ablation: outer sums accumulated one-by-one, as in psum-SR
-            // Eq. (5) — restricted to the same halved pair set.
-            for (wt, &w) in plan.targets.iter().enumerate() {
-                if (w as usize) < lo {
-                    continue;
+            let wt = node - 1;
+            let val = match &plan.ops[wt] {
+                EdgeOp::Scratch => {
+                    let ins = g.in_neighbors(plan.targets[wt]);
+                    let s = par::kernel::gather_sum(partial, ins);
+                    counter.add((ins.len() as u64).saturating_sub(1));
+                    s
                 }
-                let ins = g.in_neighbors(w);
-                let s = par::kernel::gather_sum(partial, ins);
-                counter.add((ins.len() as u64).saturating_sub(1));
-                row[w as usize] += scale(wt) * s;
+                EdgeOp::Update { sub, add } => {
+                    let parent = plan.arb.parent(node).expect("non-root node has a parent");
+                    // Proposition 4 delta as two lane-chunked gathers over
+                    // the symmetric-difference lists.
+                    let s = outer[parent] - par::kernel::gather_sum(partial, sub)
+                        + par::kernel::gather_sum(partial, add);
+                    counter.add((sub.len() + add.len()) as u64);
+                    s
+                }
+            };
+            outer[node] = val;
+            let w = plan.targets[wt] as usize;
+            if w >= lo {
+                row[w] += self.factor / (self.in_deg[t] * self.in_deg[wt]) * val;
             }
+            i += 1;
         }
     }
 }
@@ -475,39 +456,6 @@ mod tests {
                 "s3({x}, c): got {got}, paper {want}"
             );
         }
-    }
-
-    #[test]
-    fn outer_sharing_ablation_agrees() {
-        let shared = run_fixture(Mode::Conventional, 5, &SimRankOptions::default());
-        let unshared = run_fixture(
-            Mode::Conventional,
-            5,
-            &SimRankOptions::default().with_outer_sharing(false),
-        );
-        assert!(shared.max_abs_diff(&unshared) < 1e-12);
-    }
-
-    #[test]
-    fn outer_sharing_saves_adds() {
-        // Under the triangular pair set the shared walk pays for ancestors
-        // of needed nodes, so the win needs real in-set overlap to show —
-        // the copying model provides it (the tiny paper fixture now ties).
-        let g = simrank_graph::gen::copying_web_graph(
-            simrank_graph::gen::CopyingParams::berkstan_like(120),
-            7,
-        );
-        let opts = SimRankOptions::default();
-        let plan = SharingPlan::build(&g, &opts);
-        let (_, with) = run(&g, &plan, &opts, Mode::Conventional, 3, |_, _| {});
-        let opts_off = opts.with_outer_sharing(false);
-        let (_, without) = run(&g, &plan, &opts_off, Mode::Conventional, 3, |_, _| {});
-        assert!(
-            with.adds < without.adds,
-            "sharing {} vs one-by-one {}",
-            with.adds,
-            without.adds
-        );
     }
 
     #[test]

@@ -77,13 +77,6 @@ impl ScoreGrid {
         self.data[a * self.n + b] = v;
     }
 
-    /// Sets `(a, b)` and `(b, a)`.
-    #[inline]
-    pub fn set_sym(&mut self, a: usize, b: usize, v: f64) {
-        self.data[a * self.n + b] = v;
-        self.data[b * self.n + a] = v;
-    }
-
     /// Row view.
     #[inline]
     pub fn row(&self, a: usize) -> &[f64] {
@@ -108,34 +101,6 @@ impl ScoreGrid {
     #[inline]
     pub fn sub_row_from(&self, x: usize, out: &mut [f64]) {
         kernel::subtract(out, self.row(x));
-    }
-
-    /// Splits the grid into disjoint mutable row bands, one per range.
-    ///
-    /// `bands` must be ascending, non-overlapping row ranges within
-    /// `0..=n`. Rows between consecutive bands are skipped (left borrowed
-    /// by no one). This is the fully-safe sharding primitive: each worker
-    /// receives one band and can never alias another worker's rows. (The
-    /// internal sweeps now shard through the allocation-free
-    /// `par::RowWriter` instead, which hands out the same disjoint rows
-    /// without materializing a `Vec` of borrows each iteration.)
-    pub fn row_bands_mut(&mut self, bands: &[std::ops::Range<usize>]) -> Vec<&mut [f64]> {
-        let n = self.n;
-        let mut out = Vec::with_capacity(bands.len());
-        let mut rest: &mut [f64] = &mut self.data;
-        let mut cursor = 0usize;
-        for band in bands {
-            assert!(
-                band.start >= cursor && band.start <= band.end && band.end <= n,
-                "bands must be ascending and within 0..={n}"
-            );
-            let (_gap, tail) = rest.split_at_mut((band.start - cursor) * n);
-            let (rows, tail) = tail.split_at_mut((band.end - band.start) * n);
-            out.push(rows);
-            rest = tail;
-            cursor = band.end;
-        }
-        out
     }
 
     /// Raw backing storage (row-major); used by the parallel executor's
@@ -261,28 +226,6 @@ mod tests {
         let mut b = ScoreGrid::identity(2);
         b.set(0, 1, 0.3);
         assert!((a.max_abs_diff(&b) - 0.3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn row_bands_are_disjoint_views() {
-        let mut g = ScoreGrid::zeros(5);
-        let bands = g.row_bands_mut(&[0..2, 3..5]); // row 2 deliberately skipped
-        assert_eq!(bands.len(), 2);
-        assert_eq!(bands[0].len(), 10);
-        assert_eq!(bands[1].len(), 10);
-        for (i, band) in bands.into_iter().enumerate() {
-            band.fill(i as f64 + 1.0);
-        }
-        assert_eq!(g.get(1, 4), 1.0);
-        assert_eq!(g.get(2, 2), 0.0, "gap row untouched");
-        assert_eq!(g.get(4, 0), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn row_bands_reject_overlap() {
-        let mut g = ScoreGrid::zeros(4);
-        let _ = g.row_bands_mut(&[0..2, 1..3]);
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub struct Report {
     /// matrices) in bytes — excludes the output similarity matrix itself,
     /// matching how the paper reports "memory space".
     pub peak_intermediate_bytes: usize,
-    /// Largest number of simultaneously live partial-sum buffers.
-    pub peak_live_buffers: usize,
     /// Worker threads used by the persistent worker-pool executor
     /// ([`simrank_par::WorkerPool`]). Every pooled path reports its pool
     /// width here: `naive`, `psum`, the OIP engine, both P-Rank direction

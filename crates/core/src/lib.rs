@@ -113,7 +113,7 @@ pub use grid::ScoreGrid;
 pub use index::SimRankIndex;
 pub use instrument::Report;
 pub use matrix::SimMatrix;
-pub use options::{CostModel, SimRankOptions};
+pub use options::SimRankOptions;
 pub use plan::SharingPlan;
 pub use query::QueryEngine;
 pub use store::{LowRankScores, ScoreStore, ThresholdedSparse};

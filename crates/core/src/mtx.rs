@@ -208,34 +208,10 @@ pub fn mtx_simrank_low_rank(
     opts: &SimRankOptions,
     rank: Option<usize>,
 ) -> LowRankScores {
-    mtx_simrank_low_rank_with_report(g, opts, rank).0
-}
-
-/// As [`mtx_simrank_low_rank`], also returning instrumentation. The
-/// reported peak covers the factorization intermediates (the `O(n²)` SVD
-/// working set the paper charges `mtx-SR` for) — only the *result*
-/// storage shrinks to factor size.
-pub fn mtx_simrank_low_rank_with_report(
-    g: &DiGraph,
-    opts: &SimRankOptions,
-    rank: Option<usize>,
-) -> (LowRankScores, Report) {
-    let n = g.node_count();
-    let workers = par::effective_workers(opts.threads, n);
+    let workers = par::effective_workers(opts.threads, g.node_count());
     par::WorkerPool::scoped(workers, |pool| {
         let f = mtx_factors(g, opts, rank, pool);
-        let report = Report {
-            iterations: opts.conventional_iterations(),
-            mst_build: f.factorize,
-            share_sums: f.iterate,
-            peak_intermediate_bytes: model_peak_bytes(n, f.r),
-            workers: pool.workers(),
-            ..Default::default()
-        };
-        (
-            LowRankScores::from_parts_with(1.0 - opts.damping, f.u, f.ms, pool),
-            report,
-        )
+        LowRankScores::from_parts_with(1.0 - opts.damping, f.u, f.ms, pool)
     })
 }
 

@@ -17,25 +17,12 @@ fn default_threads() -> NonZeroUsize {
     simrank_par::default_workers()
 }
 
-/// How tree-edge transition costs are modeled — the knob behind the
-/// `ablation_cost_model` bench.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CostModel {
-    /// The paper's Eq. (7): `min(|A ⊖ B|, |B| − 1)`.
-    Min,
-    /// Always pay the from-scratch cost `|B| − 1`. With this model every
-    /// partial sum is recomputed independently, so `OIP-SR` degenerates to
-    /// `psum-SR` inside the same code path (the `ablation_mst` baseline).
-    ScratchOnly,
-    /// Always pay the symmetric-difference cost, even when starting from
-    /// scratch would be cheaper.
-    SymDiffOnly,
-}
-
 /// Configuration for all SimRank computations.
 ///
 /// Defaults follow the paper's experimental setting: `C = 0.6`,
-/// `ε = 0.001`, no threshold sieving.
+/// `ε = 0.001`, no threshold sieving. The algorithms themselves have no
+/// switches: OIP-SR always uses the Eq. 7 transition cost and Proposition
+/// 4's shared outer sums; psum-SR is the no-sharing reference.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimRankOptions {
     /// Damping factor `C ∈ (0, 1)`.
@@ -49,15 +36,6 @@ pub struct SimRankOptions {
     /// Threshold-sieving `δ` (Lizorkin's third optimization): computed
     /// similarities below `δ` are clamped to zero. `None` disables.
     pub threshold: Option<f64>,
-    /// Essential-pair filtering: skip vertex pairs in different weakly
-    /// connected components (their SimRank is identically zero).
-    pub component_filter: bool,
-    /// Enable outer partial-sums sharing (Proposition 4 / procedure `OP`).
-    /// Disabling is the `ablation_outer` baseline: inner sharing only, outer
-    /// sums accumulated one-by-one as in psum-SR.
-    pub outer_sharing: bool,
-    /// Transition-cost model (paper Eq. 7 by default).
-    pub cost_model: CostModel,
     /// Worker threads for the persistent worker-pool executor
     /// ([`simrank_par::WorkerPool`]): each algorithm run spawns the pool
     /// once, parks the workers between barrier-synchronized sweeps, and
@@ -77,9 +55,6 @@ impl Default for SimRankOptions {
             iterations: None,
             epsilon: 1e-3,
             threshold: None,
-            component_filter: false,
-            outer_sharing: true,
-            cost_model: CostModel::Min,
             threads: default_threads(),
         }
     }
@@ -119,18 +94,6 @@ impl SimRankOptions {
         self
     }
 
-    /// Toggles outer partial-sums sharing.
-    pub fn with_outer_sharing(mut self, on: bool) -> Self {
-        self.outer_sharing = on;
-        self
-    }
-
-    /// Selects the transition-cost model.
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
     /// Sets the worker-thread count (must be at least 1). `1` reproduces the
     /// historical single-threaded execution exactly; any `N` produces
     /// bit-for-bit the same scores.
@@ -165,8 +128,7 @@ mod tests {
         assert_eq!(o.damping, 0.6);
         assert_eq!(o.epsilon, 1e-3);
         assert_eq!(o.threshold, None);
-        assert!(o.outer_sharing);
-        assert_eq!(o.cost_model, CostModel::Min);
+        assert_eq!(o.iterations, None);
     }
 
     #[test]
@@ -175,13 +137,11 @@ mod tests {
             .with_damping(0.8)
             .with_epsilon(1e-4)
             .with_threshold(1e-5)
-            .with_outer_sharing(false)
-            .with_cost_model(CostModel::ScratchOnly);
+            .with_threads(3);
         assert_eq!(o.damping, 0.8);
         assert_eq!(o.epsilon, 1e-4);
         assert_eq!(o.threshold, Some(1e-5));
-        assert!(!o.outer_sharing);
-        assert_eq!(o.cost_model, CostModel::ScratchOnly);
+        assert_eq!(o.threads.get(), 3);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 // paper's sorted-order formulation.
 #![allow(clippy::needless_range_loop)]
 
-use crate::options::{CostModel, SimRankOptions};
+use crate::options::SimRankOptions;
 use crate::setops;
 use simrank_graph::{DiGraph, NodeId};
 use simrank_mst::Arborescence;
@@ -147,7 +147,8 @@ pub struct SharingPlan {
 }
 
 impl SharingPlan {
-    /// Runs `DMST-Reduce` and builds the full plan for `g` under `opts`.
+    /// Runs `DMST-Reduce` and builds the full plan for `g`. Only
+    /// `opts.threads` is read, and the plan is identical at every width.
     pub fn build(g: &DiGraph, opts: &SimRankOptions) -> SharingPlan {
         let start = Instant::now();
         // --- DMST-Reduce line 2: sort vertices by in-degree (ties by id). ---
@@ -155,7 +156,7 @@ impl SharingPlan {
 
         // --- Transition costs and arborescence. ---
         let arb = Self::solve_greedy(g, &targets, opts);
-        Self::from_tree(g, targets, arb, opts, start)
+        Self::from_tree(g, targets, arb, start)
     }
 
     /// Vertices with non-empty in-neighbor sets, sorted by (in-degree, id).
@@ -171,7 +172,6 @@ impl SharingPlan {
         g: &DiGraph,
         targets: Vec<NodeId>,
         arb: Arborescence,
-        opts: &SimRankOptions,
         start: Instant,
     ) -> SharingPlan {
         let t = targets.len();
@@ -189,12 +189,9 @@ impl SharingPlan {
                 let ins_v = g.in_neighbors(v);
                 let sym = setops::symmetric_difference_size(ins_p, ins_v);
                 let scratch = ins_v.len().saturating_sub(1);
-                let prefer_update = match opts.cost_model {
-                    CostModel::Min => sym < scratch,
-                    CostModel::ScratchOnly => false,
-                    CostModel::SymDiffOnly => true,
-                };
-                if prefer_update {
+                // Eq. 7: update from the parent only when that is strictly
+                // cheaper than summing from scratch.
+                if sym < scratch {
                     let (sub, add) = setops::difference_lists(ins_p, ins_v);
                     EdgeOp::Update {
                         sub: sub.into(),
@@ -250,7 +247,6 @@ impl SharingPlan {
     /// (column `j` scans `j` predecessors).
     fn solve_greedy(g: &DiGraph, targets: &[NodeId], opts: &SimRankOptions) -> Arborescence {
         let t = targets.len();
-        let model = opts.cost_model;
         // best incoming (weight, parent) per tree node; root edges first so
         // ties resolve toward ∅ exactly like the paper's Fig. 2d.
         let mut best_w: Vec<u64> = Vec::with_capacity(t);
@@ -258,7 +254,7 @@ impl SharingPlan {
         for &v in targets {
             best_w.push((g.in_degree(v) as u64).saturating_sub(1));
         }
-        if model != CostModel::ScratchOnly && t > 1 {
+        if t > 1 {
             let col_weights: Vec<usize> = (0..t).collect();
             let workers = par::effective_workers(opts.threads, t);
             let col_blocks = par::weighted_blocks(&col_weights, workers);
@@ -273,27 +269,23 @@ impl SharingPlan {
                 w_rest = w_tail;
                 p_rest = p_tail;
             }
-            par::run_sharded(items, |(cols, w_band, p_band), _counter| {
-                let base = cols.start;
-                for j in cols {
-                    let ins_j = g.in_neighbors(targets[j]);
-                    // Ascending `i` with strict `<` keeps the sequential
-                    // tie-break: the earliest minimal predecessor wins.
-                    for i in 0..j {
-                        let ins_i = g.in_neighbors(targets[i]);
-                        let w = match model {
-                            CostModel::Min => setops::transition_cost(ins_i, ins_j),
-                            CostModel::SymDiffOnly => {
-                                setops::symmetric_difference_size(ins_i, ins_j) as u64
+            par::WorkerPool::scoped(items.len(), |pool| {
+                pool.sweep(items, |(cols, w_band, p_band), _counter| {
+                    let base = cols.start;
+                    for j in cols {
+                        let ins_j = g.in_neighbors(targets[j]);
+                        // Ascending `i` with strict `<` keeps the sequential
+                        // tie-break: the earliest minimal predecessor wins.
+                        for i in 0..j {
+                            let ins_i = g.in_neighbors(targets[i]);
+                            let w = setops::transition_cost(ins_i, ins_j);
+                            if w < w_band[j - base] {
+                                w_band[j - base] = w;
+                                p_band[j - base] = i + 1;
                             }
-                            CostModel::ScratchOnly => unreachable!(),
-                        };
-                        if w < w_band[j - base] {
-                            w_band[j - base] = w;
-                            p_band[j - base] = i + 1;
                         }
                     }
-                }
+                })
             });
         }
         let mut parents = vec![None; t + 1];
@@ -492,19 +484,19 @@ impl SharingPlan {
 /// `DMST-Reduce` ran full Chu–Liu/Edmonds on the materialized cost graph
 /// instead of the streaming greedy.
 #[cfg(test)]
-pub(crate) fn build_with_edmonds(g: &DiGraph, opts: &SimRankOptions) -> SharingPlan {
+pub(crate) fn build_with_edmonds(g: &DiGraph) -> SharingPlan {
     let start = Instant::now();
     let targets = SharingPlan::sorted_targets(g);
-    let edges = cost_graph(g, &targets, opts.cost_model);
+    let edges = cost_graph(g, &targets);
     let arb = simrank_mst::edmonds(targets.len() + 1, &edges, 0).expect("G* spans from the root");
-    SharingPlan::from_tree(g, targets, arb, opts, start)
+    SharingPlan::from_tree(g, targets, arb, start)
 }
 
 /// The full `DMST-Reduce` cost graph `G*`: a root edge of weight
-/// `|B| − 1` to every target, plus one edge per forward pair in the
-/// sorted target order (none under `ScratchOnly`).
+/// `|B| − 1` to every target, plus one Eq. 7 edge per forward pair in the
+/// sorted target order.
 #[cfg(test)]
-fn cost_graph(g: &DiGraph, targets: &[NodeId], model: CostModel) -> Vec<simrank_mst::Edge> {
+fn cost_graph(g: &DiGraph, targets: &[NodeId]) -> Vec<simrank_mst::Edge> {
     use simrank_mst::Edge;
     let t = targets.len();
     let mut edges: Vec<Edge> = (0..t)
@@ -512,12 +504,7 @@ fn cost_graph(g: &DiGraph, targets: &[NodeId], model: CostModel) -> Vec<simrank_
         .collect();
     for j in 0..t {
         for i in 0..j {
-            let (ins_i, ins_j) = (g.in_neighbors(targets[i]), g.in_neighbors(targets[j]));
-            let w = match model {
-                CostModel::Min => setops::transition_cost(ins_i, ins_j),
-                CostModel::SymDiffOnly => setops::symmetric_difference_size(ins_i, ins_j) as u64,
-                CostModel::ScratchOnly => continue,
-            };
+            let w = setops::transition_cost(g.in_neighbors(targets[i]), g.in_neighbors(targets[j]));
             edges.push(Edge::new(i + 1, j + 1, w));
         }
     }
@@ -727,20 +714,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scratch_only_model_disables_sharing() {
-        let opts = SimRankOptions::default().with_cost_model(CostModel::ScratchOnly);
-        let plan = SharingPlan::build(&paper_fig1a(), &opts);
-        assert!(plan.ops.iter().all(|op| *op == EdgeOp::Scratch));
-        // Every node hangs off the root.
-        for node in 1..plan.arb.len() {
-            assert_eq!(plan.arb.parent(node), Some(0));
-        }
-    }
-
     /// General Chu–Liu/Edmonds is the oracle for the streaming greedy:
-    /// `G*` is a DAG, so the greedy tree must have the optimal weight
-    /// under every cost model.
+    /// `G*` is a DAG, so the greedy tree must have the optimal weight.
     #[test]
     fn edmonds_matches_greedy_weight() {
         let graphs = [
@@ -752,17 +727,11 @@ mod tests {
             ),
         ];
         for (i, g) in graphs.iter().enumerate() {
-            for model in [
-                CostModel::Min,
-                CostModel::SymDiffOnly,
-                CostModel::ScratchOnly,
-            ] {
-                let plan = SharingPlan::build(g, &SimRankOptions::default().with_cost_model(model));
-                let t = plan.targets.len();
-                let oracle = edmonds(t + 1, &cost_graph(g, &plan.targets, model), 0)
-                    .expect("G* spans from the root");
-                assert_eq!(plan.tree_weight, oracle.total_weight, "graph {i} {model:?}");
-            }
+            let plan = SharingPlan::build(g, &SimRankOptions::default());
+            let t = plan.targets.len();
+            let oracle =
+                edmonds(t + 1, &cost_graph(g, &plan.targets), 0).expect("G* spans from the root");
+            assert_eq!(plan.tree_weight, oracle.total_weight, "graph {i}");
         }
     }
 
@@ -770,26 +739,20 @@ mod tests {
     fn parallel_build_is_thread_invariant() {
         // The sharded candidate-pair scan replays the sequential per-column
         // decision exactly: every component of the plan must be identical
-        // at every thread count, for every cost model.
+        // at every thread count.
         let g = simrank_graph::gen::gnm(70, 300, 9);
-        for model in [
-            CostModel::Min,
-            CostModel::SymDiffOnly,
-            CostModel::ScratchOnly,
-        ] {
-            let base = SimRankOptions::default().with_cost_model(model);
-            let p1 = SharingPlan::build(&g, &base.with_threads(1));
-            for t in [2usize, 3, 5, 8] {
-                let pt = SharingPlan::build(&g, &base.with_threads(t));
-                assert_eq!(p1.targets, pt.targets, "{model:?} threads={t}");
-                assert_eq!(p1.arb, pt.arb, "{model:?} threads={t}");
-                assert_eq!(p1.ops, pt.ops, "{model:?} threads={t}");
-                assert_eq!(p1.preorder, pt.preorder);
-                assert_eq!(p1.schedule, pt.schedule);
-                assert_eq!(p1.segments, pt.segments);
-                assert_eq!(p1.slots, pt.slots);
-                assert_eq!(p1.tree_weight, pt.tree_weight);
-            }
+        let base = SimRankOptions::default();
+        let p1 = SharingPlan::build(&g, &base.with_threads(1));
+        for t in [2usize, 3, 5, 8] {
+            let pt = SharingPlan::build(&g, &base.with_threads(t));
+            assert_eq!(p1.targets, pt.targets, "threads={t}");
+            assert_eq!(p1.arb, pt.arb, "threads={t}");
+            assert_eq!(p1.ops, pt.ops, "threads={t}");
+            assert_eq!(p1.preorder, pt.preorder);
+            assert_eq!(p1.schedule, pt.schedule);
+            assert_eq!(p1.segments, pt.segments);
+            assert_eq!(p1.slots, pt.slots);
+            assert_eq!(p1.tree_weight, pt.tree_weight);
         }
     }
 

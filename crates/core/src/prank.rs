@@ -38,8 +38,7 @@ pub struct PRankOptions {
     ///
     /// `base.threshold` sieves the *summed* in+out score of each pair
     /// after every iteration (Lizorkin et al.'s definition applied to the
-    /// P-Rank score), not each direction separately; `base.outer_sharing`
-    /// selects the outer-sum walk of both directions.
+    /// P-Rank score), not each direction separately.
     pub base: SimRankOptions,
     /// λ ∈ [0, 1]: 1 = in-links only (SimRank), 0 = out-links only.
     pub lambda: f64,
@@ -97,11 +96,9 @@ pub fn prank_with_report(g: &DiGraph, opts: &PRankOptions) -> (SimMatrix, Report
         Stop::Fixed(opts.base.conventional_iterations()),
         |_, _| {},
     );
-    let slots = passes.iter().map(|p| p.1.slots).max().unwrap_or(0);
     let report = Report {
         mst_build,
         peak_intermediate_bytes: kernel.state_bytes(),
-        peak_live_buffers: report.workers * slots,
         ..report
     };
     (grid.to_sim_matrix(), report)

@@ -1,14 +1,20 @@
 //! `psum-SR` — SimRank with partial sums memoization (Lizorkin et al.,
 //! PVLDB'08), the state of the art the paper improves on.
 //!
-//! Implements the three optimizations of that work:
+//! Implements two of the three optimizations of that work:
 //! 1. *partial sums memoization* (Eq. 4/5): `Partial_{I(a)}(·)` computed
 //!    once per source and reused across all targets — `O(K·d·n²)` total.
 //!    The outer accumulation runs over the **triangular pair set** only
 //!    (`b > a`; SimRank is symmetric);
-//! 2. *essential node-pair selection* (here: the weakly-connected-component
-//!    filter — cross-component pairs are identically zero);
-//! 3. *threshold-sieved similarities* (scores below `δ` clamped to zero).
+//! 2. *threshold-sieved similarities* (scores below `δ` clamped to zero).
+//!
+//! The third, *essential node-pair selection*, is left out. It skips
+//! pairs in different weakly connected components, but those scores are
+//! already exactly `0.0` here: `S₀ = I` has no cross-component entry and
+//! every update sums only cross-component entries of the previous
+//! iterate. The filter changes no score, saves work only on disconnected
+//! graphs, and `OIP-SR` does not apply it, so the two algorithms compare
+//! on the same pair set.
 //!
 //! This module supplies one sweep; the shared iteration driver runs the
 //! iteration around it, including the sieve and the mirror pass.
@@ -21,7 +27,7 @@ use crate::instrument::Report;
 use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
-use simrank_graph::{traversal, DiGraph, NodeId};
+use simrank_graph::{DiGraph, NodeId};
 use simrank_par as par;
 
 /// All-pairs SimRank via partial sums memoization.
@@ -45,7 +51,6 @@ pub fn psum_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatri
         // One n-vector of partial sums per worker is the only intermediate
         // state.
         peak_intermediate_bytes: report.workers * n * std::mem::size_of::<f64>(),
-        peak_live_buffers: report.workers,
         ..report
     };
     (grid.to_sim_matrix(), report)
@@ -59,9 +64,6 @@ struct PsumKernel<'a> {
     workers: usize,
     /// Vertices with in-edges, ascending.
     targets: Vec<NodeId>,
-    /// Weakly-connected-component labels when the essential-pair filter
-    /// is on.
-    components: Option<Vec<u32>>,
     target_blocks: Vec<std::ops::Range<usize>>,
     /// Memoization buffers for `Partial_{I(a)}(·)`: one flat
     /// `blocks × n` arena allocated once for the whole run, with each
@@ -101,7 +103,6 @@ impl<'a> PsumKernel<'a> {
             g,
             c: opts.damping,
             workers,
-            components: opts.component_filter.then(|| component_labels(g)),
             partials_flat: vec![0.0f64; target_blocks.len() * n],
             targets,
             target_blocks,
@@ -121,8 +122,8 @@ impl Kernel for PsumKernel<'_> {
         cur: &ScoreGrid,
         next: &mut ScoreGrid,
     ) -> u64 {
-        let (g, c, targets) = (self.g, self.c, &self.targets);
-        let (components, target_blocks) = (&self.components, &self.target_blocks);
+        let (g, c) = (self.g, self.c);
+        let (targets, target_blocks) = (&self.targets, &self.target_blocks);
         let n = g.node_count();
         let writer = par::RowWriter::new(next.data_mut(), n);
         let scratch = par::RowWriter::new(&mut self.partials_flat, n);
@@ -152,11 +153,6 @@ impl Kernel for PsumKernel<'_> {
                 // Triangular outer accumulation: `targets` ascend, so
                 // the suffix after `idx` is exactly the pair set b > a.
                 for &b in &targets[idx + 1..] {
-                    if let Some(comp) = components {
-                        if comp[a as usize] != comp[b as usize] {
-                            continue; // essential-pair filter: provably zero
-                        }
-                    }
                     let ins_b = g.in_neighbors(b);
                     // Outer sum (Eq. 5) as one lane-chunked gather
                     // over I(b) — fixed association, thread-invariant.
@@ -167,36 +163,6 @@ impl Kernel for PsumKernel<'_> {
             }
         })
     }
-}
-
-/// Weakly-connected-component labels (essential-pair filter): vertices in
-/// different components can never meet, so their SimRank is zero.
-fn component_labels(g: &DiGraph) -> Vec<u32> {
-    let n = g.node_count();
-    let mut label = vec![u32::MAX; n];
-    let mut next_label = 0u32;
-    let mut stack = Vec::new();
-    for s in 0..n {
-        if label[s] != u32::MAX {
-            continue;
-        }
-        label[s] = next_label;
-        stack.push(s as NodeId);
-        while let Some(u) = stack.pop() {
-            for &v in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
-                if label[v as usize] == u32::MAX {
-                    label[v as usize] = next_label;
-                    stack.push(v);
-                }
-            }
-        }
-        next_label += 1;
-    }
-    debug_assert_eq!(
-        next_label as usize,
-        traversal::weakly_connected_components(g)
-    );
-    label
 }
 
 #[cfg(test)]
@@ -232,17 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn component_filter_is_exact() {
-        // Two disjoint triangles: the filter must not change any value.
+    fn cross_component_scores_are_exactly_zero() {
+        // Two disjoint triangles: no essential-pair filter is needed, the
+        // iteration itself keeps every cross-component score at 0.0.
         let g = two_triangles();
-        let opts = SimRankOptions::default().with_iterations(8);
-        let plain = psum_simrank(&g, &opts);
-        let mut opts_f = opts;
-        opts_f.component_filter = true;
-        let filtered = psum_simrank(&g, &opts_f);
-        assert!(plain.max_abs_diff(&filtered) < 1e-15);
-        // And cross-component scores are exactly zero.
-        assert_eq!(plain.get(0, 3), 0.0);
+        let s = psum_simrank(&g, &SimRankOptions::default().with_iterations(8));
+        for a in 0..3 {
+            for b in 3..6 {
+                assert_eq!(s.get(a, b), 0.0, "({a},{b})");
+            }
+        }
     }
 
     #[test]
@@ -331,7 +296,6 @@ mod tests {
         let opts = SimRankOptions::default().with_iterations(1).with_threads(1);
         let (_, r) = psum_simrank_with_report(&g, &opts);
         assert_eq!(r.peak_intermediate_bytes, 9 * 8);
-        assert_eq!(r.peak_live_buffers, 1);
         assert_eq!(r.workers, 1);
         // Two workers double the live memoization state (6 targets split 3+3).
         let (_, r2) = psum_simrank_with_report(&g, &opts.with_threads(2));

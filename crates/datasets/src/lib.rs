@@ -7,7 +7,9 @@
 //! all-pairs SimRank anyway — so this crate provides *scaled-down
 //! generative stand-ins* that preserve the properties the experiments
 //! actually exercise (degree level, DAG-ness, in-neighbor-set overlap,
-//! growth series). DESIGN.md §4 documents each substitution.
+//! growth series). Each dataset function below names the generator it uses
+//! and what that generator preserves; the generators' own docs in
+//! [`simrank_graph::gen`] give the model.
 //!
 //! Every dataset is deterministic in its `(scale, seed)` parameters.
 
@@ -110,8 +112,8 @@ pub fn dblp_like(snapshot: DblpSnapshot, scale_div: usize, seed: u64) -> Dataset
 /// SYN: the Fig. 6c density-sweep graph — `nodes` vertices at average
 /// degree `d`, generated by the in-set copying model whose overlap knob is
 /// matched to the share ratios GTGraph R-MAT exhibits at the paper's 300K
-/// scale (DESIGN.md §4 documents why downscaled R-MAT itself loses that
-/// structure).
+/// scale. Downscaled R-MAT itself loses that structure: its low-degree
+/// in-sets stop colliding on the same hubs (see [`syn_rmat`]).
 pub fn syn(nodes: usize, avg_degree: usize, seed: u64) -> Dataset {
     let g = gen::overlap_graph(gen::OverlapParams::syn(nodes, avg_degree), seed);
     Dataset::new(format!("SYN n={nodes} d={avg_degree}"), g)

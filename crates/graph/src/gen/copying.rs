@@ -5,7 +5,8 @@
 //! site-wide hub/navigation pages, so pages of one site have nearly
 //! identical in-neighbor sets. That overlap is exactly what gives `OIP-SR`
 //! its largest speedup (4.6×) in the paper, and it does not survive naive
-//! downscaling of edge-sampling models (DESIGN.md §4). This generator
+//! downscaling of edge-sampling models: at small `n` independently sampled
+//! in-links rarely repeat, so in-sets stop overlapping. This generator
 //! models the mechanism directly:
 //!
 //! * pages belong to *sites*; sites belong to one of two *domains*

@@ -15,9 +15,10 @@
 //! * [`coauthor`](coauthor_graph()) (module `coauthor`) — a community-structured co-authorship simulator used as
 //!   the DBLP-like stand-in.
 //! * [`overlap`](overlap_graph()) (module `overlap`) — an in-neighbor-set copying model with a controllable
-//!   redundancy knob, the SYN density-sweep stand-in (see DESIGN.md §4 on
-//!   why downscaled R-MAT loses the overlap structure the paper's Fig. 6c
-//!   exercises).
+//!   redundancy knob, the SYN density-sweep stand-in: R-MAT scaled down to
+//!   a few thousand vertices loses the overlap structure the paper's
+//!   Fig. 6c exercises, because its low-degree in-sets stop colliding on
+//!   the same hubs.
 
 mod citation;
 mod coauthor;

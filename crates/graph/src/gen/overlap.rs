@@ -4,7 +4,8 @@
 //! source distribution makes low-degree vertices' in-neighbor sets collide
 //! on the same hubs, which is what gives `OIP-SR` its 0.68–0.83 share
 //! ratios in Fig. 6c. Scaling R-MAT down to laptop-sized `n` destroys that
-//! structure (every in-set becomes distinct — see DESIGN.md §4), so this
+//! structure: with few edges per hub, two low-degree vertices rarely draw
+//! the same in-neighbors, so nearly every in-set becomes distinct. This
 //! generator models the overlap *directly*: each vertex's in-neighbor set
 //! copies a fraction of a prototype vertex's in-set (the web's
 //! template/navigation-block phenomenon, or Kumar et al.'s evolving-copying

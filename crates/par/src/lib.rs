@@ -544,20 +544,6 @@ impl WorkerPool<'_> {
     }
 }
 
-/// One-shot convenience for a single parallel phase outside any iteration
-/// loop (e.g. the plan builder's cost scan): spins up a scoped pool sized
-/// to the item count, runs one [`WorkerPool::sweep`], and tears it down.
-/// Iterating callers should hold a [`WorkerPool`] open across sweeps
-/// instead.
-pub fn run_sharded<I, W>(items: Vec<I>, work: W) -> u64
-where
-    I: Send,
-    W: Fn(I, &mut OpCounter) + Sync,
-{
-    let workers = items.len();
-    WorkerPool::scoped(workers, |pool| pool.sweep(items, work))
-}
-
 /// Hands out disjoint mutable rows of a row-major write-side buffer to
 /// worker threads.
 ///
@@ -777,15 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_merges_counts() {
-        let items: Vec<u64> = (1..=8).collect();
-        let total = run_sharded(items, |x, c| c.add(x));
-        assert_eq!(total, 36);
-        assert_eq!(run_sharded(Vec::<u64>::new(), |x, c| c.add(x)), 0);
-        assert_eq!(run_sharded(vec![7u64], |x, c| c.add(x)), 7);
-    }
-
-    #[test]
     fn pool_runs_many_sweeps_without_respawning() {
         // One pool, many generations: every sweep sees all items exactly
         // once and merges counts exactly — the persistent-pool contract.
@@ -867,6 +844,15 @@ mod tests {
         });
         assert_eq!(done.load(Ordering::Relaxed), 100);
         assert_eq!(count, (1..=100).sum::<u64>());
+        // Degenerate sweeps merge exactly too: no items count zero (a
+        // 0-wide request clamps to one worker), a single item counts once.
+        for workers in [0usize, 1, 3] {
+            let (none, one) = WorkerPool::scoped(workers, |pool| {
+                let none = pool.sweep(Vec::<u64>::new(), |x, c| c.add(x));
+                (none, pool.sweep(vec![7u64], |x, c| c.add(x)))
+            });
+            assert_eq!((none, one), (0, 7), "workers = {workers}");
+        }
     }
 
     #[test]

@@ -39,11 +39,11 @@ fn main() {
         );
     }
     println!(
-        "\nOIP machinery: tree weight {} (d' = {:.2}), {} additions, {} buffer(s), {} iterations",
+        "\nOIP machinery: tree weight {} (d' = {:.2}), {} additions, {} buffer(s) per worker, {} iterations",
         plan.tree_weight,
         plan.d_eff(),
         report.adds,
-        report.peak_live_buffers,
+        plan.slots,
         report.iterations
     );
 

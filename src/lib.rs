@@ -95,7 +95,7 @@ pub mod prelude {
         query::QueryEngine,
         store::ScoreStore,
         topk::{top_k, top_k_ids},
-        CostModel, SimMatrix, SimRankOptions,
+        SimMatrix, SimRankOptions,
     };
     pub use simrank_eval::{kendall_tau, ndcg_at, top_k_overlap};
     pub use simrank_graph::{DiGraph, EdgeDelta, GraphBuilder, NodeId};

@@ -1,6 +1,6 @@
 //! Cross-crate integration: every algorithm variant, one pipeline.
 
-use simrank::algo::{dsr, matrixform, mtx, naive, oip, psum, CostModel, SimRankOptions};
+use simrank::algo::{dsr, matrixform, mtx, naive, oip, psum, SimRankOptions};
 use simrank::datasets;
 use simrank::graph::gen;
 
@@ -32,23 +32,20 @@ fn conventional_variants_agree_on_all_dataset_families() {
     }
 }
 
-/// The ablation knobs change cost, never scores.
+/// Sharing changes cost, never scores: OIP-SR agrees with the
+/// no-sharing psum-SR oracle and needs strictly fewer additions.
 #[test]
 fn ablations_cost_only() {
     let g = datasets::berkstan_like(150, 7).graph;
-    let base = SimRankOptions::default().with_iterations(5);
-    let reference = oip::oip_simrank(&g, &base);
-    let (_, r_base) = oip::oip_simrank_with_report(&g, &base);
-    let scratch_only = base
-        .with_cost_model(CostModel::ScratchOnly)
-        .with_outer_sharing(false);
-    let (s, r_off) = oip::oip_simrank_with_report(&g, &scratch_only);
-    assert!(reference.max_abs_diff(&s) < 1e-10);
+    let opts = SimRankOptions::default().with_iterations(5);
+    let (s_oip, r_oip) = oip::oip_simrank_with_report(&g, &opts);
+    let (s_psum, r_psum) = psum::psum_simrank_with_report(&g, &opts);
+    assert!(s_oip.max_abs_diff(&s_psum) < 1e-10);
     assert!(
-        r_base.adds < r_off.adds,
+        r_oip.adds < r_psum.adds,
         "sharing must reduce additions: {} vs {}",
-        r_base.adds,
-        r_off.adds
+        r_oip.adds,
+        r_psum.adds
     );
 }
 
