@@ -856,6 +856,20 @@ mod tests {
     }
 
     #[test]
+    fn run_sharded_merges_counts() {
+        // A one-shot phase sizes its pool to the item count and runs one
+        // sweep (the plan builder's cost scan does this); counts merge
+        // exactly, including the degenerate zero- and one-item sweeps (a
+        // 0-wide request clamps to one worker).
+        let one_shot = |items: Vec<u64>| {
+            WorkerPool::scoped(items.len(), |pool| pool.sweep(items, |x, c| c.add(x)))
+        };
+        assert_eq!(one_shot((1..=8).collect()), 36);
+        assert_eq!(one_shot(Vec::new()), 0);
+        assert_eq!(one_shot(vec![7]), 7);
+    }
+
+    #[test]
     fn pool_single_worker_runs_inline() {
         let id = std::thread::current().id();
         let count = WorkerPool::scoped(1, |pool| {
