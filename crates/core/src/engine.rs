@@ -10,14 +10,39 @@
 //! * **inner pass** — replay the schedule, maintaining
 //!   `Partial_{I(u)}(y) = Σ_{x∈I(u)} s_k(x, y)` buffers via Proposition 3
 //!   updates along tree edges;
-//! * **outer pass** (procedure `OP`) — for each finished source buffer, walk
-//!   the same tree in preorder maintaining scalar
-//!   `OuterPartial^{I(u)}_{I(w)}` values via Proposition 4 updates, adding
-//!   `factor/(d_u·d_w)·OuterPartial` into `s_{k+1}(u, w)` — **only for the
-//!   triangular pair set** `w ≥ u` (SimRank is symmetric, so the
-//!   strictly-lower pairs are redundant arithmetic): the walk prunes whole
-//!   subtrees via [`SharingPlan::prune`] whenever their largest target id
-//!   falls below the source's threshold.
+//! * **outer pass** (procedure `OP`) — walk the same tree in preorder
+//!   maintaining `OuterPartial^{I(u)}_{I(w)}` values via Proposition 4
+//!   updates, adding `factor/(d_u·d_w)·OuterPartial` into `s_{k+1}(u, w)`
+//!   — **only for the triangular pair set** `w ≥ u` (SimRank is
+//!   symmetric, so the strictly-lower pairs are redundant arithmetic).
+//!
+//! # The blocked outer pass
+//!
+//! One walk serves a block of up to `B` sources. Each worker copies every
+//! finished source buffer into a transposed `n × B` staging block
+//! (`stage[x·B + k]`), and walks [`SharingPlan::outer`] once the block is
+//! full and once more at the end of its share of each pass (blocks never
+//! straddle a pass). Every tree node's `OuterPartial` is then a contiguous
+//! `B`-vector — `parent − Σsub + Σadd` over `B`-wide staged rows — kept in
+//! a stack indexed by depth, because in preorder a node's parent is the
+//! last node visited one level up. The walk prunes a subtree when its
+//! largest target id falls below the smallest threshold in the block.
+//!
+//! The block changes how work is grouped, never what a lane computes:
+//!
+//! * lane `k` of a node is computed with exactly the single-source
+//!   arithmetic — [`par::kernel::gather_sum_block`] reproduces
+//!   `gather_sum`'s association order per lane, and the pair scale
+//!   `factor/(d_u·d_w)` is the same expression, evaluated once per block
+//!   for each distinct in-degree instead of once per pair;
+//! * a computed node's parent is always computed too (its subtree holds a
+//!   larger-or-equal maximum), so every lane's values match an unpruned
+//!   walk; lane `k` writes `row_u[w]` only where `w ≥ lo_k`;
+//! * adds are counted only for the lanes whose own pruned walk would
+//!   visit the node, so the op count equals a walk per source.
+//!
+//! Which sources share a block depends on the pool width; no lane's bits
+//! or count do.
 //!
 //! The [`crate::iterate`] driver runs the iteration around [`OipKernel`]:
 //! sieve, diagonal pin, mirror and swap.
@@ -28,7 +53,7 @@
 //! range per root subtree, each starting from scratch and touching only its
 //! own buffers. Each [`Pass`] shards those segments across the driver's
 //! pool (balanced by step count), gives every worker a private buffer pool
-//! and outer array, and lets each worker emit its own sources' rows of
+//! and source block, and lets each worker emit its own sources' rows of
 //! `S_{k+1}` through a disjoint-row writer. Passes run one after another,
 //! and the sweep's return is the barrier that orders them, so the
 //! per-entry addition order never changes. Per-row arithmetic is
@@ -114,6 +139,11 @@ pub(crate) fn run(
     (s_hat.unwrap_or(grid), report)
 }
 
+/// Sources per outer-pass walk: each sharing-tree node's `OuterPartial`
+/// is a `B`-vector, one lane per staged source. Eight `f64`s are one
+/// cache line per staged partial-sum row.
+const B: usize = 8;
+
 /// One OIP replay over one graph: the plan, its segments balanced across
 /// the pool, and the scale `factor/(d_u·d_w)` of every emitted pair.
 struct Pass<'a> {
@@ -125,15 +155,40 @@ struct Pass<'a> {
     diagonal: bool,
     /// In-degree of each plan target, as `f64`.
     in_deg: Vec<f64>,
+    /// The distinct target in-degrees, ascending (targets are sorted by
+    /// in-degree, so this is the run-length compression of `in_deg`).
+    degrees: Vec<f64>,
+    /// Index into `degrees` of each plan target's in-degree.
+    degree_class: Vec<u32>,
     /// Segment indices per worker.
     shares: Vec<Vec<usize>>,
 }
 
 /// Per-worker replay state: a private buffer pool for inner partial sums
-/// plus the outer scalar per tree node (index 0 = root, unused).
+/// plus the block of staged sources awaiting the outer walk.
 struct WorkerState {
     pool: Vec<Vec<f64>>,
+    block: SourceBlock,
+}
+
+/// Up to [`B`] emitted sources staged for one blocked outer walk. Lane
+/// `k` holds one source; unfilled lanes have threshold `usize::MAX`, so
+/// they never count an add or write a score.
+struct SourceBlock {
+    /// The staged partial sums, transposed: `stage[x·B + k]` is
+    /// `Partial_{I(u_k)}(x)`.
+    stage: Vec<f64>,
+    /// `OuterPartial` per depth level of the sharing tree: lane `k` of
+    /// the node last visited at depth `d` is `outer[d·B + k]`.
     outer: Vec<f64>,
+    /// `factor/(d_u_k·d)` per distinct in-degree `d`: `coef[c·B + k]`.
+    coef: Vec<f64>,
+    /// Number of staged lanes.
+    len: usize,
+    /// Target index of each lane's source.
+    src: [usize; B],
+    /// Each lane's threshold: only targets `w ≥ lo[k]` are written.
+    lo: [usize; B],
 }
 
 /// The OIP sweep: one or more [`Pass`]es accumulated into `next` in
@@ -164,27 +219,52 @@ impl<'a> OipKernel<'a> {
             .iter()
             .map(|&(g, plan, factor)| {
                 let seg_weights: Vec<usize> = plan.segments.iter().map(|s| s.len()).collect();
+                let in_deg: Vec<f64> = plan
+                    .targets
+                    .iter()
+                    .map(|&v| g.in_degree(v) as f64)
+                    .collect();
+                let mut degrees: Vec<f64> = Vec::new();
+                let degree_class = in_deg
+                    .iter()
+                    .map(|&d| {
+                        if degrees.last() != Some(&d) {
+                            degrees.push(d);
+                        }
+                        degrees.len() as u32 - 1
+                    })
+                    .collect();
                 Pass {
                     g,
                     plan,
                     factor,
                     diagonal: mode == Mode::Differential,
-                    in_deg: plan
-                        .targets
-                        .iter()
-                        .map(|&v| g.in_degree(v) as f64)
-                        .collect(),
+                    in_deg,
+                    degrees,
+                    degree_class,
                     shares: par::balance(&seg_weights, workers),
                 }
             })
             .collect();
         let workers = passes.iter().map(|p| p.shares.len()).max().unwrap_or(0);
         let slots = passes.iter().map(|p| p.plan.slots).max().unwrap_or(0);
-        let outer_len = passes.iter().map(|p| p.plan.targets.len() + 1).max();
+        let levels = passes
+            .iter()
+            .flat_map(|p| p.plan.outer.iter().map(|s| s.depth as usize + 1))
+            .max()
+            .unwrap_or(0);
+        let classes = passes.iter().map(|p| p.degrees.len()).max().unwrap_or(0);
         let states = (0..workers.max(1))
             .map(|_| WorkerState {
                 pool: (0..slots).map(|_| vec![0.0f64; n]).collect(),
-                outer: vec![0.0f64; outer_len.unwrap_or(1)],
+                block: SourceBlock {
+                    stage: vec![0.0; n * B],
+                    outer: vec![0.0; levels * B],
+                    coef: vec![0.0; classes * B],
+                    len: 0,
+                    src: [0; B],
+                    lo: [usize::MAX; B],
+                },
             })
             .collect();
         OipKernel {
@@ -195,10 +275,13 @@ impl<'a> OipKernel<'a> {
         }
     }
 
-    /// Bytes of replay state across all workers (buffer pools plus outer
-    /// arrays).
+    /// Bytes of replay state across all workers (buffer pools, staging
+    /// blocks, depth stacks and per-degree coefficients).
     pub(crate) fn state_bytes(&self) -> usize {
-        let per_worker = |s: &WorkerState| s.pool.len() * self.n + s.outer.len();
+        let per_worker = |s: &WorkerState| {
+            let b = &s.block;
+            s.pool.len() * self.n + b.stage.len() + b.outer.len() + b.coef.len()
+        };
         self.states.iter().map(per_worker).sum::<usize>() * 8
     }
 }
@@ -234,6 +317,9 @@ impl Kernel for OipKernel<'_> {
                 for &seg in &pass.shares[wi] {
                     pass.replay_segment(cur, &writer, &pass.plan.segments[seg], state, counter);
                 }
+                // Blocks never straddle a pass: the next pass walks
+                // another plan.
+                pass.walk_block(&mut state.block, &writer, counter);
             });
         }
         adds
@@ -242,8 +328,8 @@ impl Kernel for OipKernel<'_> {
 
 impl Pass<'_> {
     /// Replays one self-contained schedule segment (a root subtree)
-    /// against a private buffer pool, emitting finished sources through
-    /// the shared disjoint-row writer.
+    /// against a private buffer pool, staging finished sources into the
+    /// worker's block and walking it whenever it fills.
     fn replay_segment(
         &self,
         cur: &ScoreGrid,
@@ -287,71 +373,105 @@ impl Pass<'_> {
                 }
                 Step::Emit { t, slot } => {
                     let u = plan.targets[t as usize] as usize;
-                    // SAFETY: each target is emitted exactly once per pass
-                    // and this worker owns the segment, so row `u` is this
-                    // thread's alone.
-                    let row = unsafe { writer.row_mut(u) };
+                    let block = &mut state.block;
+                    let k = block.len;
+                    for (x, &v) in pool[slot as usize].iter().enumerate() {
+                        block.stage[x * B + k] = v;
+                    }
+                    block.src[k] = t as usize;
                     // Triangular pair set: only targets `w ≥ lo` are
                     // written (the driver mirrors the lower triangle).
-                    let lo = if self.diagonal { u } else { u + 1 };
-                    let partial = &pool[slot as usize];
-                    self.emit_source(t as usize, lo, partial, &mut state.outer, row, counter);
+                    block.lo[k] = if self.diagonal { u } else { u + 1 };
+                    block.len += 1;
+                    if block.len == B {
+                        self.walk_block(block, writer, counter);
+                    }
                 }
             }
         }
     }
 
-    /// The outer pass (procedure `OP`) for one source vertex, adding
-    /// `factor/(d_u·d_w)·OuterPartial` into `row[w]` for every target
-    /// `w ≥ lo`.
-    fn emit_source(
+    /// The outer pass (procedure `OP`) for every staged source at once:
+    /// adds `factor/(d_u·d_w)·OuterPartial` into `row_u[w]` for every
+    /// lane's source `u` and every target `w ≥ lo_u`, then empties the
+    /// block.
+    fn walk_block(
         &self,
-        t: usize,
-        lo: usize,
-        partial: &[f64],
-        outer: &mut [f64],
-        row: &mut [f64],
+        block: &mut SourceBlock,
+        writer: &par::RowWriter<'_>,
         counter: &mut OpCounter,
     ) {
+        if block.len == 0 {
+            return;
+        }
         let (g, plan) = (self.g, self.plan);
-        // Preorder walk sharing OuterPartial scalars (Proposition 4),
-        // pruned to the subtrees that still contain a needed target: a
-        // computed node's parent is always computed too (ancestors of a
-        // needed node are needed), so the surviving scalars are
-        // bit-identical to the full walk's.
-        let pre = &plan.preorder;
+        let (stage, lo) = (&block.stage, block.lo);
+        // The pair scale with the same expression as per pair, once per
+        // distinct target in-degree (not a reciprocal: that changes bits).
+        for (c, &d) in self.degrees.iter().enumerate() {
+            for k in 0..block.len {
+                block.coef[c * B + k] = self.factor / (self.in_deg[block.src[k]] * d);
+            }
+        }
+        let rows: [&mut [f64]; B] = std::array::from_fn(|k| {
+            if k < block.len {
+                let u = plan.targets[block.src[k]] as usize;
+                // SAFETY: each target is emitted exactly once per pass,
+                // this worker owns the segment that emitted it, and the
+                // lanes hold distinct sources, so row `u` is this
+                // thread's alone.
+                unsafe { writer.row_mut(u) }
+            } else {
+                &mut []
+            }
+        });
+        // Preorder walk sharing OuterPartial lanes (Proposition 4), pruned
+        // to the subtrees that still hold a target some lane needs (see
+        // the module header for why every lane stays bit-exact).
+        let lo_min = lo.iter().copied().min().expect("B > 0");
+        let outer = &plan.outer;
         let mut i = 0;
-        while i < pre.len() {
-            let node = pre[i] as usize;
-            if (plan.prune.subtree_max[node] as usize) < lo {
-                i = plan.prune.subtree_end[i];
+        while i < outer.len() {
+            let step = outer[i];
+            let subtree_max = step.subtree_max as usize;
+            if subtree_max < lo_min {
+                i = step.subtree_end as usize;
                 continue;
             }
-            let wt = node - 1;
-            let val = match &plan.ops[wt] {
+            let (t, d) = (step.t as usize, step.depth as usize);
+            let (val, cost): ([f64; B], usize) = match &plan.ops[t] {
                 EdgeOp::Scratch => {
-                    let ins = g.in_neighbors(plan.targets[wt]);
-                    let s = par::kernel::gather_sum(partial, ins);
-                    counter.add((ins.len() as u64).saturating_sub(1));
-                    s
+                    let ins = g.in_neighbors(plan.targets[t]);
+                    (
+                        par::kernel::gather_sum_block(stage, ins),
+                        ins.len().saturating_sub(1),
+                    )
                 }
                 EdgeOp::Update { sub, add } => {
-                    let parent = plan.arb.parent(node).expect("non-root node has a parent");
-                    // Proposition 4 delta as two lane-chunked gathers over
-                    // the symmetric-difference lists.
-                    let s = outer[parent] - par::kernel::gather_sum(partial, sub)
-                        + par::kernel::gather_sum(partial, add);
-                    counter.add((sub.len() + add.len()) as u64);
-                    s
+                    let parent = &block.outer[(d - 1) * B..d * B];
+                    let s = par::kernel::gather_sum_block::<B>(stage, sub);
+                    let a = par::kernel::gather_sum_block::<B>(stage, add);
+                    (
+                        std::array::from_fn(|k| parent[k] - s[k] + a[k]),
+                        sub.len() + add.len(),
+                    )
                 }
             };
-            outer[node] = val;
-            let w = plan.targets[wt] as usize;
-            if w >= lo {
-                row[w] += self.factor / (self.in_deg[t] * self.in_deg[wt]) * val;
+            block.outer[d * B..(d + 1) * B].copy_from_slice(&val);
+            // Count only the lanes whose own pruned walk visits this node.
+            let visits = lo.iter().filter(|&&l| l <= subtree_max).count();
+            counter.add((visits * cost) as u64);
+            let w = plan.targets[t] as usize;
+            let coef = &block.coef[self.degree_class[t] as usize * B..][..B];
+            for k in 0..B {
+                if w >= lo[k] {
+                    rows[k][w] += coef[k] * val[k];
+                }
             }
             i += 1;
         }
+        block.len = 0;
+        block.lo = [usize::MAX; B];
     }
 }
 
@@ -389,6 +509,7 @@ mod tests {
     use super::*;
     use crate::plan::SharingPlan;
     use simrank_graph::fixtures::paper_fig1a;
+    use simrank_graph::NodeId;
 
     fn run_fixture(mode: Mode, k: u32, opts: &SimRankOptions) -> ScoreGrid {
         let g = paper_fig1a();
@@ -519,6 +640,41 @@ mod tests {
                 assert_eq!(s1.max_abs_diff(&st), 0.0, "mode {mode:?} threads {t}");
                 assert_eq!(r1.adds, rt.adds, "op counts must merge exactly");
                 assert!(rt.workers >= 1 && rt.workers <= t);
+            }
+        }
+    }
+
+    #[test]
+    fn partial_blocks_are_bit_identical() {
+        // Graphs whose plans hold 1, B − 1, B, B + 1 and 2B + 3 targets:
+        // at widths 3 and 5 the per-worker source blocks are only partly
+        // filled when a pass ends. Every lane must still reproduce width 1
+        // bit-for-bit, and the merged counts must match exactly.
+        for targets in [1, B - 1, B, B + 1, 2 * B + 3] {
+            let n = targets + 3;
+            let edges = (0..targets).flat_map(|v| {
+                (0..1 + v % 4).map(move |j| (((v * 5 + j * 3 + 1) % n) as NodeId, v as NodeId))
+            });
+            let g = DiGraph::from_edges(n, edges).unwrap();
+            let base = SimRankOptions::default().with_iterations(4).with_threads(1);
+            let plan = SharingPlan::build(&g, &base);
+            assert_eq!(plan.targets.len(), targets);
+            for mode in [Mode::Conventional, Mode::Differential] {
+                let (s1, r1) = run(&g, &plan, &base, mode, 4, |_, _| {});
+                if mode == Mode::Conventional {
+                    let oracle = crate::psum::psum_simrank(&g, &base);
+                    for a in 0..n {
+                        for b in 0..n {
+                            assert!((s1.get(a, b) - oracle.get(a, b)).abs() < 1e-12);
+                        }
+                    }
+                }
+                for t in [2usize, 3, 5, 8] {
+                    let (st, rt) = run(&g, &plan, &base.with_threads(t), mode, 4, |_, _| {});
+                    let what = format!("{targets} targets, mode {mode:?}, threads {t}");
+                    assert_eq!(s1.max_abs_diff(&st), 0.0, "{what}");
+                    assert_eq!(r1.adds, rt.adds, "{what}");
+                }
             }
         }
     }

@@ -27,8 +27,8 @@ pub struct Report {
     pub mst_build: Duration,
     /// Wall time spent in the iterative partial-sums phase.
     pub share_sums: Duration,
-    /// Peak intermediate heap (partial-sum buffers, outer scalars, auxiliary
-    /// matrices) in bytes — excludes the output similarity matrix itself,
+    /// Peak intermediate heap (partial-sum buffers, staged outer-pass
+    /// blocks, auxiliary matrices) in bytes — excludes the output similarity matrix itself,
     /// matching how the paper reports "memory space".
     pub peak_intermediate_bytes: usize,
     /// Worker threads used by the persistent worker-pool executor

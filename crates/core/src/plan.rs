@@ -87,7 +87,8 @@ pub enum Step {
     },
 }
 
-/// Subtree metadata for the **triangular** outer pass.
+/// One node of the outer pass's program (procedure `OP`): the sharing
+/// tree in preorder, with what the **triangular** walk needs to prune it.
 ///
 /// SimRank is symmetric, so when emitting source `u` the outer walk only
 /// needs targets `w > u` (the strictly-upper pairs; the differential mode
@@ -98,16 +99,19 @@ pub enum Step {
 /// single scalar. Because a computed node's parent is always computed too,
 /// the values produced by the pruned walk are bit-identical to the full
 /// walk's.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OuterPrune {
-    /// For preorder position `i`, the exclusive preorder position where
-    /// the subtree rooted at `preorder[i]` ends: jumping there bypasses
-    /// the whole subtree.
-    pub subtree_end: Vec<usize>,
-    /// For tree node `v` (1-based, indexed like `arb`), the largest target
-    /// *vertex id* emitted anywhere in `v`'s subtree. Entry 0 (the root
-    /// `∅`) is unused.
-    pub subtree_max: Vec<NodeId>,
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OuterStep {
+    /// Target index into [`SharingPlan::targets`] (tree node `t + 1`).
+    pub t: u32,
+    /// Depth below the root `∅` (root children are at depth 0). In
+    /// preorder a node's tree parent is the last node visited at
+    /// `depth − 1`, so the walk keeps one `OuterPartial` per depth level.
+    pub depth: u32,
+    /// The exclusive position in [`SharingPlan::outer`] where this node's
+    /// subtree ends: jumping there bypasses the whole subtree.
+    pub subtree_end: u32,
+    /// The largest target *vertex id* anywhere in this node's subtree.
+    pub subtree_max: NodeId,
 }
 
 /// The precomputed sharing plan for a graph.
@@ -121,9 +125,10 @@ pub struct SharingPlan {
     pub arb: Arborescence,
     /// Per-target op (indexed like `targets`).
     pub ops: Vec<EdgeOp>,
-    /// Tree nodes (1-based ids) in preorder: every parent precedes its
-    /// children — the traversal of the outer pass (procedure `OP`).
-    pub preorder: Vec<u32>,
+    /// The outer pass's program: every tree node in preorder (parents
+    /// before children), with the depth and subtree extents the
+    /// triangular walk prunes by (see [`OuterStep`]).
+    pub outer: Vec<OuterStep>,
     /// The inner-partial-sums schedule.
     pub schedule: Vec<Step>,
     /// Contiguous, independently replayable ranges of [`Self::schedule`],
@@ -135,10 +140,6 @@ pub struct SharingPlan {
     pub segments: Vec<std::ops::Range<usize>>,
     /// Number of buffer slots the schedule needs.
     pub slots: usize,
-    /// Subtree metadata that lets the triangular outer pass skip whole
-    /// preorder subtrees containing no target the current source still
-    /// needs (see [`OuterPrune`]).
-    pub prune: OuterPrune,
     /// Total arborescence weight (sum of chosen transition costs).
     pub tree_weight: u64,
     /// Wall time spent constructing this plan (the Fig. 6b "Build MST"
@@ -204,20 +205,18 @@ impl SharingPlan {
             ops.push(op);
         }
 
-        let preorder = Self::preorder(&arb);
+        let outer = Self::outer_program(&arb, &targets);
         let (schedule, slots) = Self::build_schedule(&arb, &ops);
         let segments = Self::root_segments(&arb, &schedule);
-        let prune = Self::outer_prune(&arb, &preorder, &targets);
         let tree_weight = arb.total_weight;
         SharingPlan {
             targets,
             arb,
             ops,
-            preorder,
+            outer,
             schedule,
             segments,
             slots,
-            prune,
             tree_weight,
             build_time: start.elapsed(),
         }
@@ -321,54 +320,45 @@ impl SharingPlan {
         segments
     }
 
-    /// Preorder over tree nodes (1-based), parents before children.
-    fn preorder(arb: &Arborescence) -> Vec<u32> {
+    /// Builds the [`OuterStep`] program: a preorder over tree nodes,
+    /// parents before children, with each node's depth, subtree extent (a
+    /// node's subtree is exactly the contiguous run of strictly deeper
+    /// nodes that follows it) and per-subtree max target id (a
+    /// reverse-preorder max-fold, children before parents).
+    fn outer_program(arb: &Arborescence, targets: &[NodeId]) -> Vec<OuterStep> {
         let children = arb.children();
-        let mut order = Vec::with_capacity(arb.len() - 1);
-        let mut stack: Vec<usize> = children[0].iter().rev().copied().collect();
-        while let Some(v) = stack.pop() {
-            order.push(v as u32);
-            for &c in children[v].iter().rev() {
-                stack.push(c);
-            }
+        let mut outer: Vec<OuterStep> = Vec::with_capacity(arb.len() - 1);
+        let mut stack: Vec<(usize, u32)> = children[0].iter().rev().map(|&c| (c, 0)).collect();
+        while let Some((v, depth)) = stack.pop() {
+            outer.push(OuterStep {
+                t: v as u32 - 1,
+                depth,
+                subtree_end: 0,
+                subtree_max: targets[v - 1],
+            });
+            stack.extend(children[v].iter().rev().map(|&c| (c, depth + 1)));
         }
-        order
-    }
-
-    /// Computes the [`OuterPrune`] metadata: per-subtree max target id
-    /// (a reverse-preorder max-fold, children before parents) and each
-    /// preorder position's subtree extent (a node's subtree is exactly the
-    /// contiguous run of strictly deeper nodes that follows it).
-    fn outer_prune(arb: &Arborescence, preorder: &[u32], targets: &[NodeId]) -> OuterPrune {
-        let mut subtree_max = vec![0 as NodeId; arb.len()];
-        for &node in preorder {
-            subtree_max[node as usize] = targets[node as usize - 1];
-        }
-        for &node in preorder.iter().rev() {
-            let parent = arb.parent(node as usize).expect("non-root has a parent");
-            if parent != 0 {
-                subtree_max[parent] = subtree_max[parent].max(subtree_max[node as usize]);
-            }
-        }
-        let mut depth = vec![0usize; arb.len()];
-        let mut subtree_end = vec![0usize; preorder.len()];
-        let mut open: Vec<usize> = Vec::new(); // preorder positions, one per depth level
-        for (i, &node) in preorder.iter().enumerate() {
-            let parent = arb.parent(node as usize).expect("non-root has a parent");
-            let d = if parent == 0 { 0 } else { depth[parent] + 1 };
-            depth[node as usize] = d;
-            while open.len() > d {
-                subtree_end[open.pop().expect("len checked")] = i;
+        // Positions of the open subtrees, one per depth level.
+        let mut open: Vec<usize> = Vec::new();
+        for i in 0..outer.len() {
+            while open.len() > outer[i].depth as usize {
+                outer[open.pop().expect("len checked")].subtree_end = i as u32;
             }
             open.push(i);
         }
         for pos in open {
-            subtree_end[pos] = preorder.len();
+            outer[pos].subtree_end = outer.len() as u32;
         }
-        OuterPrune {
-            subtree_end,
-            subtree_max,
+        // A subtree is its root plus its children's subtrees, which sit
+        // back to back from `i + 1`.
+        for i in (0..outer.len()).rev() {
+            let (mut j, end) = (i + 1, outer[i].subtree_end as usize);
+            while j < end {
+                outer[i].subtree_max = outer[i].subtree_max.max(outer[j].subtree_max);
+                j = outer[j].subtree_end as usize;
+            }
         }
+        outer
     }
 
     /// Builds the buffer schedule: smallest subtrees first, largest subtree
@@ -593,13 +583,21 @@ mod tests {
 
     #[test]
     fn preorder_parents_first() {
+        // Every parent precedes its children, and is the last node visited
+        // one level up — the invariant the depth-indexed outer stack needs.
         let plan = default_plan();
         let mut seen = vec![false; plan.arb.len()];
         seen[0] = true;
-        for &node in &plan.preorder {
-            let p = plan.arb.parent(node as usize).unwrap();
+        let mut last_at_depth: Vec<usize> = Vec::new();
+        for step in &plan.outer {
+            let node = step.t as usize + 1;
+            let p = plan.arb.parent(node).unwrap();
             assert!(seen[p], "parent {p} must precede node {node}");
-            seen[node as usize] = true;
+            let d = step.depth as usize;
+            last_at_depth.truncate(d);
+            assert_eq!(p, if d == 0 { 0 } else { last_at_depth[d - 1] });
+            last_at_depth.push(node);
+            seen[node] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -607,8 +605,8 @@ mod tests {
     #[test]
     fn outer_prune_extents_and_maxima_are_exact() {
         // Validate against a brute-force ancestor walk on several graphs:
-        // positions [i+1, subtree_end[i]) must be exactly the descendants
-        // of preorder[i], and subtree_max must be the max target id over
+        // positions [i+1, subtree_end) must be exactly the descendants of
+        // step i's node, and subtree_max must be the max target id over
         // that subtree (including the node itself).
         let graphs = [
             paper_fig1a(),
@@ -617,7 +615,7 @@ mod tests {
         ];
         for g in &graphs {
             let plan = SharingPlan::build(g, &SimRankOptions::default());
-            let pre = &plan.preorder;
+            let outer = &plan.outer;
             let is_descendant = |anc: usize, mut v: usize| -> bool {
                 while let Some(p) = plan.arb.parent(v) {
                     if v == anc {
@@ -630,22 +628,22 @@ mod tests {
                 }
                 false
             };
-            for (i, &node) in pre.iter().enumerate() {
-                let end = plan.prune.subtree_end[i];
-                assert!(end > i && end <= pre.len());
+            for (i, step) in outer.iter().enumerate() {
+                let end = step.subtree_end as usize;
+                assert!(end > i && end <= outer.len());
                 let mut max_id = 0;
-                for (j, &other) in pre.iter().enumerate() {
+                for (j, other) in outer.iter().enumerate() {
                     let inside = j >= i && j < end;
                     assert_eq!(
                         inside,
-                        is_descendant(node as usize, other as usize),
-                        "extent mismatch at preorder position {i} vs {j}"
+                        is_descendant(step.t as usize + 1, other.t as usize + 1),
+                        "extent mismatch at outer position {i} vs {j}"
                     );
                     if inside {
-                        max_id = max_id.max(plan.targets[other as usize - 1]);
+                        max_id = max_id.max(plan.targets[other.t as usize]);
                     }
                 }
-                assert_eq!(plan.prune.subtree_max[node as usize], max_id);
+                assert_eq!(step.subtree_max, max_id);
             }
         }
     }
@@ -748,7 +746,7 @@ mod tests {
             assert_eq!(p1.targets, pt.targets, "threads={t}");
             assert_eq!(p1.arb, pt.arb, "threads={t}");
             assert_eq!(p1.ops, pt.ops, "threads={t}");
-            assert_eq!(p1.preorder, pt.preorder);
+            assert_eq!(p1.outer, pt.outer);
             assert_eq!(p1.schedule, pt.schedule);
             assert_eq!(p1.segments, pt.segments);
             assert_eq!(p1.slots, pt.slots);

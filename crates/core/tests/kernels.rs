@@ -94,6 +94,37 @@ proptest! {
         );
     }
 
+    /// Contract 1 for the blocked gather: every lane of
+    /// `gather_sum_block` is bit-for-bit `gather_sum` over that lane's
+    /// column, at every list length around the chunk boundaries (the
+    /// sequential tail below `LANES`, the lane fold plus tail above).
+    #[test]
+    fn kernels_gather_block_matches_gather_sum(
+        (rows, vals, idx) in (1usize..40).prop_flat_map(|rows| (
+            Just(rows),
+            proptest::collection::vec(-2.0f64..2.0, rows * 8),
+            proptest::collection::vec(0..rows as u32, 24),
+        ))
+    ) {
+        fn check<const B: usize>(block: &[f64], idx: &[u32]) {
+            let rows = block.len() / B;
+            for len in 0..=idx.len() {
+                let got = kernel::gather_sum_block::<B>(&block[..rows * B], &idx[..len]);
+                for (k, lane) in got.iter().enumerate() {
+                    let column: Vec<f64> = (0..rows).map(|x| block[x * B + k]).collect();
+                    prop_assert_eq!(
+                        lane.to_bits(),
+                        kernel::gather_sum(&column, &idx[..len]).to_bits(),
+                        "B={} len={} lane={}", B, len, k
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(vals.len(), rows * 8);
+        check::<8>(&vals, &idx);
+        check::<3>(&vals[..rows * 3], &idx);
+    }
+
     /// Contract 1 for the max folds: `f64::max` is associative on non-NaN
     /// input, so the lane fold must equal the plain sequential fold.
     #[test]

@@ -319,11 +319,10 @@ proptest! {
         prop_assert_eq!(&p1.targets, &pt.targets);
         prop_assert_eq!(&p1.arb, &pt.arb);
         prop_assert_eq!(&p1.ops, &pt.ops);
-        prop_assert_eq!(&p1.preorder, &pt.preorder);
+        prop_assert_eq!(&p1.outer, &pt.outer);
         prop_assert_eq!(&p1.schedule, &pt.schedule);
         prop_assert_eq!(&p1.segments, &pt.segments);
         prop_assert_eq!(p1.slots, pt.slots);
-        prop_assert_eq!(&p1.prune, &pt.prune);
         prop_assert_eq!(p1.tree_weight, pt.tree_weight);
     }
 

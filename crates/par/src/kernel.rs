@@ -140,6 +140,51 @@ pub fn gather_sum(x: &[f64], idx: &[u32]) -> f64 {
     acc
 }
 
+/// Blocked gather-sum over the columns of a row-major `rows × B` block:
+/// lane `k` of the result is `Σⱼ x[idx[j]·B + k]`, summed in exactly
+/// [`gather_sum`]'s association order (the [`LANES`]-chunked prefix, the
+/// pairwise lane fold, then the sequential tail), so every lane is
+/// bit-for-bit the `gather_sum` of its own column. Each index touches one
+/// contiguous `B`-wide row — the OIP engine's outer pass gathers `B`
+/// sources' partial sums at once this way.
+///
+/// # Panics
+///
+/// Panics (via slice indexing) when any row `idx[j]` is out of bounds
+/// for `x`.
+#[inline]
+pub fn gather_sum_block<const B: usize>(x: &[f64], idx: &[u32]) -> [f64; B] {
+    let row = |j: u32| -> &[f64; B] {
+        x[j as usize * B..][..B]
+            .try_into()
+            .expect("a B-wide slice converts to [f64; B]")
+    };
+    let ic = idx.chunks_exact(LANES);
+    let tail = ic.remainder();
+    let mut acc = [0.0f64; B];
+    if idx.len() >= LANES {
+        let mut lanes = [[0.0f64; B]; LANES];
+        for c in ic {
+            for (lane, &j) in lanes.iter_mut().zip(c) {
+                for (l, &v) in lane.iter_mut().zip(row(j)) {
+                    *l += v;
+                }
+            }
+        }
+        for (k, a) in acc.iter_mut().enumerate() {
+            *a = fold_lanes(std::array::from_fn(|i| lanes[i][k]));
+        }
+    }
+    // Below LANES the chunked prefix is empty and its fold is `+0.0` —
+    // exactly the zero `acc` starts from.
+    for &j in tail {
+        for (a, &v) in acc.iter_mut().zip(row(j)) {
+            *a += v;
+        }
+    }
+    acc
+}
+
 /// Lane-chunked gather-dot `Σⱼ a[idx[j]]·b[idx[j]]` over an index list —
 /// the index engine's reverse step (`Σ cur[i]·inv_in[i]` over
 /// out-neighbors).
