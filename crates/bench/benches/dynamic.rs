@@ -12,8 +12,8 @@
 //!   preferential attachment). Compare against the cold `naive`/`psum`
 //!   numbers in `BENCH_figures.json` to see the warm-start payoff.
 //! * `index_repair` — re-solving the diagonal-correction system from the
-//!   stale diagonal. Compare against `index_build` in `BENCH_index.json`:
-//!   the warm CGLS seed is the whole point.
+//!   stale diagonal. Compare against perfbench's serve-zipf
+//!   `index.build_s` row: the warm CGLS seed is the whole point.
 //!
 //! Results land in `BENCH_dynamic.json` via the vendored criterion's
 //! `BENCH_JSON_DIR` hook; the CI bench-smoke job discovers this harness

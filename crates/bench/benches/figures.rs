@@ -109,7 +109,7 @@ fn fig6g_topk_query(c: &mut Criterion) {
     let query = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
     let mut group = c.benchmark_group("fig6g_topk_query");
     group.bench_function("top_30", |b| {
-        b.iter(|| simrank_core::topk::top_k(&s, query, 30))
+        b.iter(|| simrank_core::QueryEngine::top_k(&s, query, 30))
     });
     group.finish();
 }

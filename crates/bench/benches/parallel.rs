@@ -17,7 +17,6 @@ use simrank_core::montecarlo::Fingerprints;
 use simrank_core::prank::{prank, PRankOptions};
 use simrank_core::{oip, psum, SharingPlan, SimRankOptions};
 use simrank_datasets as datasets;
-use std::num::NonZeroUsize;
 
 const SEED: u64 = datasets::DEFAULT_SEED;
 
@@ -93,9 +92,9 @@ fn parallel_montecarlo(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_montecarlo");
     group.sample_size(10);
     for t in thread_sweep() {
-        let threads = NonZeroUsize::new(t).expect("sweep threads >= 1");
-        group.bench_with_input(BenchmarkId::new("threads", t), &threads, |b, &threads| {
-            b.iter(|| Fingerprints::sample_with_threads(g, 10, 400, SEED, threads))
+        let opts = SimRankOptions::default().with_threads(t);
+        group.bench_with_input(BenchmarkId::new("threads", t), &opts, |b, opts| {
+            b.iter(|| Fingerprints::sample(g, 10, 400, SEED, opts))
         });
     }
     group.finish();

@@ -1,9 +1,10 @@
 //! Criterion microbenchmarks for the pluggable score-storage layer.
 //!
-//! Compares the three [`simrank_core::store::ScoreStore`] backends on the
-//! operations the query layer actually issues: backend construction from
-//! one `mtx-SR` run, point lookups (`get`), whole-row extraction
-//! (`copy_row_into`), top-k ranking, and the `SRL1` low-rank codec.
+//! Compares the three score representations (packed, low-rank,
+//! thresholded) on the operations the query layer actually issues:
+//! backend construction from one `mtx-SR` run, point lookups (`get`),
+//! whole-row extraction (`QueryEngine::single_source`), top-k ranking,
+//! and the `SRL1` low-rank codec.
 //! The graph is kept moderate (an SVD runs inside the build benchmarks)
 //! and results land in `BENCH_store.json` via the vendored criterion's
 //! `BENCH_JSON_DIR` hook, so the CI bench-smoke job archives them with
@@ -11,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simrank_core::query::QueryEngine;
-use simrank_core::store::{LowRankScores, ScoreStore, ThresholdedSparse};
+use simrank_core::store::{LowRankScores, ThresholdedSparse};
 use simrank_core::{mtx, persist, SimRankOptions};
 use simrank_datasets as datasets;
 
@@ -56,28 +57,27 @@ fn store_query(c: &mut Criterion) {
     let packed = mtx::mtx_simrank(&g, &opts, Some(RANK));
     let lr = mtx::mtx_simrank_low_rank(&g, &opts, Some(RANK));
     let sparse = ThresholdedSparse::from_store(&lr, THETA);
-    let stores: [(&str, &dyn ScoreStore); 3] = [
+
+    let mut group = c.benchmark_group("store_get");
+    group.bench_function("packed", |b| b.iter(|| packed.get(11, 97)));
+    group.bench_function("low_rank", |b| b.iter(|| lr.get(11, 97)));
+    group.bench_function("thresholded", |b| b.iter(|| sparse.get(11, 97)));
+    group.finish();
+
+    let stores: [(&str, &dyn QueryEngine); 3] = [
         ("packed", &packed),
         ("low_rank", &lr),
         ("thresholded", &sparse),
     ];
-
-    let mut group = c.benchmark_group("store_get");
-    for (name, s) in stores {
-        group.bench_function(name, |b| b.iter(|| s.get(11, 97)));
-    }
-    group.finish();
-
     let mut group = c.benchmark_group("store_row");
-    let mut row = vec![0.0; N];
     for (name, s) in stores {
-        group.bench_function(name, |b| b.iter(|| s.copy_row_into(11, &mut row)));
+        group.bench_function(name, |b| b.iter(|| s.single_source(11)));
     }
     group.finish();
 
     let mut group = c.benchmark_group("store_top_k");
     for (name, s) in stores {
-        group.bench_function(name, |b| b.iter(|| QueryEngine::top_k(&s, 11, 10)));
+        group.bench_function(name, |b| b.iter(|| s.top_k(11, 10)));
     }
     group.finish();
 }

@@ -139,28 +139,25 @@ fn mc_single_source(c: &mut Criterion) {
     let d = datasets::berkstan_like(2_000, SEED);
     let g = &d.graph;
     let n = g.node_count();
-    let fp = Fingerprints::sample(g, 10, 96, SEED);
+    let (fp, _) = Fingerprints::sample(g, 10, 96, SEED, &SimRankOptions::default());
     let sources: Vec<u32> = (0..16u32).map(|i| i * (n as u32 / 16)).collect();
     let mut group = c.benchmark_group("mc_single_source");
     group.sample_size(10);
     group.bench_function("per_pair_loop", |b| {
         b.iter(|| -> Vec<f64> {
             (0..n as u32)
-                .map(|v| fp.estimate(0.6, black_box(7), v))
+                .map(|v| fp.estimate(black_box(7), v))
                 .collect()
         })
     });
-    group.bench_function("hoisted", |b| {
-        b.iter(|| fp.single_source(0.6, black_box(7), n))
-    });
-    let engine = fp.clone().into_query_engine(0.6, n);
+    group.bench_function("hoisted", |b| b.iter(|| fp.single_source(black_box(7))));
     group.bench_function("batch16_t1", |b| {
-        b.iter(|| engine.single_source_batch(&sources, NonZeroUsize::MIN))
+        b.iter(|| fp.single_source_batch(&sources, NonZeroUsize::MIN))
     });
     let threads = NonZeroUsize::new(std::thread::available_parallelism().map_or(1, |p| p.get()))
         .expect("nonzero");
     group.bench_function("batch16_tmax", |b| {
-        b.iter(|| engine.single_source_batch(&sources, threads))
+        b.iter(|| fp.single_source_batch(&sources, threads))
     });
     group.finish();
 }

@@ -14,7 +14,6 @@
 use crate::scale::Scale;
 use crate::table::Table;
 use simrank_core::query::QueryEngine;
-use simrank_core::store::ScoreStore;
 use simrank_core::{convergence, dsr, oip, topk, SimRankOptions};
 use simrank_eval::ndcg_at;
 use simrank_graph::{gen, NodeId};
@@ -51,17 +50,14 @@ pub fn run(scale: Scale, seed: u64) -> Vec<NdcgPoint> {
     let opts = SimRankOptions::default().with_damping(c).with_epsilon(1e-3);
 
     // Ground truth: converged conventional SimRank. Everything below
-    // reads scores only through the `ScoreStore` query surface, so the
+    // reads scores only through the `QueryEngine` surface, so the
     // evaluation is backend-agnostic.
     let k_ref = convergence::geometric_iterations(c, 1e-8);
-    let truth_m = oip::oip_simrank(&g, &opts.with_iterations(k_ref));
-    let truth: &dyn ScoreStore = &truth_m;
+    let truth: &dyn QueryEngine = &oip::oip_simrank(&g, &opts.with_iterations(k_ref));
 
     // Evaluated rankings at the working accuracy.
-    let s_oip_m = oip::oip_simrank(&g, &opts);
-    let s_dsr_m = dsr::oip_dsr_simrank(&g, &opts);
-    let s_oip: &dyn ScoreStore = &s_oip_m;
-    let s_dsr: &dyn ScoreStore = &s_dsr_m;
+    let s_oip: &dyn QueryEngine = &oip::oip_simrank(&g, &opts);
+    let s_dsr: &dyn QueryEngine = &dsr::oip_dsr_simrank(&g, &opts);
 
     // Queries: three most prolific authors.
     let mut by_degree: Vec<NodeId> = g.nodes().collect();
@@ -75,7 +71,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<NdcgPoint> {
             let mut acc_oip = 0.0;
             for &q in queries {
                 // Ground-truth rank position of every candidate.
-                let truth_rank = topk::rank_by_similarity(truth, q);
+                let truth_rank = topk::rank_scores(&truth.single_source(q), q);
                 let rank_of = |v: NodeId| -> usize {
                     truth_rank
                         .iter()
@@ -83,14 +79,11 @@ pub fn run(scale: Scale, seed: u64) -> Vec<NdcgPoint> {
                         .unwrap_or(usize::MAX)
                 };
                 let grade = |v: NodeId| grade_for_rank(rank_of(v));
-                let ids = |s: &&dyn ScoreStore| -> Vec<NodeId> {
-                    QueryEngine::top_k(s, q, p)
-                        .into_iter()
-                        .map(|(v, _)| v)
-                        .collect()
+                let ids = |s: &dyn QueryEngine| -> Vec<NodeId> {
+                    s.top_k(q, p).into_iter().map(|(v, _)| v).collect()
                 };
-                let ids_dsr = ids(&s_dsr);
-                let ids_oip = ids(&s_oip);
+                let ids_dsr = ids(s_dsr);
+                let ids_oip = ids(s_oip);
                 acc_dsr += ndcg_at(&ids_dsr, grade, p);
                 acc_oip += ndcg_at(&ids_oip, grade, p);
             }

@@ -8,7 +8,6 @@
 use crate::scale::Scale;
 use crate::table::Table;
 use simrank_core::query::QueryEngine;
-use simrank_core::store::ScoreStore;
 use simrank_core::{dsr, oip, SimRankOptions};
 use simrank_eval::{adjacent_inversions, kendall_tau_distance, top_k_overlap};
 use simrank_graph::{gen, NodeId};
@@ -37,12 +36,10 @@ pub struct Fig6h {
     pub score_spread: f64,
 }
 
-/// Scores of `ids` against `query`, read through one whole-row pass on
-/// any score backend (`copy_row_into` is every backend's cheapest
-/// whole-row path) rather than per-id point lookups.
-fn union_scores(s: &dyn ScoreStore, query: NodeId, ids: &[NodeId]) -> Vec<f64> {
-    let mut row = vec![0.0; s.order()];
-    s.copy_row_into(query as usize, &mut row);
+/// Scores of `ids` against `query`, read through one whole-row
+/// [`QueryEngine::single_source`] pass rather than per-id point lookups.
+fn union_scores(s: &dyn QueryEngine, query: NodeId, ids: &[NodeId]) -> Vec<f64> {
+    let row = s.single_source(query);
     ids.iter().map(|&v| row[v as usize]).collect()
 }
 
@@ -59,12 +56,10 @@ pub fn run(scale: Scale, seed: u64) -> Fig6h {
         .expect("non-empty graph");
     // The ranking and evaluation below only need the uniform
     // `QueryEngine` surface, so they run identically over any backend.
-    let s_dsr_m = dsr::oip_dsr_simrank(&g, &opts);
-    let s_oip_m = oip::oip_simrank(&g, &opts);
-    let s_dsr: &dyn ScoreStore = &s_dsr_m;
-    let s_oip: &dyn ScoreStore = &s_oip_m;
-    let dsr_ranked = QueryEngine::top_k(&s_dsr, query, 30);
-    let oip_ranked = QueryEngine::top_k(&s_oip, query, 30);
+    let s_dsr: &dyn QueryEngine = &dsr::oip_dsr_simrank(&g, &opts);
+    let s_oip: &dyn QueryEngine = &oip::oip_simrank(&g, &opts);
+    let dsr_ranked = s_dsr.top_k(query, 30);
+    let oip_ranked = s_oip.top_k(query, 30);
     let dsr_top: Vec<NodeId> = dsr_ranked.iter().map(|&(v, _)| v).collect();
     let oip_top: Vec<NodeId> = oip_ranked.iter().map(|&(v, _)| v).collect();
     // Score correlation over the union of both lists.

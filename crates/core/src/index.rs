@@ -84,7 +84,7 @@
 //!
 //! // Index-backed single-source agrees with the exact dense oracle.
 //! let dense = naive_simrank(&g, &opts.with_iterations(25));
-//! let col = index.query(1);
+//! let col = index.single_source(1);
 //! for v in 0..g.node_count() {
 //!     assert!((col[v] - dense.get(1, v)).abs() < 1e-3);
 //! }
@@ -95,6 +95,7 @@
 
 use crate::instrument::{PhaseTimer, Report};
 use crate::options::SimRankOptions;
+use crate::query::{check_source, QueryEngine};
 use simrank_graph::{DiGraph, EdgeDelta, GraphError, NodeId};
 use simrank_par::{self as par, OpCounter};
 
@@ -119,8 +120,7 @@ pub const TRANSPOSE_SHARDS: usize = 64;
 ///
 /// Build with [`SimRankIndex::build`], persist with
 /// [`crate::persist::save_index`] / [`crate::persist::load_index`]
-/// (format `SRI1`), query with [`SimRankIndex::query`] or any
-/// [`crate::query::QueryEngine`] verb.
+/// (format `SRI1`), query with any [`crate::query::QueryEngine`] verb.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimRankIndex {
     /// The indexed graph (embedded so a persisted index is
@@ -400,6 +400,7 @@ impl SimRankIndex {
     ///
     /// ```
     /// use simrank_core::index::SimRankIndex;
+    /// use simrank_core::query::QueryEngine;
     /// use simrank_core::SimRankOptions;
     /// use simrank_graph::{fixtures::paper_fig1a, EdgeDelta};
     ///
@@ -416,7 +417,7 @@ impl SimRankIndex {
     ///
     /// // Same answers as building fresh on the mutated graph.
     /// let fresh = SimRankIndex::build(repaired.graph(), &opts);
-    /// for (a, b) in repaired.query(3).iter().zip(fresh.query(3)) {
+    /// for (a, b) in repaired.single_source(3).iter().zip(fresh.single_source(3)) {
     ///     assert!((a - b).abs() < 1e-8);
     /// }
     /// ```
@@ -702,17 +703,23 @@ impl SimRankIndex {
         }
         worst
     }
+}
+
+/// The index behind the unified query surface: `top_k` is the
+/// shared-comparator selection over `single_source`, and the batch verbs
+/// inherit the trait's pool-sharded defaults (bit-for-bit equal to
+/// one-by-one queries at every thread count).
+impl QueryEngine for SimRankIndex {
+    fn order(&self) -> usize {
+        SimRankIndex::order(self)
+    }
 
     /// Single-source query: the full score vector `s(u, ·)` (including
     /// `s(u, u) ≈ 1`), in `O(K·(n + m))` time and `O(K·n)` transient
     /// memory — no `n × n` anything.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `u` is not a vertex of the indexed graph.
-    pub fn query(&self, u: NodeId) -> Vec<f64> {
+    fn single_source(&self, u: NodeId) -> Vec<f64> {
         let n = self.order();
-        assert!((u as usize) < n, "query vertex {u} out of range for {n}");
+        check_source(u as usize, n);
         // Push u's reverse-walk distributions h₀..h_K ...
         let mut levels: Vec<Vec<f64>> = Vec::with_capacity(self.depth as usize + 1);
         let mut seed = vec![0.0f64; n];
@@ -748,26 +755,11 @@ impl SimRankIndex {
     }
 }
 
-/// The index behind the unified query surface: `single_source` is
-/// [`SimRankIndex::query`], `top_k` the shared-comparator selection over
-/// it, and the batch verbs inherit the trait's pool-sharded defaults
-/// (bit-for-bit equal to one-by-one queries at every thread count).
-impl crate::query::QueryEngine for SimRankIndex {
-    fn order(&self) -> usize {
-        SimRankIndex::order(self)
-    }
-
-    fn single_source(&self, u: NodeId) -> Vec<f64> {
-        self.query(u)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::naive_simrank;
     use crate::psum::psum_simrank;
-    use crate::query::QueryEngine;
     use crate::topk;
     use simrank_graph::fixtures::{paper_fig1a, two_triangles};
     use simrank_graph::gen;
@@ -792,7 +784,7 @@ mod tests {
             let index = SimRankIndex::build(&g, &opts);
             let dense = oracle(&g, &opts);
             for u in 0..g.node_count() {
-                let col = index.query(u as NodeId);
+                let col = index.single_source(u as NodeId);
                 for v in 0..g.node_count() {
                     assert!(
                         (col[v] - dense.get(u, v)).abs() < 1e-3,
@@ -813,7 +805,7 @@ mod tests {
             let index = SimRankIndex::build(&g, &opts);
             let dense = psum_simrank(&g, &opts.with_iterations(25));
             for u in 0..n {
-                let col = index.query(u as NodeId);
+                let col = index.single_source(u as NodeId);
                 for v in 0..n {
                     assert!(
                         (col[v] - dense.get(u, v)).abs() < 1e-3,
@@ -832,7 +824,7 @@ mod tests {
         let index = SimRankIndex::build(&g, &opts());
         assert!(index.solver_residual() < 1e-4 * (1.0 - 0.6) + 1e-12);
         for u in (0..50).step_by(7) {
-            let col = index.query(u);
+            let col = index.single_source(u);
             assert!(
                 (col[u as usize] - 1.0).abs() < 1e-4,
                 "diag({u}) = {}",
@@ -864,7 +856,7 @@ mod tests {
             for &d in index.diagonal_correction() {
                 assert!((d - (1.0 - c)).abs() < 1e-6, "cycle len {len}: d = {d}");
             }
-            let col = index.query(0);
+            let col = index.single_source(0);
             assert!((col[0] - 1.0).abs() < 1e-6);
             for &s in &col[1..] {
                 assert!(s.abs() < 1e-6, "off-diagonal on a cycle must vanish: {s}");
@@ -896,7 +888,7 @@ mod tests {
         let g = gen::gnm(25, 80, 4);
         let index = SimRankIndex::build(&g, &opts());
         let sources: Vec<NodeId> = (0..25).collect();
-        let singles: Vec<Vec<f64>> = sources.iter().map(|&u| index.query(u)).collect();
+        let singles: Vec<Vec<f64>> = sources.iter().map(|&u| index.single_source(u)).collect();
         let tops: Vec<_> = sources.iter().map(|&u| index.top_k(u, 5)).collect();
         for t in [1usize, 2, 4, 8] {
             let w = NonZeroUsize::new(t).unwrap();
@@ -909,7 +901,7 @@ mod tests {
     fn top_k_is_the_ranking_prefix_and_excludes_the_query() {
         let g = paper_fig1a();
         let index = SimRankIndex::build(&g, &opts());
-        let col = index.query(1);
+        let col = index.single_source(1);
         let full = topk::rank_scores(&col, 1);
         for k in [0usize, 1, 3, 8, 20] {
             let got = index.top_k(1, k);
@@ -931,14 +923,14 @@ mod tests {
         // A lone vertex (no edges): s(0, 0) = 1 exactly, d = 1.
         let lone = DiGraph::from_edges(1, []).unwrap();
         let index = SimRankIndex::build(&lone, &opts());
-        assert_eq!(index.query(0), vec![1.0]);
+        assert_eq!(index.single_source(0), vec![1.0]);
         assert_eq!(index.diagonal_correction(), &[1.0]);
 
         // Depth 0 truncates the series at S = D, which forces d = 1.
         let g = paper_fig1a();
         let shallow = SimRankIndex::build(&g, &opts().with_iterations(0));
         assert_eq!(shallow.depth(), 0);
-        let col = shallow.query(2);
+        let col = shallow.single_source(2);
         for (v, &s) in col.iter().enumerate() {
             assert_eq!(s, if v == 2 { 1.0 } else { 0.0 });
         }
@@ -948,7 +940,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn query_out_of_range_panics() {
         let index = SimRankIndex::build(&paper_fig1a(), &opts());
-        index.query(99);
+        index.single_source(99);
     }
 
     #[test]
@@ -968,7 +960,7 @@ mod tests {
         assert_eq!(repaired.depth(), index.depth());
         assert_eq!(repaired.damping(), index.damping());
         for u in 0..30 {
-            let (a, b) = (repaired.query(u), fresh.query(u));
+            let (a, b) = (repaired.single_source(u), fresh.single_source(u));
             for v in 0..30 {
                 assert!(
                     (a[v] - b[v]).abs() <= 1e-8,

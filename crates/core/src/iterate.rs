@@ -29,16 +29,15 @@
 
 use crate::grid::ScoreGrid;
 use crate::instrument::{PhaseTimer, Report};
-use crate::store::ScoreStore;
+use crate::matrix::SimMatrix;
 use simrank_par::{OpCounter, WorkerPool};
 
 /// The grid the first sweep reads.
 pub(crate) enum Start<'a> {
     /// A cold run from `S₀ = I`.
     Identity,
-    /// A warm resweep from previously converged scores (every stored
-    /// entry of the backend, so thresholded stores start sieved).
-    Warm(&'a dyn ScoreStore),
+    /// A warm resweep from previously converged scores.
+    Warm(&'a SimMatrix),
 }
 
 /// When the driver stops sweeping.
@@ -96,15 +95,15 @@ pub(crate) fn iterate(
     let mut timer = PhaseTimer::start();
     let mut cur = match start {
         Start::Identity => ScoreGrid::identity(n),
-        Start::Warm(store) => {
+        Start::Warm(scores) => {
             assert_eq!(
-                store.order(),
+                scores.order(),
                 n,
                 "warm-start store order must match the (mutated) graph"
             );
             let mut grid = ScoreGrid::zeros(n);
             for a in 0..n {
-                store.copy_row_into(a, grid.row_mut(a));
+                scores.copy_row_into(a, grid.row_mut(a));
             }
             grid
         }

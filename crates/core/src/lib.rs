@@ -44,14 +44,13 @@
 //! the paper's figures report (phase timings, addition counts, peak
 //! intermediate memory); the plan itself carries the tree weight and `d′`.
 //!
-//! Result storage is pluggable behind [`store::ScoreStore`], with one
-//! producer per backend: every all-pairs entry point returns the packed
-//! triangle ([`SimMatrix`]), [`mtx::mtx_simrank_low_rank`] returns a
-//! low-rank factor handle that never densifies (`O(n·r + r²)`
-//! resident), and [`store::ThresholdedSparse::from_store`] prunes any
-//! store into a thresholded upper-triangle CSR. The ranking layer
-//! ([`topk`]) is generic over the same trait. Low-rank factors persist as
-//! the `SRL1` format ([`persist::save_low_rank`]).
+//! Results come in three representations, one producer each: every
+//! all-pairs entry point returns the packed triangle ([`SimMatrix`]),
+//! [`mtx::mtx_simrank_low_rank`] returns a low-rank factor handle that
+//! never densifies (`O(n·r + r²)` resident), and
+//! [`store::ThresholdedSparse::from_store`] prunes any query engine into a
+//! thresholded upper-triangle CSR. Low-rank factors persist as the `SRL1`
+//! format ([`persist::save_low_rank`]).
 //!
 //! Graphs are not frozen: [`dynamic`] maintains converged results under
 //! edge streams. `DiGraph::apply_batch` patches the CSR adjacency in
@@ -62,12 +61,13 @@
 //! with the same bit-for-bit thread-invariance contract (`dynamic/*`
 //! cases in `baselines/op_counts.txt`).
 //!
-//! Every query surface — [`SimRankIndex`], every [`store::ScoreStore`]
-//! backend, and the Monte-Carlo [`montecarlo::FingerprintEngine`] —
-//! implements the object-safe [`query::QueryEngine`] trait: one
+//! Every way to read scores — [`SimRankIndex`], the three score
+//! representations, and the Monte-Carlo [`montecarlo::Fingerprints`] —
+//! goes through the object-safe [`query::QueryEngine`] trait: one
 //! `single_source` / `top_k` / batched vocabulary (with pool-sharded,
-//! bit-deterministic batch defaults) that front-ends and the
-//! `simrank_serve` crate program against via `Box<dyn QueryEngine>`.
+//! bit-deterministic batch defaults) that front-ends, the ranking layer
+//! ([`topk`]) and the `simrank_serve` crate program against via
+//! `Box<dyn QueryEngine>`.
 //!
 //! # Parallel execution
 //!
@@ -116,4 +116,4 @@ pub use matrix::SimMatrix;
 pub use options::SimRankOptions;
 pub use plan::SharingPlan;
 pub use query::QueryEngine;
-pub use store::{LowRankScores, ScoreStore, ThresholdedSparse};
+pub use store::{LowRankScores, ThresholdedSparse};

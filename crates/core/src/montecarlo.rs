@@ -22,11 +22,11 @@
 
 use crate::instrument::Report;
 use crate::options::SimRankOptions;
+use crate::query::{check_source, QueryEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simrank_graph::{DiGraph, NodeId};
 use simrank_par as par;
-use std::num::NonZeroUsize;
 
 /// Estimates `s(a, b)` from `samples` coupled backward walks of length at
 /// most `walk_len`.
@@ -86,55 +86,52 @@ fn walk_seed(seed: u64, v: NodeId, round: u32) -> u64 {
 }
 
 /// Precomputed walk *fingerprints*: for every vertex and sampled world
-/// (round), the full trajectory of its backward walk.
+/// (round), the full trajectory of its backward walk, together with the
+/// damping factor every estimate uses and the vertex count — the
+/// Monte-Carlo member of the [`QueryEngine`] family.
 ///
 /// Walks are stored node-major — [`Fingerprints::walk`] is one contiguous
 /// slice — so sampling hands each worker a disjoint band of vertices and
 /// pair estimation reads two contiguous blocks.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fingerprints {
     walk_len: u32,
     rounds: u32,
+    damping: f64,
+    order: usize,
     /// `walks[(v·rounds + r)·walk_len + t]` = vertex where `v`'s walk in
     /// world `r` sits after step `t + 1`, or [`NONE`] once stopped.
     walks: Vec<NodeId>,
 }
 
 impl Fingerprints {
-    /// Samples `rounds` coupled worlds of backward walks with the process
-    /// default worker count ([`SimRankOptions::default`]'s `threads`).
+    /// Samples `rounds` coupled worlds of backward walks of length
+    /// `walk_len` on `opts.threads` workers, recording `opts.damping`
+    /// for every later estimate.
     ///
     /// Within one world every vertex walks once — the Fogaras–Rácz
     /// fingerprint table that makes single-source queries `O(walk_len)`
-    /// per candidate instead of `O(samples · walk_len)`.
-    pub fn sample(g: &DiGraph, walk_len: u32, rounds: u32, seed: u64) -> Fingerprints {
-        Self::sample_with_threads(g, walk_len, rounds, seed, SimRankOptions::default().threads)
-    }
-
-    /// As [`Fingerprints::sample`] with an explicit worker count. The
-    /// returned table is bit-identical for every `threads` value.
-    pub fn sample_with_threads(
+    /// per candidate instead of `O(samples · walk_len)`. The table is
+    /// bit-identical for every `threads` value. In the [`Report`],
+    /// `adds` counts random walk steps taken (merged exactly across
+    /// workers — thread-invariant), `iterations` the rounds, and
+    /// `workers` the pool width.
+    ///
+    /// # Panics
+    ///
+    /// If `opts.damping` is outside `(0, 1)`.
+    pub fn sample(
         g: &DiGraph,
         walk_len: u32,
         rounds: u32,
         seed: u64,
-        threads: NonZeroUsize,
-    ) -> Fingerprints {
-        Self::sample_with_report(g, walk_len, rounds, seed, threads).0
-    }
-
-    /// As [`Fingerprints::sample_with_threads`], also returning
-    /// instrumentation: [`Report::adds`] counts random walk steps taken
-    /// (merged exactly across workers — thread-invariant),
-    /// [`Report::iterations`] the rounds, [`Report::workers`] the pool
-    /// width.
-    pub fn sample_with_report(
-        g: &DiGraph,
-        walk_len: u32,
-        rounds: u32,
-        seed: u64,
-        threads: NonZeroUsize,
+        opts: &SimRankOptions,
     ) -> (Fingerprints, Report) {
+        let damping = opts.damping;
+        assert!(
+            damping > 0.0 && damping < 1.0,
+            "damping must lie in (0, 1), got {damping}"
+        );
         let n = g.node_count();
         let wl = walk_len as usize;
         let stride = rounds as usize * wl;
@@ -144,7 +141,7 @@ impl Fingerprints {
         let mut workers = 0;
         let mut steps = 0u64;
         if stride > 0 && n > 0 {
-            workers = par::effective_workers(threads, n);
+            workers = par::effective_workers(opts.threads, n);
             // Disjoint contiguous bands of the node-major table, one per
             // worker.
             let node_blocks = par::blocks(n, workers);
@@ -189,6 +186,8 @@ impl Fingerprints {
             Fingerprints {
                 walk_len,
                 rounds,
+                damping,
+                order: n,
                 walks,
             },
             report,
@@ -214,7 +213,8 @@ impl Fingerprints {
     }
 
     /// Estimates `s(a, b)` from the precomputed worlds.
-    pub fn estimate(&self, c: f64, a: NodeId, b: NodeId) -> f64 {
+    pub fn estimate(&self, a: NodeId, b: NodeId) -> f64 {
+        let c = self.damping;
         if a == b {
             return 1.0;
         }
@@ -234,6 +234,12 @@ impl Fingerprints {
         }
         acc / self.rounds as f64
     }
+}
+
+impl QueryEngine for Fingerprints {
+    fn order(&self) -> usize {
+        self.order
+    }
 
     /// Single-source estimates `s(a, ·)` for all vertices.
     ///
@@ -242,16 +248,9 @@ impl Fingerprints {
     /// `(0..n).map(|b| estimate(a, b))` loop does — while keeping the
     /// per-entry summation order (worlds ascending) identical, so the
     /// results match the pairwise estimator bit-for-bit.
-    pub fn single_source(&self, c: f64, a: NodeId, n: usize) -> Vec<f64> {
-        let mut out = vec![0.0; n];
-        self.single_source_into(c, a, &mut out);
-        out
-    }
-
-    /// [`Fingerprints::single_source`] writing into a caller-provided
-    /// buffer (`out.len()` is the vertex count) — the allocation-free form
-    /// the batched query path hands each worker.
-    fn single_source_into(&self, c: f64, a: NodeId, out: &mut [f64]) {
+    fn single_source(&self, a: NodeId) -> Vec<f64> {
+        check_source(a as usize, self.order);
+        let c = self.damping;
         // Hoisted source-side decode: one slice per world, trimmed to its
         // live prefix (everything from the first stop sentinel on can
         // never meet), computed once instead of once per (target, world).
@@ -267,6 +266,7 @@ impl Fingerprints {
         // order over the node-major table): each target's worlds are one
         // contiguous block, and per target the surviving worlds ascend —
         // the same addition sequence as `estimate`, hence bit-identical.
+        let mut out = vec![0.0; self.order];
         for (b, acc) in out.iter_mut().enumerate() {
             if b as NodeId == a {
                 *acc = 1.0;
@@ -287,69 +287,7 @@ impl Fingerprints {
             }
             *acc = sum / self.rounds as f64;
         }
-    }
-
-    /// Close over a damping factor and vertex count to obtain a
-    /// [`crate::query::QueryEngine`] — the uniform query surface shared
-    /// with [`crate::SimRankIndex`] and every [`crate::store::ScoreStore`]
-    /// backend. Batched queries then come from the trait's pool-sharded
-    /// defaults (bit-identical to one-by-one estimation at every thread
-    /// count).
-    ///
-    /// # Panics
-    ///
-    /// If `damping` is outside `(0, 1)`.
-    pub fn into_query_engine(self, damping: f64, order: usize) -> FingerprintEngine {
-        assert!(
-            damping > 0.0 && damping < 1.0,
-            "damping must lie in (0, 1), got {damping}"
-        );
-        FingerprintEngine {
-            fingerprints: self,
-            damping,
-            order,
-        }
-    }
-}
-
-/// [`Fingerprints`] bound to a damping factor and a vertex count: the
-/// Monte-Carlo member of the [`crate::query::QueryEngine`] family.
-///
-/// Built with [`Fingerprints::into_query_engine`]. `single_source(u)` is
-/// exactly [`Fingerprints::single_source`]`(damping, u, order)`, so every
-/// estimate — and every trait-default batch — is bit-for-bit the
-/// sequential estimator.
-#[derive(Clone, Debug)]
-pub struct FingerprintEngine {
-    fingerprints: Fingerprints,
-    damping: f64,
-    order: usize,
-}
-
-impl FingerprintEngine {
-    /// The wrapped walk set.
-    pub fn fingerprints(&self) -> &Fingerprints {
-        &self.fingerprints
-    }
-
-    /// The damping factor `C` every estimate uses.
-    pub fn damping(&self) -> f64 {
-        self.damping
-    }
-}
-
-impl crate::query::QueryEngine for FingerprintEngine {
-    fn order(&self) -> usize {
-        self.order
-    }
-
-    fn single_source(&self, u: NodeId) -> Vec<f64> {
-        assert!(
-            (u as usize) < self.order,
-            "query vertex {u} out of range for order {}",
-            self.order
-        );
-        self.fingerprints.single_source(self.damping, u, self.order)
+        out
     }
 }
 
@@ -359,9 +297,20 @@ mod tests {
     use crate::naive::naive_simrank;
     use simrank_graph::fixtures::paper_fig1a;
     use simrank_graph::DiGraph;
+    use std::num::NonZeroUsize;
 
     fn nz(t: usize) -> NonZeroUsize {
         NonZeroUsize::new(t).unwrap()
+    }
+
+    /// Samples with the default options (`C = 0.6`).
+    fn sample(g: &DiGraph, walk_len: u32, rounds: u32, seed: u64) -> Fingerprints {
+        Fingerprints::sample(g, walk_len, rounds, seed, &SimRankOptions::default()).0
+    }
+
+    /// The default options on exactly `t` requested workers.
+    fn threads(t: usize) -> SimRankOptions {
+        SimRankOptions::default().with_threads(t)
     }
 
     #[test]
@@ -379,8 +328,8 @@ mod tests {
         let g = paper_fig1a();
         let opts = SimRankOptions::default();
         assert_eq!(mc_simrank_pair(&g, 3, 3, &opts, 5, 10, 1), 1.0);
-        let fp = Fingerprints::sample(&g, 5, 10, 1);
-        assert_eq!(fp.estimate(0.6, 3, 3), 1.0);
+        let fp = sample(&g, 5, 10, 1);
+        assert_eq!(fp.estimate(3, 3), 1.0);
     }
 
     #[test]
@@ -405,18 +354,18 @@ mod tests {
     #[test]
     fn fingerprints_match_pairwise_estimator_statistically() {
         let g = paper_fig1a();
-        let fp = Fingerprints::sample(&g, 10, 20_000, 3);
+        let fp = sample(&g, 10, 20_000, 3);
         let opts = SimRankOptions::default();
         let direct = mc_simrank_pair(&g, 0, 2, &opts, 10, 20_000, 9);
-        let coupled = fp.estimate(0.6, 0, 2);
+        let coupled = fp.estimate(0, 2);
         assert!((direct - coupled).abs() < 0.05, "{direct} vs {coupled}");
     }
 
     #[test]
     fn single_source_shape() {
         let g = paper_fig1a();
-        let fp = Fingerprints::sample(&g, 8, 100, 5);
-        let row = fp.single_source(0.6, 0, 9);
+        let fp = sample(&g, 8, 100, 5);
+        let row = fp.single_source(0);
         assert_eq!(row.len(), 9);
         assert_eq!(row[0], 1.0);
         assert!(row.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -428,26 +377,24 @@ mod tests {
         // per-entry summation order (worlds ascending) is identical to the
         // pairwise estimator's.
         let g = paper_fig1a();
-        let fp = Fingerprints::sample(&g, 9, 300, 17);
+        let fp = sample(&g, 9, 300, 17);
         for a in 0..9 {
-            let fast = fp.single_source(0.6, a, 9);
+            let fast = fp.single_source(a);
             for b in 0..9u32 {
-                assert_eq!(fast[b as usize], fp.estimate(0.6, a, b), "({a},{b})");
+                assert_eq!(fast[b as usize], fp.estimate(a, b), "({a},{b})");
             }
         }
     }
 
     #[test]
     fn batched_single_source_is_thread_invariant() {
-        use crate::query::QueryEngine;
         let g = paper_fig1a();
-        let engine = Fingerprints::sample(&g, 8, 120, 5).into_query_engine(0.6, 9);
-        let fp = engine.fingerprints();
+        let engine = sample(&g, 8, 120, 5);
         let sources: Vec<NodeId> = vec![0, 2, 3, 5, 7, 8];
         let base = engine.single_source_batch(&sources, nz(1));
         // Sequential oracle: the batch is exactly the per-source queries.
         for (row, &a) in base.iter().zip(&sources) {
-            assert_eq!(row, &fp.single_source(0.6, a, 9));
+            assert_eq!(row, &engine.single_source(a));
         }
         for t in [2usize, 3, 4, 8] {
             let batch = engine.single_source_batch(&sources, nz(t));
@@ -459,9 +406,8 @@ mod tests {
 
     #[test]
     fn top_k_batch_is_deterministic_and_ranked() {
-        use crate::query::QueryEngine;
         let g = paper_fig1a();
-        let engine = Fingerprints::sample(&g, 8, 200, 11).into_query_engine(0.6, 9);
+        let engine = sample(&g, 8, 200, 11);
         let sources: Vec<NodeId> = vec![1, 4, 6];
         let base = engine.top_k_batch(&sources, 3, nz(1));
         for (ranked, &a) in base.iter().zip(&sources) {
@@ -474,7 +420,7 @@ mod tests {
                 );
             }
             // Agrees with the single-source scores it is derived from.
-            let scores = engine.fingerprints().single_source(0.6, a, 9);
+            let scores = engine.single_source(a);
             for &(v, s) in ranked {
                 assert_eq!(s, scores[v as usize]);
             }
@@ -492,7 +438,11 @@ mod tests {
     #[should_panic(expected = "damping must lie in (0, 1)")]
     fn query_engine_rejects_bad_damping() {
         let g = paper_fig1a();
-        let _ = Fingerprints::sample(&g, 4, 10, 1).into_query_engine(1.0, 9);
+        let opts = SimRankOptions {
+            damping: 1.0,
+            ..Default::default()
+        };
+        let _ = Fingerprints::sample(&g, 4, 10, 1, &opts);
     }
 
     #[test]
@@ -509,7 +459,7 @@ mod tests {
         // 0 -> 1 -> ... every walk from 1 deterministically visits 0 then
         // stops; vertex 0 has no in-edges so its walks never start.
         let g = DiGraph::from_edges(3, [(0, 1)]).unwrap();
-        let fp = Fingerprints::sample(&g, 4, 3, 9);
+        let fp = sample(&g, 4, 3, 9);
         for r in 0..3 {
             assert_eq!(fp.walk(1, r), &[0, NONE, NONE, NONE]);
             assert_eq!(fp.walk(0, r), &[NONE; 4]);
@@ -524,10 +474,10 @@ mod tests {
         // on (seed, node, round) and each step counts exactly once no
         // matter which worker shard takes it.
         let g = paper_fig1a();
-        let (fp1, r1) = Fingerprints::sample_with_report(&g, 7, 40, 123, nz(1));
+        let (fp1, r1) = Fingerprints::sample(&g, 7, 40, 123, &threads(1));
         assert_eq!(r1.workers, 1);
         for t in [2usize, 3, 4, 8] {
-            let (fpt, rt) = Fingerprints::sample_with_report(&g, 7, 40, 123, nz(t));
+            let (fpt, rt) = Fingerprints::sample(&g, 7, 40, 123, &threads(t));
             assert_eq!(fp1, fpt, "fingerprints diverged at threads = {t}");
             assert_eq!(r1.adds, rt.adds, "merged step counts must be exact");
             assert!(rt.workers >= 1 && rt.workers <= t);
@@ -540,7 +490,7 @@ mod tests {
         // No walks means no pool: `Report::workers = 0` is the documented
         // "did not route through the executor" marker.
         let g = paper_fig1a();
-        let (fp, r) = Fingerprints::sample_with_report(&g, 0, 5, 1, nz(4));
+        let (fp, r) = Fingerprints::sample(&g, 0, 5, 1, &threads(4));
         assert_eq!(r.workers, 0);
         assert_eq!(r.adds, 0);
         assert_eq!(fp.walk_len(), 0);
@@ -549,8 +499,20 @@ mod tests {
     #[test]
     fn changing_seed_changes_fingerprints() {
         let g = paper_fig1a();
-        let a = Fingerprints::sample(&g, 8, 16, 1);
-        let b = Fingerprints::sample(&g, 8, 16, 2);
+        let a = sample(&g, 8, 16, 1);
+        let b = sample(&g, 8, 16, 2);
         assert_ne!(a, b, "the user seed must reach every walk");
+    }
+
+    /// The vertex count comes from the sampled graph, so a source past it
+    /// panics with the range message rather than a slice-index error.
+    #[test]
+    #[should_panic(expected = "query vertex 9 out of range for order 9")]
+    fn fingerprints_order_is_the_graph_order() {
+        let g = paper_fig1a();
+        let fp = sample(&g, 4, 10, 1);
+        assert_eq!(fp.order(), g.node_count());
+        assert_eq!(fp.single_source(8).len(), g.node_count());
+        let _ = fp.single_source(g.node_count() as NodeId);
     }
 }

@@ -70,20 +70,16 @@ pub fn mtx_simrank_with_report(
 }
 
 /// The shared front half of the `mtx-SR` pipeline: the SVD factorization
-/// plus the rank-space iteration, ending at the symmetrized mixing matrix
-/// `Ms` — everything *before* a serving representation is chosen
-/// (triangular densification here, or the lazy
-/// [`LowRankScores`] handle in [`mtx_simrank_low_rank`]).
+/// plus the rank-space iteration, ending at the [`LowRankScores`] handle
+/// `S = (1−C)·(I + U·Ms·Uᵀ)` — everything *before* a serving
+/// representation is chosen (triangular densification in
+/// [`mtx_simrank`], or the handle itself in [`mtx_simrank_low_rank`]).
 struct MtxFactors {
-    /// Truncated left singular vectors `U`, `n × r`.
-    u: DenseMatrix,
-    /// Symmetrized rank-space mixing matrix `Ms = (M + Mᵀ)/2`, `r × r`.
-    ms: DenseMatrix,
-    /// Effective truncation rank `r`.
-    r: usize,
+    /// The factors `U` (`n × r`) and `Ms` (`r × r`), with `U·Ms` cached.
+    scores: LowRankScores,
     /// Wall time of the factorization phase.
     factorize: Duration,
-    /// Wall time of the rank-space iteration (through `Ms`).
+    /// Wall time of the rank-space iteration (through `U·Ms`).
     iterate: Duration,
 }
 
@@ -129,12 +125,11 @@ fn mtx_factors(
     // value of the historical two-sided average ½(U·M·Uᵀ + (U·M·Uᵀ)ᵀ),
     // symmetrized once in the cheap r × r space.
     let ms = DenseMatrix::from_fn(r, r, |i, j| 0.5 * (m.get(i, j) + m.get(j, i)));
-    let iterate = timer.lap();
     let (u, _sigma, _v) = svd.into_factors();
+    let scores = LowRankScores::from_parts_with(1.0 - c, u, ms, pool);
+    let iterate = timer.lap();
     MtxFactors {
-        u,
-        ms,
-        r,
+        scores,
         factorize,
         iterate,
     }
@@ -142,6 +137,13 @@ fn mtx_factors(
 
 /// The pooled `mtx-SR` pipeline: factorize, iterate in rank space, and
 /// densify the triangle, all sweeps dispatched on one pool.
+///
+/// The densification is *triangular*: S is symmetric, so only unordered
+/// pairs `a ≤ b` are evaluated (each one [`LowRankScores::get`], a
+/// length-r dot product, half the arithmetic of forming the square
+/// product) and written straight into the packed triangle — pair
+/// (a, b ≥ a) lives in packed row `b`, so sharding by triangular
+/// packed-row weights hands workers disjoint contiguous slices.
 fn mtx_pooled(
     g: &DiGraph,
     opts: &SimRankOptions,
@@ -149,19 +151,9 @@ fn mtx_pooled(
     pool: &mut par::WorkerPool<'_>,
 ) -> (SimMatrix, Report) {
     let n = g.node_count();
-    let c = opts.damping;
-    let k_max = opts.conventional_iterations();
     let f = mtx_factors(g, opts, rank, pool);
     let mut timer = PhaseTimer::start();
-    let (u, ms, r) = (&f.u, &f.ms, f.r);
-
-    // The densification is *triangular*: S is symmetric, so only unordered
-    // pairs `b ≥ a` are evaluated (each a length-r dot product, half the
-    // arithmetic of forming the square product) and written straight into
-    // the packed triangle — pair (a, b ≥ a) lives in packed row `b`, so
-    // sharding by triangular packed-row weights hands workers disjoint
-    // contiguous slices.
-    let gm = u.matmul_with(ms, pool); // n × r
+    let scores = &f.scores;
     let mut out = SimMatrix::zeros(n);
     let row_weights: Vec<usize> = (1..=n).collect(); // packed row b holds b + 1 entries
     let bands = par::weighted_blocks(&row_weights, pool.workers());
@@ -171,27 +163,18 @@ fn mtx_pooled(
         .zip(out.packed_row_bands_mut(&bands))
         .collect();
     pool.sweep(items, |(band, slice), _counter| {
-        let mut idx = 0usize;
-        for b in band {
-            let u_row = u.row(b);
-            for a in 0..=b {
-                // The same lane-chunked dot [`LowRankScores::get`] runs,
-                // so the densified triangle and the lazy handle stay
-                // bit-for-bit equal at the same rank.
-                let dot = par::kernel::dot(gm.row(a), u_row);
-                let base = if a == b { 1.0 } else { 0.0 };
-                slice[idx] = (1.0 - c) * (base + dot);
-                idx += 1;
-            }
+        let pairs = band.flat_map(|b| (0..=b).map(move |a| (a, b)));
+        for (slot, (a, b)) in slice.iter_mut().zip(pairs) {
+            *slot = scores.get(a, b);
         }
     });
     let densify = timer.lap();
 
     let report = Report {
-        iterations: k_max,
+        iterations: opts.conventional_iterations(),
         mst_build: f.factorize, // the precomputation phase
         share_sums: f.iterate + densify,
-        peak_intermediate_bytes: model_peak_bytes(n, r),
+        peak_intermediate_bytes: model_peak_bytes(n, scores.rank()),
         workers: pool.workers(),
         ..Default::default()
     };
@@ -209,10 +192,7 @@ pub fn mtx_simrank_low_rank(
     rank: Option<usize>,
 ) -> LowRankScores {
     let workers = par::effective_workers(opts.threads, g.node_count());
-    par::WorkerPool::scoped(workers, |pool| {
-        let f = mtx_factors(g, opts, rank, pool);
-        LowRankScores::from_parts_with(1.0 - opts.damping, f.u, f.ms, pool)
-    })
+    par::WorkerPool::scoped(workers, |pool| mtx_factors(g, opts, rank, pool).scores)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@
 
 use crate::index::SimRankIndex;
 use crate::matrix::SimMatrix;
-use crate::store::{LowRankScores, ScoreStore};
+use crate::store::LowRankScores;
 use simrank_graph::{DiGraph, NodeId};
 use simrank_linalg::DenseMatrix;
 use std::fmt;
@@ -671,7 +671,11 @@ mod tests {
         assert_eq!(back, index);
         // ...so every query does too.
         for u in 0..index.order() as u32 {
-            assert_eq!(back.query(u), index.query(u), "query({u}) drifted");
+            assert_eq!(
+                back.single_source(u),
+                index.single_source(u),
+                "single_source({u}) drifted"
+            );
             assert_eq!(back.top_k(u, 4), index.top_k(u, 4));
         }
     }
@@ -685,7 +689,7 @@ mod tests {
         save_index(&index, &path).unwrap();
         let back = load_index(&path).unwrap();
         assert_eq!(back, index);
-        assert_eq!(back.query(1), index.query(1));
+        assert_eq!(back.single_source(1), index.single_source(1));
         std::fs::remove_file(&path).ok();
     }
 
@@ -856,8 +860,8 @@ mod tests {
         // the whole handle is PartialEq-identical...
         assert_eq!(back, store);
         // ...and serves identical queries.
-        for a in 0..ScoreStore::order(&store) {
-            for b in 0..ScoreStore::order(&store) {
+        for a in 0..store.order() {
+            for b in 0..store.order() {
                 assert_eq!(back.get(a, b), store.get(a, b));
             }
         }
@@ -1035,7 +1039,7 @@ mod tests {
         write_low_rank(&store, &mut buf).unwrap();
         assert_eq!(buf.len(), LOW_RANK_HEADER_BYTES as usize);
         let back = read_low_rank(&buf[..]).unwrap();
-        assert_eq!(ScoreStore::order(&back), 0);
+        assert_eq!(back.order(), 0);
         assert_eq!(back, store);
     }
 }

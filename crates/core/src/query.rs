@@ -1,12 +1,9 @@
 //! The unified query surface: one object-safe [`QueryEngine`] trait over
 //! every similarity-serving representation in the workspace.
 //!
-//! Historically the three serving families each grew their own query
-//! vocabulary — `SimRankIndex::query`/`top_k` (the linearized index),
-//! `ScoreStore::copy_row_into`/`top_k_for` (precomputed score storage),
-//! and `Fingerprints::single_source_batch`/`top_k_batch` (Monte-Carlo
-//! fingerprints) — so every front-end had to special-case each backend.
-//! [`QueryEngine`] collapses that drift into four verbs:
+//! Every score representation in the workspace answers the same four
+//! verbs, and this trait is the only way to read a score row or a ranking
+//! from one of them:
 //!
 //! | Method | Shape | Cost |
 //! |---|---|---|
@@ -29,12 +26,10 @@
 //!
 //! * [`crate::index::SimRankIndex`] — `O(K·(n+m))` per query, nothing
 //!   `n × n` ever.
-//! * Every [`ScoreStore`] backend ([`SimMatrix`], [`LowRankScores`],
-//!   [`ThresholdedSparse`]) plus `&dyn ScoreStore` trait objects — one
-//!   `copy_row_into` pass per query.
-//! * [`crate::montecarlo::FingerprintEngine`] — a
-//!   [`crate::montecarlo::Fingerprints`] table bound to its damping
-//!   factor, `O(rounds · walk_len)` per candidate.
+//! * The stored-score backends ([`SimMatrix`], [`LowRankScores`],
+//!   [`ThresholdedSparse`]) — one whole-row pass per query.
+//! * [`crate::montecarlo::Fingerprints`] — a sampled walk table that
+//!   records its damping factor, `O(rounds · walk_len)` per candidate.
 //!
 //! # Example
 //!
@@ -54,7 +49,7 @@
 //! ```
 
 use crate::matrix::SimMatrix;
-use crate::store::{LowRankScores, ScoreStore, ThresholdedSparse};
+use crate::store::{LowRankScores, ThresholdedSparse};
 use crate::topk;
 use simrank_graph::NodeId;
 use simrank_par as par;
@@ -144,47 +139,45 @@ fn shard_sources<T: Send>(
     });
 }
 
-/// One shared row-copy kernel for every score-store engine: bounds-check,
-/// then the backend's cheapest whole-row path.
-fn store_single_source<S: ScoreStore + ?Sized>(store: &S, u: NodeId) -> Vec<f64> {
-    let n = ScoreStore::order(store);
-    assert!(
-        (u as usize) < n,
-        "query vertex {u} out of range for order {n}"
-    );
-    let mut row = vec![0.0; n];
-    store.copy_row_into(u as usize, &mut row);
-    row
+/// The range check every engine runs before answering for `u`.
+///
+/// # Panics
+///
+/// Panics when `u >= n`.
+pub(crate) fn check_source(u: usize, n: usize) {
+    assert!(u < n, "query vertex {u} out of range for order {n}");
 }
 
-/// Implements [`QueryEngine`] for a concrete [`ScoreStore`] backend by
-/// delegating to the store's whole-row path. (A blanket
-/// `impl<S: ScoreStore> QueryEngine for S` would collide with the
-/// index and fingerprint engines under coherence, so each backend gets
-/// an explicit — macro-generated — impl.)
-macro_rules! impl_query_engine_for_store {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl QueryEngine for $ty {
-            fn order(&self) -> usize {
-                ScoreStore::order(self)
-            }
-
-            fn single_source(&self, u: NodeId) -> Vec<f64> {
-                store_single_source(self, u)
-            }
-        }
-    )+};
-}
-
-impl_query_engine_for_store!(SimMatrix, LowRankScores, ThresholdedSparse);
-
-impl QueryEngine for &dyn ScoreStore {
+impl QueryEngine for SimMatrix {
     fn order(&self) -> usize {
-        ScoreStore::order(*self)
+        SimMatrix::order(self)
     }
 
     fn single_source(&self, u: NodeId) -> Vec<f64> {
-        store_single_source(*self, u)
+        check_source(u as usize, self.order());
+        self.row(u as usize)
+    }
+}
+
+impl QueryEngine for LowRankScores {
+    fn order(&self) -> usize {
+        LowRankScores::order(self)
+    }
+
+    fn single_source(&self, u: NodeId) -> Vec<f64> {
+        check_source(u as usize, self.order());
+        (0..self.order()).map(|y| self.get(u as usize, y)).collect()
+    }
+}
+
+impl QueryEngine for ThresholdedSparse {
+    fn order(&self) -> usize {
+        ThresholdedSparse::order(self)
+    }
+
+    fn single_source(&self, u: NodeId) -> Vec<f64> {
+        check_source(u as usize, self.order());
+        self.row(u as usize)
     }
 }
 
@@ -211,7 +204,7 @@ mod tests {
         let opts = SimRankOptions::default().with_iterations(8);
         let dense = psum_simrank(&g, &opts);
         let index = SimRankIndex::build(&g, &opts.with_epsilon(1e-4));
-        let mc = Fingerprints::sample(&g, 5, 24, 7).into_query_engine(0.6, n);
+        let (mc, _) = Fingerprints::sample(&g, 5, 24, 7, &opts);
         let engines: Vec<(&str, &dyn QueryEngine)> =
             vec![("packed", &dense), ("index", &index), ("fingerprints", &mc)];
         for (name, e) in engines {
@@ -233,7 +226,7 @@ mod tests {
         let opts = SimRankOptions::default().with_iterations(6);
         let dense = psum_simrank(&g, &opts);
         let index = SimRankIndex::build(&g, &opts.with_epsilon(1e-4));
-        let mc = Fingerprints::sample(&g, 5, 16, 11).into_query_engine(0.6, n);
+        let (mc, _) = Fingerprints::sample(&g, 5, 16, 11, &opts);
         let sources: Vec<NodeId> = (0..n as NodeId).rev().collect();
         for e in [&dense as &dyn QueryEngine, &index, &mc] {
             let singles: Vec<Vec<f64>> = sources.iter().map(|&u| e.single_source(u)).collect();
@@ -253,14 +246,15 @@ mod tests {
         let opts = SimRankOptions::default().with_iterations(8);
         let packed = psum_simrank(&g, &opts);
         let sparse = ThresholdedSparse::from_store(&packed, 0.0);
-        let dynamic: &dyn ScoreStore = &packed;
+        let low_rank = crate::mtx::mtx_simrank_low_rank(&g, &opts, None);
+        let dense_mtx = crate::mtx::mtx_simrank(&g, &opts, None);
         for u in [0 as NodeId, 7, 29] {
             let want = QueryEngine::single_source(&packed, u);
             assert_eq!(QueryEngine::single_source(&sparse, u), want);
-            assert_eq!(QueryEngine::single_source(&dynamic, u), want);
+            assert_eq!(low_rank.single_source(u), dense_mtx.single_source(u));
             let want_top = QueryEngine::top_k(&packed, u, 6);
             assert_eq!(QueryEngine::top_k(&sparse, u, 6), want_top);
-            assert_eq!(QueryEngine::top_k(&dynamic, u, 6), want_top);
+            assert_eq!(low_rank.top_k(u, 6), dense_mtx.top_k(u, 6));
         }
     }
 
@@ -276,7 +270,7 @@ mod tests {
         let opts = SimRankOptions::default().with_epsilon(1e-6);
         let dense = psum_simrank(&g, &opts.with_iterations(20));
         let index = SimRankIndex::build(&g, &opts);
-        let mc = Fingerprints::sample(&g, 6, 32, 3).into_query_engine(0.6, 6);
+        let (mc, _) = Fingerprints::sample(&g, 6, 32, 3, &opts);
         for e in [&dense as &dyn QueryEngine, &index, &mc] {
             let top = e.top_k(1, 5);
             let tied: Vec<NodeId> = top
@@ -296,7 +290,10 @@ mod tests {
             QueryEngine::top_k(&dense, 1, 5),
             topk::top_k_scores(&row, 1, 5)
         );
-        assert_eq!(topk::top_k(&dense, 1, 5), topk::top_k_scores(&row, 1, 5));
+        assert_eq!(
+            topk::rank_scores(&row, 1)[..5],
+            topk::top_k_scores(&row, 1, 5)
+        );
     }
 
     #[test]

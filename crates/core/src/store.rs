@@ -1,16 +1,16 @@
-//! Pluggable score-storage backends behind the [`ScoreStore`] trait.
+//! Score-storage backends beyond the packed triangle.
 //!
-//! Every dense algorithm in this workspace historically bottomed out in an
-//! `n(n+1)/2` packed triangle ([`SimMatrix`]), which caps all-pairs runs at
-//! tens of thousands of vertices no matter how fast the sweeps are. This
-//! module puts the *result side* behind a trait, with one producer per
-//! representation:
+//! Every dense algorithm in this workspace bottoms out in an `n(n+1)/2`
+//! packed triangle ([`SimMatrix`](crate::SimMatrix)), which caps all-pairs runs at tens of
+//! thousands of vertices no matter how fast the sweeps are. This module
+//! holds the two other result representations; all three are read
+//! through [`QueryEngine`]:
 //!
 //! | Backend | Type | Produced by | Resident bytes | When |
 //! |---|---|---|---|---|
-//! | Packed | [`SimMatrix`] | every all-pairs entry point (`naive`, `psum`, `oip`, `oip_dsr`, `mtx`, …) | `n(n+1)/2 · 8` | default; exact, O(1) `get` |
+//! | Packed | [`SimMatrix`](crate::SimMatrix) | every all-pairs entry point (`naive`, `psum`, `oip`, `oip_dsr`, `mtx`, …) | `n(n+1)/2 · 8` | default; exact, O(1) `get` |
 //! | Low-rank | [`LowRankScores`] | [`crate::mtx::mtx_simrank_low_rank`] | `(2nr + r²) · 8` | mtx factors served straight from rank space — **no** `n × n` materialization |
-//! | Thresholded | [`ThresholdedSparse`] | [`ThresholdedSparse::from_store`] over any store | `≈ nnz · 12` | near-zero pairs dropped |
+//! | Thresholded | [`ThresholdedSparse`] | [`ThresholdedSparse::from_store`] over any engine | `≈ nnz · 12` | near-zero pairs dropped |
 //!
 //! The low-rank backend answers `get` in `O(r)` and a full row / top-k in
 //! `O(n·r)` by contracting the mtx factors `S = (1−C)·(I + U·Ms·Uᵀ)`
@@ -20,99 +20,10 @@
 //! backend **bit-for-bit** on the entries they store, and construction is
 //! bit-for-bit thread-invariant like every other path in the workspace.
 
-use crate::matrix::SimMatrix;
+use crate::query::{check_source, QueryEngine};
+use simrank_graph::NodeId;
 use simrank_linalg::DenseMatrix;
 use simrank_par as par;
-
-/// Uniform read-side interface over similarity-score storage.
-///
-/// Implementations are symmetric (`get(a, b) == get(b, a)`) and object
-/// safe, so serving layers can hold a `&dyn ScoreStore` without knowing
-/// which representation a run produced. Entries a backend does not store
-/// (dropped by a threshold, or the implicit zeros of a sparse row) read
-/// as `0.0`. The `Send + Sync` supertraits let one store serve many
-/// query threads at once; ranked queries go through the unified
-/// [`crate::query::QueryEngine`] surface, which every backend (and
-/// `&dyn ScoreStore` itself) implements.
-pub trait ScoreStore: Send + Sync {
-    /// Matrix order `n` (the scores cover vertex pairs in `0..n`).
-    fn order(&self) -> usize;
-
-    /// Similarity `s(a, b)`; symmetric in its arguments.
-    fn get(&self, a: usize, b: usize) -> f64;
-
-    /// Resident heap footprint of the score storage, in bytes — the
-    /// number the backend table in the [module docs](self) is about.
-    fn heap_bytes(&self) -> usize;
-
-    /// Visits every *stored* upper-triangle entry as `(lo, hi, value)`
-    /// with `lo ≤ hi`. Packed and low-rank backends visit all
-    /// `n(n+1)/2` pairs (the low-rank backend computes each on the fly);
-    /// the thresholded backend visits only the entries that survived its
-    /// threshold.
-    fn for_each_stored(&self, f: &mut dyn FnMut(usize, usize, f64));
-
-    /// Writes row `x` into `out` (overwriting): `out[y] = s(x, y)`.
-    fn copy_row_into(&self, x: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.order());
-        for (y, o) in out.iter_mut().enumerate() {
-            *o = self.get(x, y);
-        }
-    }
-
-    /// Accumulates row `x` into `out`: `out[y] += s(x, y)`.
-    fn add_row_into(&self, x: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.order());
-        for (y, o) in out.iter_mut().enumerate() {
-            *o += self.get(x, y);
-        }
-    }
-
-    /// Largest absolute entry difference against another store (the
-    /// `‖·‖max` metric), computed row-wise through the trait so any two
-    /// backends compare; the per-row comparison is the lane-chunked
-    /// [`par::kernel::max_abs_diff`].
-    fn max_abs_diff(&self, other: &dyn ScoreStore) -> f64 {
-        assert_eq!(self.order(), other.order(), "order mismatch");
-        let n = self.order();
-        let (mut mine, mut theirs) = (vec![0.0; n], vec![0.0; n]);
-        let mut worst = 0.0f64;
-        for x in 0..n {
-            self.copy_row_into(x, &mut mine);
-            other.copy_row_into(x, &mut theirs);
-            worst = worst.max(par::kernel::max_abs_diff(&mine, &theirs));
-        }
-        worst
-    }
-}
-
-impl ScoreStore for SimMatrix {
-    fn order(&self) -> usize {
-        SimMatrix::order(self)
-    }
-
-    fn get(&self, a: usize, b: usize) -> f64 {
-        SimMatrix::get(self, a, b)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        SimMatrix::heap_bytes(self)
-    }
-
-    fn for_each_stored(&self, f: &mut dyn FnMut(usize, usize, f64)) {
-        for (lo, hi, v) in self.iter_upper() {
-            f(lo, hi, v);
-        }
-    }
-
-    fn copy_row_into(&self, x: usize, out: &mut [f64]) {
-        SimMatrix::copy_row_into(self, x, out);
-    }
-
-    fn add_row_into(&self, x: usize, out: &mut [f64]) {
-        SimMatrix::add_row_into(self, x, out);
-    }
-}
 
 /// The mtx factorization served as a score store: `S = scale·(I + U·Ms·Uᵀ)`
 /// with `scale = 1 − C`, `U` the truncated left singular vectors (`n × r`)
@@ -121,12 +32,11 @@ impl ScoreStore for SimMatrix {
 /// Nothing `n × n` is ever materialized: `get` contracts one length-`r`
 /// dot product (`O(r)`), a full row or top-k query costs `O(n·r)`. At the
 /// same rank the values are **bit-for-bit identical** to the densified
-/// [`crate::mtx::mtx_simrank`] output — the per-pair arithmetic is the same
-/// `gm.row(lo) · u.row(hi)` contraction the triangular densification runs,
-/// just evaluated lazily.
+/// [`crate::mtx::mtx_simrank`] output, which is filled by calling
+/// [`Self::get`] on every packed pair.
 ///
 /// The derived product `gm = U·Ms` is cached so `get` stays `O(r)`;
-/// resident storage is `(2nr + r²)·8` bytes ([`ScoreStore::heap_bytes`]),
+/// resident storage is `(2nr + r²)·8` bytes ([`Self::heap_bytes`]),
 /// i.e. `O(n·r + r²)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LowRankScores {
@@ -199,40 +109,33 @@ impl LowRankScores {
     }
 }
 
-impl ScoreStore for LowRankScores {
-    fn order(&self) -> usize {
+impl LowRankScores {
+    /// Matrix order `n`.
+    pub fn order(&self) -> usize {
         self.u.rows()
     }
 
     /// `O(r)`: one lane-chunked [`par::kernel::dot`] between a cached
-    /// `gm` row and a `U` row — the exact arithmetic (and accumulation
-    /// order) of the dense densification sweep, so values match it
-    /// bit-for-bit.
-    fn get(&self, a: usize, b: usize) -> f64 {
+    /// `gm` row and a `U` row. The dense [`crate::mtx::mtx_simrank`]
+    /// output is filled through this method, so the two agree
+    /// bit-for-bit at the same rank.
+    pub fn get(&self, a: usize, b: usize) -> f64 {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let dot = par::kernel::dot(self.gm.row(lo), self.u.row(hi));
         let base = if lo == hi { 1.0 } else { 0.0 };
         self.scale * (base + dot)
     }
 
-    fn heap_bytes(&self) -> usize {
+    /// Resident heap footprint of the factors, in bytes.
+    pub fn heap_bytes(&self) -> usize {
         self.u.heap_bytes() + self.ms.heap_bytes() + self.gm.heap_bytes()
-    }
-
-    fn for_each_stored(&self, f: &mut dyn FnMut(usize, usize, f64)) {
-        let n = self.order();
-        for hi in 0..n {
-            for lo in 0..=hi {
-                f(lo, hi, self.get(lo, hi));
-            }
-        }
     }
 }
 
 /// Upper-triangle CSR storage holding only pairs with `|s| ≥ θ`.
 ///
-/// Built from any other store row-by-row ([`Self::from_store`]). Rows are keyed by the smaller vertex `lo`
-/// with ascending `hi` columns, so `get` is a binary search in row
+/// Built from any query engine row by row ([`Self::from_store`]). Rows
+/// are keyed by the smaller vertex `lo` with ascending `hi` columns, so `get` is a binary search in row
 /// `min(a, b)` and absent pairs read as `0.0`. With `θ = 0` every pair is
 /// kept (including exact zeros) and the store reproduces the dense oracle
 /// bit-for-bit.
@@ -246,15 +149,13 @@ pub struct ThresholdedSparse {
 }
 
 impl ThresholdedSparse {
-    /// Builds from any score store via one reused `O(n)` row buffer, so
-    /// a low-rank source is never expanded to `n × n`.
-    pub fn from_store(store: &dyn ScoreStore, theta: f64) -> Self {
+    /// Builds from any query engine, one [`QueryEngine::single_source`]
+    /// row at a time, so a low-rank source is never expanded to `n × n`.
+    pub fn from_store(store: &dyn QueryEngine, theta: f64) -> Self {
         let n = store.order();
-        let mut row = vec![0.0; n];
         let mut out = Self::with_capacity(n, theta);
         for lo in 0..n {
-            store.copy_row_into(lo, &mut row);
-            out.push_row(lo, &row[lo..]);
+            out.push_row(lo, &store.single_source(lo as NodeId)[lo..]);
         }
         out
     }
@@ -295,16 +196,20 @@ impl ThresholdedSparse {
     pub fn nnz(&self) -> usize {
         self.vals.len()
     }
-}
 
-impl ScoreStore for ThresholdedSparse {
-    fn order(&self) -> usize {
+    /// Matrix order `n`.
+    pub fn order(&self) -> usize {
         self.n
     }
 
-    fn get(&self, a: usize, b: usize) -> f64 {
+    /// Similarity `s(a, b)`; pairs below `θ` read as `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` or `b` is not a vertex (`≥ order()`).
+    pub fn get(&self, a: usize, b: usize) -> f64 {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        debug_assert!(hi < self.n);
+        check_source(hi, self.n);
         let row = &self.cols[self.row_ptr[lo]..self.row_ptr[lo + 1]];
         match row.binary_search(&(hi as u32)) {
             Ok(pos) => self.vals[self.row_ptr[lo] + pos],
@@ -312,23 +217,16 @@ impl ScoreStore for ThresholdedSparse {
         }
     }
 
-    fn heap_bytes(&self) -> usize {
+    /// Resident heap footprint of the CSR arrays, in bytes.
+    pub fn heap_bytes(&self) -> usize {
         self.row_ptr.len() * std::mem::size_of::<usize>()
             + self.cols.len() * std::mem::size_of::<u32>()
             + self.vals.len() * std::mem::size_of::<f64>()
     }
 
-    fn for_each_stored(&self, f: &mut dyn FnMut(usize, usize, f64)) {
-        for lo in 0..self.n {
-            for i in self.row_ptr[lo]..self.row_ptr[lo + 1] {
-                f(lo, self.cols[i] as usize, self.vals[i]);
-            }
-        }
-    }
-
-    fn copy_row_into(&self, x: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.n);
-        out.fill(0.0);
+    /// Row `x` as a dense vector: `out[y] = s(x, y)`.
+    pub(crate) fn row(&self, x: usize) -> Vec<f64> {
+        let mut out = vec![0.0; self.n];
         // Entries (y, x) with y < x live in the rows above, one binary
         // search each; row x's own entries (x, b ≥ x) are contiguous.
         for lo in 0..x {
@@ -340,22 +238,30 @@ impl ScoreStore for ThresholdedSparse {
         for i in self.row_ptr[x]..self.row_ptr[x + 1] {
             out[self.cols[i] as usize] = self.vals[i];
         }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::SimMatrix;
     use crate::matrixform::matrix_form_simrank;
     use crate::mtx;
     use crate::options::SimRankOptions;
-    use crate::query::QueryEngine;
-    use crate::topk;
     use simrank_graph::fixtures::paper_fig1a;
     use simrank_graph::{gen, DiGraph};
 
     fn coauthor(n: usize) -> DiGraph {
         gen::coauthor_graph(gen::CoauthorParams::dblp_like(n), 1)
+    }
+
+    /// Largest absolute entry difference between two engines, row by row.
+    fn max_abs_diff(a: &dyn QueryEngine, b: &dyn QueryEngine) -> f64 {
+        assert_eq!(a.order(), b.order(), "order mismatch");
+        (0..a.order() as NodeId)
+            .map(|x| par::kernel::max_abs_diff(&a.single_source(x), &b.single_source(x)))
+            .fold(0.0, f64::max)
     }
 
     /// LowRank serves get / full-row / top-k bit-identically to the
@@ -368,24 +274,18 @@ mod tests {
         for rank in [None, Some(n / 2), Some(3)] {
             let dense = mtx::mtx_simrank(&g, &opts, rank);
             let store = mtx::mtx_simrank_low_rank(&g, &opts, rank);
-            assert_eq!(ScoreStore::order(&store), n);
-            let mut dense_row = vec![0.0; n];
-            let mut store_row = vec![0.0; n];
+            assert_eq!(store.order(), n);
             for a in 0..n {
-                ScoreStore::copy_row_into(&dense, a, &mut dense_row);
-                store.copy_row_into(a, &mut store_row);
+                let (dense_row, store_row) = (dense.row(a), store.single_source(a as NodeId));
                 assert_eq!(dense_row, store_row, "row {a} (rank {rank:?})");
                 for b in 0..n {
                     assert_eq!(store.get(a, b), dense.get(a, b), "({a},{b})");
                 }
             }
             for q in [0u32, (n / 2) as u32] {
-                assert_eq!(
-                    QueryEngine::top_k(&store, q, 10),
-                    topk::top_k(&dense, q, 10)
-                );
+                assert_eq!(store.top_k(q, 10), dense.top_k(q, 10));
             }
-            assert_eq!(ScoreStore::max_abs_diff(&store, &dense), 0.0);
+            assert_eq!(max_abs_diff(&store, &dense), 0.0);
         }
     }
 
@@ -399,7 +299,7 @@ mod tests {
         let opts = SimRankOptions::default().with_iterations(15);
         let exact = mtx::mtx_simrank(&g, &opts, None);
         let approx = mtx::mtx_simrank_low_rank(&g, &opts, Some(n * 3 / 4));
-        let worst = ScoreStore::max_abs_diff(&approx, &exact);
+        let worst = max_abs_diff(&approx, &exact);
         assert!(worst < 0.05, "rank-3n/4 low-rank store drifted by {worst}");
     }
 
@@ -417,10 +317,10 @@ mod tests {
         assert_eq!(store.heap_bytes(), (2 * n * r + r * r) * 8);
         let packed = SimMatrix::zeros(n);
         assert!(
-            store.heap_bytes() < ScoreStore::heap_bytes(&packed),
+            store.heap_bytes() < packed.heap_bytes(),
             "factor handle ({}) must undercut the packed triangle ({})",
             store.heap_bytes(),
-            ScoreStore::heap_bytes(&packed)
+            packed.heap_bytes()
         );
     }
 
@@ -443,7 +343,7 @@ mod tests {
     }
 
     /// θ = 0 keeps every pair (zeros included): the sparse store is the
-    /// dense oracle, bit-for-bit, across the whole trait surface.
+    /// dense oracle, bit-for-bit, across its whole read surface.
     #[test]
     fn thresholded_store_at_zero_matches_dense_oracle() {
         let g = paper_fig1a();
@@ -452,19 +352,15 @@ mod tests {
         let sparse = ThresholdedSparse::from_store(&dense, 0.0);
         let n = g.node_count();
         assert_eq!(sparse.nnz(), n * (n + 1) / 2);
-        let mut a_row = vec![0.0; n];
-        let mut b_row = vec![0.0; n];
         for a in 0..n {
-            sparse.copy_row_into(a, &mut a_row);
-            ScoreStore::copy_row_into(&dense, a, &mut b_row);
-            assert_eq!(a_row, b_row, "row {a}");
+            assert_eq!(sparse.single_source(a as NodeId), dense.row(a), "row {a}");
             for b in 0..n {
                 assert_eq!(sparse.get(a, b), dense.get(a, b));
             }
         }
-        assert_eq!(ScoreStore::max_abs_diff(&sparse, &dense), 0.0);
+        assert_eq!(max_abs_diff(&sparse, &dense), 0.0);
         for q in 0..n as u32 {
-            assert_eq!(QueryEngine::top_k(&sparse, q, 5), topk::top_k(&dense, q, 5));
+            assert_eq!(sparse.top_k(q, 5), dense.top_k(q, 5));
         }
     }
 
@@ -480,30 +376,32 @@ mod tests {
             sparse.nnz() < n * (n + 1) / 2,
             "theta {theta} dropped nothing"
         );
-        assert!(sparse.heap_bytes() < ScoreStore::heap_bytes(&dense));
+        assert!(sparse.heap_bytes() < dense.heap_bytes());
         // Dropped pairs had |s| < θ, so the sup error is below θ; kept
         // pairs are exact.
-        assert!(ScoreStore::max_abs_diff(&sparse, &dense) < theta);
+        assert!(max_abs_diff(&sparse, &dense) < theta);
         let mut kept = 0usize;
-        sparse.for_each_stored(&mut |lo, hi, v| {
-            assert!(v.abs() >= theta);
-            assert_eq!(v, dense.get(lo, hi));
-            kept += 1;
-        });
+        for (lo, hi, v) in dense.iter_upper() {
+            if v.abs() >= theta {
+                assert_eq!(sparse.get(lo, hi), v, "({lo},{hi})");
+                kept += 1;
+            } else {
+                assert_eq!(sparse.get(lo, hi), 0.0, "({lo},{hi})");
+            }
+        }
         assert_eq!(kept, sparse.nnz());
     }
 
-    /// Every stored entry of `a` equals `b`'s, bit for bit, and `a`
-    /// stores the full upper triangle.
-    fn assert_stores_bitwise_equal(a: &dyn ScoreStore, b: &dyn ScoreStore, what: &str) {
+    /// Every row `a` serves is `b`'s, bit for bit.
+    fn assert_rows_bitwise_equal(a: &dyn QueryEngine, b: &dyn QueryEngine, what: &str) {
         let n = b.order();
         assert_eq!(a.order(), n, "{what}");
-        let mut stored = 0usize;
-        a.for_each_stored(&mut |lo, hi, v| {
-            assert_eq!(v.to_bits(), b.get(lo, hi).to_bits(), "{what} ({lo},{hi})");
-            stored += 1;
-        });
-        assert_eq!(stored, n * (n + 1) / 2, "{what}");
+        for x in 0..n as NodeId {
+            let bits = |e: &dyn QueryEngine| -> Vec<u64> {
+                e.single_source(x).iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(a), bits(b), "{what} row {x}");
+        }
     }
 
     /// At θ = 0 the thresholded store of every all-pairs algorithm is its
@@ -512,6 +410,7 @@ mod tests {
     #[test]
     fn store_backends_agree_across_algorithms() {
         let g = paper_fig1a();
+        let n = g.node_count();
         let opts = SimRankOptions::default().with_iterations(5);
         let runs = [
             ("naive", crate::naive::naive_simrank(&g, &opts)),
@@ -521,13 +420,15 @@ mod tests {
         ];
         for (name, packed) in &runs {
             let sparse = ThresholdedSparse::from_store(packed, 0.0);
-            assert_stores_bitwise_equal(&sparse, packed, name);
+            assert_eq!(sparse.nnz(), n * (n + 1) / 2, "{name}");
+            assert_rows_bitwise_equal(&sparse, packed, name);
         }
         let packed = mtx::mtx_simrank(&g, &opts, None);
         let low_rank = mtx::mtx_simrank_low_rank(&g, &opts, None);
-        assert_stores_bitwise_equal(&low_rank, &packed, "mtx low-rank");
+        assert_rows_bitwise_equal(&low_rank, &packed, "mtx low-rank");
         let sparse = ThresholdedSparse::from_store(&low_rank, 0.0);
-        assert_stores_bitwise_equal(&sparse, &packed, "mtx thresholded");
+        assert_eq!(sparse.nnz(), n * (n + 1) / 2, "mtx thresholded");
+        assert_rows_bitwise_equal(&sparse, &packed, "mtx thresholded");
     }
 
     /// Thresholded and low-rank construction are bit-for-bit
@@ -558,12 +459,12 @@ mod tests {
         let empty = DiGraph::from_edges(0, []).unwrap();
         let opts = SimRankOptions::default().with_iterations(3);
         let packed = crate::naive::naive_simrank(&empty, &opts);
-        assert_eq!(ScoreStore::order(&packed), 0);
+        assert_eq!(packed.order(), 0);
         let sparse = ThresholdedSparse::from_store(&packed, 0.1);
-        assert_eq!(ScoreStore::order(&sparse), 0);
+        assert_eq!(sparse.order(), 0);
         assert_eq!(sparse.nnz(), 0);
         let low_rank = mtx::mtx_simrank_low_rank(&empty, &opts, None);
-        assert_eq!(ScoreStore::order(&low_rank), 0);
+        assert_eq!(low_rank.order(), 0);
     }
 
     #[test]
@@ -572,20 +473,31 @@ mod tests {
         let _ = ThresholdedSparse::from_store(&SimMatrix::identity(2), -0.1);
     }
 
+    /// Out-of-range pairs panic with the range message instead of
+    /// reading as an absent (zero) entry.
+    #[test]
+    #[should_panic(expected = "query vertex 14 out of range for order 9")]
+    fn thresholded_get_rejects_out_of_range_pairs() {
+        let g = paper_fig1a();
+        let dense = crate::psum::psum_simrank(&g, &SimRankOptions::default().with_iterations(3));
+        let sparse = ThresholdedSparse::from_store(&dense, 0.0);
+        let _ = sparse.get(0, g.node_count() + 5);
+    }
+
     #[test]
     fn trait_object_surface_is_usable() {
         let g = paper_fig1a();
         let opts = SimRankOptions::default().with_iterations(5);
         let dense = crate::oip::oip_simrank(&g, &opts);
-        let store: &dyn ScoreStore = &dense;
-        assert_eq!(store.order(), 9);
-        assert_eq!(store.get(1, 3), dense.get(3, 1));
-        let ranked = topk::rank_by_similarity(store, 1);
-        assert_eq!(ranked, topk::rank_by_similarity(&dense, 1));
-        let mut acc = vec![0.5; 9];
-        store.add_row_into(2, &mut acc);
-        for (y, &v) in acc.iter().enumerate() {
-            assert_eq!(v, 0.5 + dense.get(2, y));
+        let sparse = ThresholdedSparse::from_store(&dense, 0.0);
+        for store in [&dense as &dyn QueryEngine, &sparse] {
+            assert_eq!(store.order(), 9);
+            let row = store.single_source(1);
+            assert_eq!(row[3], dense.get(3, 1));
+            assert_eq!(
+                crate::topk::rank_scores(&row, 1),
+                crate::topk::rank_scores(&dense.row(1), 1)
+            );
         }
     }
 }

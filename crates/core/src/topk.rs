@@ -11,28 +11,23 @@
 //!   `partial_cmp().expect(..)` — a NaN smuggled in by a corrupted score
 //!   file ranks *last* (after every finite score, ties still by ascending
 //!   id) instead of panicking the query path.
-//! * **Partial selection.** [`top_k`] runs `select_nth_unstable_by` to
+//! * **Partial selection.** [`top_k_scores`] runs `select_nth_unstable_by` to
 //!   isolate the `k` best candidates in `O(n)` and sorts only that prefix
 //!   (`O(n + k log k)`), instead of fully sorting all `n` candidates —
 //!   the output is pinned to the full-sort ranking by a property test.
 //!
-//! The slice-based variants ([`rank_scores`], [`top_k_scores`]) serve the
-//! index-backed single-source engine ([`crate::index::SimRankIndex`]),
-//! whose queries produce one dense score vector rather than an `n × n`
-//! matrix. The matrix-shaped variants are generic over
-//! [`ScoreStore`], so the same entry points rank packed,
-//! low-rank, and thresholded-sparse results (and `&dyn ScoreStore` trait
-//! objects) — candidates come from one non-allocating
-//! [`ScoreStore::copy_row_into`] pass, never a per-entry `get` loop.
+//! Both entry points rank one single-source score vector
+//! (`scores[v] = s(query, v)`), as every
+//! [`crate::query::QueryEngine::single_source`] produces it;
+//! [`crate::query::QueryEngine::top_k`] is [`top_k_scores`] over that row.
 
-use crate::store::ScoreStore;
 use simrank_graph::NodeId;
 use std::cmp::Ordering;
 
 /// The ranking order every surface in the workspace shares — descending
 /// score, NaN strictly last, ties broken by ascending vertex id. Total —
 /// never panics, whatever the scores hold. [`crate::query::QueryEngine`]
-/// implementations, the [`top_k`] family here, and the serving layer all
+/// implementations, the two rankings here, and the serving layer all
 /// rank through this one comparator, so rankings agree bit-for-bit across
 /// engine families even on exact score ties.
 ///
@@ -45,16 +40,6 @@ pub fn rank_order(a: &(NodeId, f64), b: &(NodeId, f64)) -> Ordering {
         (false, false) => b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)),
         (a_nan, b_nan) => a_nan.cmp(&b_nan).then(a.0.cmp(&b.0)),
     }
-}
-
-/// All candidates for a query against a score store: every vertex but the
-/// query itself (its self-similarity is definitionally maximal and
-/// carries no information), unsorted. One `copy_row_into` pass — each
-/// backend's cheapest whole-row path — rather than `n` point lookups.
-fn store_candidates<S: ScoreStore + ?Sized>(scores: &S, query: NodeId) -> Vec<(NodeId, f64)> {
-    let mut row = vec![0.0; scores.order()];
-    scores.copy_row_into(query as usize, &mut row);
-    slice_candidates(&row, query)
 }
 
 /// All candidates for a query against a single-source score vector
@@ -91,37 +76,15 @@ fn rank_prefix(mut candidates: Vec<(NodeId, f64)>, k: usize) -> Vec<(NodeId, f64
 
 /// The full ranking of all other vertices by similarity to `query`,
 /// descending, ties broken by ascending vertex id; NaN scores (possible
-/// only via a corrupted score file) rank last instead of panicking. The
-/// query vertex itself is excluded. Accepts any score backend —
-/// `&SimMatrix`, `&dyn ScoreStore`, a low-rank handle — through the
-/// [`ScoreStore`] trait.
-pub fn rank_by_similarity<S: ScoreStore + ?Sized>(scores: &S, query: NodeId) -> Vec<(NodeId, f64)> {
-    rank_full(store_candidates(scores, query))
-}
-
-/// The `k` most similar vertices to `query` (see [`rank_by_similarity`]),
-/// found by partial selection: `O(n + k log k)` instead of a full sort.
-pub fn top_k<S: ScoreStore + ?Sized>(scores: &S, query: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-    rank_prefix(store_candidates(scores, query), k)
-}
-
-/// The vertex ids of the top-k ranking only.
-pub fn top_k_ids<S: ScoreStore + ?Sized>(scores: &S, query: NodeId, k: usize) -> Vec<NodeId> {
-    top_k(scores, query, k)
-        .into_iter()
-        .map(|(v, _)| v)
-        .collect()
-}
-
-/// As [`rank_by_similarity`], over a single-source score vector
-/// (`scores[v] = s(query, v)`, as produced by
-/// [`crate::index::SimRankIndex::query`]). The query vertex is excluded
-/// when it lies inside the slice.
+/// only via a corrupted score file) rank last instead of panicking.
+/// `scores[v] = s(query, v)` is one single-source row; the query vertex
+/// is excluded when it lies inside the slice.
 pub fn rank_scores(scores: &[f64], query: NodeId) -> Vec<(NodeId, f64)> {
     rank_full(slice_candidates(scores, query))
 }
 
-/// As [`top_k`], over a single-source score vector.
+/// The `k` best entries of [`rank_scores`], found by partial selection:
+/// `O(n + k log k)` instead of a full sort.
 pub fn top_k_scores(scores: &[f64], query: NodeId, k: usize) -> Vec<(NodeId, f64)> {
     rank_prefix(slice_candidates(scores, query), k)
 }
@@ -130,6 +93,7 @@ pub fn top_k_scores(scores: &[f64], query: NodeId, k: usize) -> Vec<(NodeId, f64
 mod tests {
     use super::*;
     use crate::matrix::SimMatrix;
+    use crate::query::QueryEngine;
 
     fn sample() -> SimMatrix {
         let mut m = SimMatrix::identity(5);
@@ -140,34 +104,36 @@ mod tests {
         m
     }
 
+    fn ids(ranked: &[(NodeId, f64)]) -> Vec<NodeId> {
+        ranked.iter().map(|&(v, _)| v).collect()
+    }
+
     #[test]
     fn ranking_sorted_with_deterministic_ties() {
-        let r = rank_by_similarity(&sample(), 0);
+        let r = rank_scores(&sample().row(0), 0);
         // 1 and 3 tie at 0.9: lower id first.
-        assert_eq!(
-            r.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
-            vec![1, 3, 2, 4]
-        );
+        assert_eq!(ids(&r), vec![1, 3, 2, 4]);
     }
 
     #[test]
     fn query_vertex_excluded() {
-        let r = rank_by_similarity(&sample(), 0);
+        let r = rank_scores(&sample().row(0), 0);
         assert!(r.iter().all(|&(v, _)| v != 0));
         assert_eq!(r.len(), 4);
     }
 
     #[test]
     fn top_k_truncates() {
-        assert_eq!(top_k_ids(&sample(), 0, 2), vec![1, 3]);
-        assert_eq!(top_k_ids(&sample(), 0, 100).len(), 4);
-        assert!(top_k_ids(&sample(), 0, 0).is_empty());
+        let row = sample().row(0);
+        assert_eq!(ids(&top_k_scores(&row, 0, 2)), vec![1, 3]);
+        assert_eq!(top_k_scores(&row, 0, 100).len(), 4);
+        assert!(top_k_scores(&row, 0, 0).is_empty());
     }
 
     #[test]
     fn symmetric_queries() {
         // Ranking from vertex 1's perspective sees s(1, 0) = 0.9.
-        let r = rank_by_similarity(&sample(), 1);
+        let r = rank_scores(&sample().row(1), 1);
         assert_eq!(r[0].0, 0);
         assert!((r[0].1 - 0.9).abs() < 1e-15);
     }
@@ -182,32 +148,30 @@ mod tests {
         m.set(0, 3, -0.0);
         m.set(0, 4, 0.0);
         m.set(0, 5, f64::NAN);
-        let r = rank_by_similarity(&m, 0);
+        let row = m.row(0);
+        let r = rank_scores(&row, 0);
         // Finite scores first (0.5, then +0.0 before -0.0 by total order),
         // NaNs last with ties by ascending id.
-        assert_eq!(
-            r.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
-            vec![2, 4, 3, 1, 5]
-        );
+        assert_eq!(ids(&r), vec![2, 4, 3, 1, 5]);
         assert!(r[3].1.is_nan() && r[4].1.is_nan());
         // The partial-selection path agrees and never panics either.
-        assert_eq!(top_k_ids(&m, 0, 3), vec![2, 4, 3]);
-        assert_eq!(top_k_ids(&m, 0, 5), vec![2, 4, 3, 1, 5]);
+        assert_eq!(ids(&top_k_scores(&row, 0, 3)), vec![2, 4, 3]);
+        assert_eq!(ids(&top_k_scores(&row, 0, 5)), vec![2, 4, 3, 1, 5]);
     }
 
     #[test]
     fn slice_variants_match_matrix_variants() {
+        // `QueryEngine::top_k` over a packed matrix is the slice ranking of
+        // its row.
         let m = sample();
-        let mut row = vec![0.0; 5];
-        m.copy_row_into(0, &mut row);
-        assert_eq!(rank_scores(&row, 0), rank_by_similarity(&m, 0));
+        let row = m.row(0);
         for k in 0..6 {
-            assert_eq!(top_k_scores(&row, 0, k), top_k(&m, 0, k));
+            assert_eq!(top_k_scores(&row, 0, k), m.top_k(0, k));
+            assert_eq!(top_k_scores(&row, 0, k), rank_scores(&row, 0)[..k.min(4)]);
         }
         // A query id outside the slice excludes nothing.
         assert_eq!(rank_scores(&row, 99).len(), 5);
     }
-
     #[test]
     fn partial_selection_matches_full_sort() {
         // Dense tie plateaus + negative zero: the selection path must pin

@@ -25,6 +25,7 @@ use proptest::prelude::*;
 use simrank_core::index::SimRankIndex;
 use simrank_core::naive::naive_simrank;
 use simrank_core::psum::psum_simrank;
+use simrank_core::query::QueryEngine;
 use simrank_core::{dynamic, SimRankOptions};
 use simrank_graph::{gen, DiGraph, EdgeDelta, NodeId};
 
@@ -117,8 +118,8 @@ proptest! {
         mg.apply_batch(&script).expect("in-range script");
         let fresh = SimRankIndex::build(&mg, &opts);
         for u in 0..mg.node_count() as NodeId {
-            let got = repaired.query(u);
-            let want = fresh.query(u);
+            let got = repaired.single_source(u);
+            let want = fresh.single_source(u);
             for v in 0..mg.node_count() {
                 prop_assert!(
                     (got[v] - want[v]).abs() < 1e-8,
@@ -217,7 +218,7 @@ fn dynamic_delete_last_in_edge_matches_cold() {
     let repaired = index.repair(&script, &opts).expect("valid script");
     let fresh = SimRankIndex::build(&mg, &opts);
     for u in 0..20 {
-        let (got, want) = (repaired.query(u), fresh.query(u));
+        let (got, want) = (repaired.single_source(u), fresh.single_source(u));
         for v in 0..20 {
             assert!(
                 (got[v as usize] - want[v as usize]).abs() < 1e-8,

@@ -226,10 +226,12 @@ proptest! {
         g in arb_graph(),
         seed in 0u64..1_000_000,
     ) {
-        let nz = |t: usize| NonZeroUsize::new(t).unwrap();
-        let (fp1, r1) = Fingerprints::sample_with_report(&g, 6, 16, seed, nz(1));
+        let sample = |seed: u64, t: usize| {
+            Fingerprints::sample(&g, 6, 16, seed, &SimRankOptions::default().with_threads(t))
+        };
+        let (fp1, r1) = sample(seed, 1);
         for t in [2usize, 4, 8] {
-            let (fpt, rt) = Fingerprints::sample_with_report(&g, 6, 16, seed, nz(t));
+            let (fpt, rt) = sample(seed, t);
             prop_assert!(fp1 == fpt, "fingerprints diverged at threads={t}");
             prop_assert_eq!(r1.adds, rt.adds, "merged step counts must be exact");
         }
@@ -243,7 +245,7 @@ proptest! {
             .filter(|&v| g.in_neighbors(v as NodeId).len() >= 2)
             .count();
         if branchy >= 3 {
-            let other = Fingerprints::sample_with_threads(&g, 6, 16, seed.wrapping_add(1), nz(4));
+            let (other, _) = sample(seed.wrapping_add(1), 4);
             prop_assert!(fp1 != other, "changing the seed left every fingerprint unchanged");
         }
     }
@@ -260,13 +262,13 @@ proptest! {
     ) {
         let nz = |t: usize| NonZeroUsize::new(t).unwrap();
         let n = g.node_count();
-        let engine = Fingerprints::sample(&g, 6, 12, seed).into_query_engine(0.6, n);
+        let (engine, _) = Fingerprints::sample(&g, 6, 12, seed, &SimRankOptions::default());
         let sources: Vec<NodeId> = (0..n as NodeId).step_by(2).collect();
         let base = engine.single_source_batch(&sources, nz(1));
         for (row, &a) in base.iter().zip(&sources) {
             prop_assert_eq!(
                 row,
-                &engine.fingerprints().single_source(0.6, a, n),
+                &engine.single_source(a),
                 "source {} diverged",
                 a
             );
@@ -356,7 +358,7 @@ proptest! {
         // truncations plus the diagonal-solve tolerance.
         let tol = 2.0 * c.powi(31) / (1.0 - c) + 1e-3;
         for u in 0..g.node_count() {
-            let col = index.query(u as NodeId);
+            let col = index.single_source(u as NodeId);
             for v in 0..g.node_count() {
                 prop_assert!(
                     (col[v] - dense.get(u, v)).abs() < tol,
@@ -387,7 +389,7 @@ proptest! {
         prop_assert_eq!(r1.adds, rt.adds, "op counts diverged");
         let sources: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
         let nz = |w: usize| NonZeroUsize::new(w).unwrap();
-        let singles: Vec<Vec<f64>> = sources.iter().map(|&u| base.query(u)).collect();
+        let singles: Vec<Vec<f64>> = sources.iter().map(|&u| base.single_source(u)).collect();
         prop_assert_eq!(
             base.single_source_batch(&sources, nz(t)),
             singles,
@@ -415,15 +417,13 @@ proptest! {
     /// handle round-trips to an identical store.
     #[test]
     fn store_low_rank_pins_densified_mtx(g in arb_graph(), k in 1u32..5, c in 0.3f64..0.8) {
-        use simrank_core::store::ScoreStore;
         let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
         let dense = simrank_core::mtx::mtx_simrank(&g, &opts, None);
         let lr = simrank_core::mtx::mtx_simrank_low_rank(&g, &opts, None);
         let n = g.node_count();
-        prop_assert_eq!(ScoreStore::order(&lr), n);
-        let mut row = vec![0.0; n];
+        prop_assert_eq!(lr.order(), n);
         for a in 0..n {
-            lr.copy_row_into(a, &mut row);
+            let row = lr.single_source(a as NodeId);
             for b in 0..n {
                 prop_assert_eq!(
                     lr.get(a, b).to_bits(),
@@ -435,16 +435,15 @@ proptest! {
         }
         // Same scores and tie-breaks => bit-identical rankings.
         for q in 0..n.min(4) as NodeId {
-            prop_assert_eq!(
-                simrank_core::topk::top_k(&lr, q, 5),
-                simrank_core::topk::top_k(&dense, q, 5)
-            );
+            prop_assert_eq!(lr.top_k(q, 5), dense.top_k(q, 5));
         }
         // A truncated factorization still approximates the exact scores.
         let r = (n / 2).max(1);
         let trunc = simrank_core::mtx::mtx_simrank_low_rank(&g, &opts, Some(r));
         prop_assert_eq!(trunc.rank(), r.min(n));
-        prop_assert!(ScoreStore::max_abs_diff(&trunc, &dense) < 1.0);
+        for (lo, hi, v) in dense.iter_upper() {
+            prop_assert!((trunc.get(lo, hi) - v).abs() < 1.0, "s({},{})", lo, hi);
+        }
         // SRL1 round trip is exact.
         let mut buf = Vec::new();
         simrank_core::persist::write_low_rank(&lr, &mut buf).unwrap();
@@ -461,7 +460,7 @@ proptest! {
         c in 0.2f64..0.9,
         theta in 0.0f64..0.05,
     ) {
-        use simrank_core::store::{ScoreStore, ThresholdedSparse};
+        use simrank_core::store::ThresholdedSparse;
         let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
         let dense = oip_simrank(&g, &opts);
         let exact = ThresholdedSparse::from_store(&dense, 0.0);
@@ -479,12 +478,13 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(ScoreStore::max_abs_diff(&exact, &dense), 0.0);
         prop_assert!(lossy.nnz() <= exact.nnz());
         for q in 0..n.min(3) as NodeId {
+            let row = exact.single_source(q);
+            prop_assert_eq!(&row, &dense.single_source(q));
             prop_assert_eq!(
-                simrank_core::topk::rank_by_similarity(&exact, q),
-                simrank_core::topk::rank_by_similarity(&dense, q)
+                simrank_core::topk::rank_scores(&row, q),
+                simrank_core::topk::rank_scores(&dense.single_source(q), q)
             );
         }
     }

@@ -4,11 +4,10 @@
 //!
 //! Any engine family serves through the same loop: the linearized
 //! [`SimRankIndex`](simrank_core::index::SimRankIndex), every
-//! precomputed [`ScoreStore`](simrank_core::store::ScoreStore) backend
-//! (packed triangle, low-rank factors, thresholded sparse), and the
-//! Monte-Carlo
-//! [`FingerprintEngine`](simrank_core::montecarlo::FingerprintEngine) —
-//! the server holds a `Box<dyn QueryEngine>` and never knows which.
+//! precomputed score backend (packed triangle, low-rank factors,
+//! thresholded sparse), and the Monte-Carlo
+//! [`Fingerprints`](simrank_core::montecarlo::Fingerprints) — the server
+//! holds a `Box<dyn QueryEngine>` and never knows which.
 //!
 //! # Pieces
 //!

@@ -31,7 +31,6 @@ fn assert_rows_eq(got: &[f64], want: &[f64], ctx: &str) {
 #[test]
 fn one_loop_serves_every_engine_family() {
     let g = gen::copying_web_graph(gen::CopyingParams::berkstan_like(40), 5);
-    let n = g.node_count();
     let packed = oip_simrank(&g, &opts());
     let engines: Vec<(&str, Box<dyn QueryEngine>)> = vec![
         (
@@ -49,7 +48,7 @@ fn one_loop_serves_every_engine_family() {
         ),
         (
             "fingerprints",
-            Box::new(Fingerprints::sample(&g, 6, 24, 3).into_query_engine(0.6, n)),
+            Box::new(Fingerprints::sample(&g, 6, 24, 3, &SimRankOptions::default()).0),
         ),
     ];
     for (name, engine) in engines {
@@ -374,8 +373,12 @@ fn dynamic_reload_publishes_repaired_index_per_batch() {
         for u in [0 as NodeId, 7, 19] {
             let (generation, row) = client.single_source(u).unwrap();
             assert_eq!(generation, round + 2);
-            assert_rows_eq(&row, &index.query(u), "served row vs repaired engine");
-            for (v, (a, b)) in row.iter().zip(&fresh.query(u)).enumerate() {
+            assert_rows_eq(
+                &row,
+                &index.single_source(u),
+                "served row vs repaired engine",
+            );
+            for (v, (a, b)) in row.iter().zip(&fresh.single_source(u)).enumerate() {
                 assert!(
                     (a - b).abs() < 1e-8,
                     "gen {generation}: s({u},{v}) repaired {a} vs fresh {b}"

@@ -7,7 +7,7 @@
 //! cargo run --release --example citation_prior_art
 //! ```
 
-use simrank::algo::{montecarlo, oip, topk, SimRankOptions};
+use simrank::algo::{montecarlo, oip, QueryEngine, SimRankOptions};
 use simrank::datasets;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     let scores = oip::oip_simrank(g, &opts);
 
     println!("\nmost similar patents (candidates for overlapping prior art):");
-    for (rank, (patent, score)) in topk::top_k(&scores, query, 8).into_iter().enumerate() {
+    for (rank, (patent, score)) in scores.top_k(query, 8).into_iter().enumerate() {
         let cocited = g
             .in_neighbors(query)
             .iter()
@@ -42,7 +42,7 @@ fn main() {
 
     // Cross-check the top hit with the Monte-Carlo estimator (Fogaras-Rácz
     // random surfers) — handy when only a handful of pairs are needed.
-    let (top, exact) = topk::top_k(&scores, query, 1)[0];
+    let (top, exact) = scores.top_k(query, 1)[0];
     let estimate = montecarlo::mc_simrank_pair(g, query, top, &opts, 20, 20_000, 7);
     println!(
         "\nMonte-Carlo cross-check of the top pair: estimate {estimate:.4} vs iterative {exact:.4}"

@@ -6,7 +6,7 @@
 //! cargo run --release --example coauthor_recommendation
 //! ```
 
-use simrank::algo::{dsr, oip, topk, SimRankOptions};
+use simrank::algo::{dsr, oip, QueryEngine, SimRankOptions};
 use simrank::datasets;
 use simrank::eval::{kendall_tau_distance, top_k_overlap};
 
@@ -31,7 +31,7 @@ fn main() {
         .with_epsilon(1e-3);
     let scores = oip::oip_simrank(g, &opts);
     println!("\ntop-10 recommended collaborators (conventional SimRank):");
-    for (rank, (author, score)) in topk::top_k(&scores, query, 10).into_iter().enumerate() {
+    for (rank, (author, score)) in scores.top_k(query, 10).into_iter().enumerate() {
         let direct = if g.has_edge(author, query) {
             "existing co-author"
         } else {
@@ -46,8 +46,10 @@ fn main() {
     // The differential model gives the same answer 5x+ faster — verify the
     // ranking barely moves.
     let fast = dsr::oip_dsr_simrank(g, &opts);
-    let a = topk::top_k_ids(&scores, query, 30);
-    let b = topk::top_k_ids(&fast, query, 30);
+    let ids = |s: &dyn QueryEngine| -> Vec<_> {
+        s.top_k(query, 30).into_iter().map(|(v, _)| v).collect()
+    };
+    let (a, b) = (ids(&scores), ids(&fast));
     println!(
         "\ndifferential vs conventional top-30: overlap {:.2}, Kendall tau distance {}",
         top_k_overlap(&a, &b),

@@ -12,7 +12,7 @@
 //! cargo run --release --example dynamic_stream
 //! ```
 
-use simrank::algo::{convergence, dynamic, index::SimRankIndex, topk, QueryEngine, SimRankOptions};
+use simrank::algo::{convergence, dynamic, index::SimRankIndex, QueryEngine, SimRankOptions};
 use simrank::datasets;
 use simrank::graph::EdgeDelta;
 use std::time::Instant;
@@ -88,7 +88,7 @@ fn main() {
         .max_by_key(|&v| tracker.graph().in_degree(v))
         .expect("non-empty");
     println!("\ntop-5 for node #{query} after the stream:");
-    let by_sweep = topk::top_k(tracker.scores(), query, 5);
+    let by_sweep = tracker.scores().top_k(query, 5);
     let by_index = index.top_k(query, 5);
     for (rank, ((sv, ss), (iv, is))) in by_sweep.iter().zip(&by_index).enumerate() {
         println!(

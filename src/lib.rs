@@ -16,7 +16,8 @@
 //!   index-backed single-source/top-k query engine
 //!   (`simrank_core::index`), the pluggable score-storage layer
 //!   (`simrank_core::store`: packed triangle, low-rank factors,
-//!   thresholded sparse — all behind one `ScoreStore` trait), and
+//!   thresholded sparse — all read through the one `QueryEngine`
+//!   trait), and
 //!   dynamic maintenance under edge streams (`simrank_core::dynamic`:
 //!   warm-start delta sweeps and incremental index repair over the
 //!   `DiGraph::apply_batch` mutation API).
@@ -93,8 +94,6 @@ pub mod prelude {
         prank::{prank, PRankOptions},
         psum::psum_simrank,
         query::QueryEngine,
-        store::ScoreStore,
-        topk::{top_k, top_k_ids},
         SimMatrix, SimRankOptions,
     };
     pub use simrank_eval::{kendall_tau, ndcg_at, top_k_overlap};

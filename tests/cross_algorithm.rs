@@ -111,13 +111,13 @@ fn monte_carlo_tracks_exact() {
         .with_damping(0.6)
         .with_iterations(15);
     let exact = naive::naive_simrank(&g, &opts);
-    let fp = Fingerprints::sample(&g, 15, 8_000, 13);
+    let (fp, _) = Fingerprints::sample(&g, 15, 8_000, 13, &opts);
     let mut exact_v = Vec::new();
     let mut mc_v = Vec::new();
     for a in 0..9u32 {
         for b in (a + 1)..9u32 {
             exact_v.push(exact.get(a as usize, b as usize));
-            mc_v.push(fp.estimate(0.6, a, b));
+            mc_v.push(fp.estimate(a, b));
         }
     }
     let tau = simrank::eval::kendall_tau(&exact_v, &mc_v);

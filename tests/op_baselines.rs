@@ -26,7 +26,6 @@ use simrank::algo::prank::{prank_with_report, PRankOptions};
 use simrank::algo::{dsr, dynamic, naive, oip, psum, Report, SimMatrix, SimRankOptions};
 use simrank::graph::{fixtures, gen, DiGraph, EdgeDelta};
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/op_counts.txt");
 const DIGEST_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/score_digests.txt");
@@ -109,7 +108,7 @@ fn measured_cases() -> Vec<(String, u64)> {
         ));
         out.push((
             format!("montecarlo/{gname}"),
-            Fingerprints::sample_with_report(&g, 8, 32, 1, NonZeroUsize::MIN)
+            Fingerprints::sample(&g, 8, 32, 1, &SimRankOptions::default().with_threads(1))
                 .1
                 .adds,
         ));

@@ -76,8 +76,9 @@ fn claim_relative_order_preserved() {
         .nodes()
         .max_by_key(|&v| g.in_degree(v))
         .expect("non-empty");
-    let truth_ids = simrank::algo::topk::top_k_ids(&truth, query, 10);
-    let fast_ids = simrank::algo::topk::top_k_ids(&fast, query, 10);
+    let ids =
+        |s: &SimMatrix| -> Vec<NodeId> { s.top_k(query, 10).into_iter().map(|(v, _)| v).collect() };
+    let (truth_ids, fast_ids) = (ids(&truth), ids(&fast));
     let overlap = top_k_overlap(&truth_ids, &fast_ids);
     assert!(overlap >= 0.8, "top-10 overlap {overlap}");
 }

@@ -101,11 +101,11 @@ fn montecarlo_entry_points() {
     for a in 0..9u32 {
         assert_eq!(mc_simrank_pair(&g, a, a, &opts, 8, 50, 7), 1.0);
     }
-    let fp = Fingerprints::sample(&g, 8, 400, 7);
+    let (fp, _) = Fingerprints::sample(&g, 8, 400, 7, &opts);
     for a in 0..9u32 {
-        assert_eq!(fp.estimate(0.6, a, a), 1.0, "fingerprint s({a},{a})");
+        assert_eq!(fp.estimate(a, a), 1.0, "fingerprint s({a},{a})");
         for b in 0..9u32 {
-            let v = fp.estimate(0.6, a, b);
+            let v = fp.estimate(a, b);
             assert!((0.0..=1.0).contains(&v), "montecarlo: s({a},{b}) = {v}");
         }
     }
@@ -134,11 +134,11 @@ fn prelude_supports_the_full_query_pipeline() {
     let g: DiGraph = b.build();
     let s = oip_simrank(&g, &SimRankOptions::default().with_iterations(10));
     let query: NodeId = 2;
-    let ids = top_k_ids(&s, query, 2);
+    let ids: Vec<NodeId> = s.top_k(query, 2).into_iter().map(|(v, _)| v).collect();
     assert_eq!(ids[0], 3, "vertices 2 and 3 share both in-neighbors");
-    let ranked = top_k(&s, query, 3);
+    let ranked = s.top_k(query, 3);
     assert_eq!(ranked.len(), 3);
-    assert!(top_k_overlap(&ids, &top_k_ids(&s, query, 2)) == 1.0);
+    assert!(top_k_overlap(&ids, &ids) == 1.0);
     let tau = kendall_tau(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]);
     assert!((tau - 1.0).abs() < 1e-12);
     let ndcg = ndcg_at(&ids, |v: NodeId| s.get(query as usize, v as usize), 2);
