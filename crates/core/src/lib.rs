@@ -65,9 +65,8 @@
 //! representations, and the Monte-Carlo [`montecarlo::Fingerprints`] —
 //! goes through the object-safe [`query::QueryEngine`] trait: one
 //! `single_source` / `top_k` / batched vocabulary (with pool-sharded,
-//! bit-deterministic batch defaults) that front-ends, the ranking layer
-//! ([`topk`]) and the `simrank_serve` crate program against via
-//! `Box<dyn QueryEngine>`.
+//! bit-deterministic batch defaults) that front-ends and the
+//! `simrank_serve` crate program against via `Box<dyn QueryEngine>`.
 //!
 //! # Parallel execution
 //!
