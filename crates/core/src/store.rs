@@ -107,9 +107,7 @@ impl LowRankScores {
     pub fn mixing(&self) -> &DenseMatrix {
         &self.ms
     }
-}
 
-impl LowRankScores {
     /// Matrix order `n`.
     pub fn order(&self) -> usize {
         self.u.rows()

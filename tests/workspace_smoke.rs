@@ -138,7 +138,8 @@ fn prelude_supports_the_full_query_pipeline() {
     assert_eq!(ids[0], 3, "vertices 2 and 3 share both in-neighbors");
     let ranked = s.top_k(query, 3);
     assert_eq!(ranked.len(), 3);
-    assert!(top_k_overlap(&ids, &ids) == 1.0);
+    let again: Vec<NodeId> = s.top_k(query, 2).into_iter().map(|(v, _)| v).collect();
+    assert!(top_k_overlap(&ids, &again) == 1.0);
     let tau = kendall_tau(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]);
     assert!((tau - 1.0).abs() < 1e-12);
     let ndcg = ndcg_at(&ids, |v: NodeId| s.get(query as usize, v as usize), 2);
