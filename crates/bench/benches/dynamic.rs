@@ -1,19 +1,13 @@
-//! Criterion microbenchmarks for dynamic-graph maintenance.
+//! Criterion microbenchmark for incremental index repair.
 //!
-//! Three costs matter for a serving system absorbing an edge stream, and
-//! each gets its own group:
-//!
-//! * `apply_batch` — the pure CSR patch cost, reported per batch size so
-//!   updates/sec is `batch size / time`. Each iteration applies a script
-//!   and then its inverse, so the graph is back in its original state and
-//!   every iteration does identical work.
-//! * `dynamic_resweep` — the warm-start delta sweep from stale converged
-//!   scores, on both stream families (site-template BERKSTAN-like and
-//!   preferential attachment). Compare against the cold `naive`/`psum`
-//!   numbers in `BENCH_figures.json` to see the warm-start payoff.
-//! * `index_repair` — re-solving the diagonal-correction system from the
-//!   stale diagonal. Compare against perfbench's serve-zipf
-//!   `index.build_s` row: the warm CGLS seed is the whole point.
+//! `index_repair` re-solves the diagonal-correction system of a
+//! `SimRankIndex` after a 16-delta edge batch, seeding CGLS with the
+//! stale diagonal. No perfbench metric covers repair; compare against
+//! perfbench's serve-zipf `index.build_s` row, the cold build: the warm
+//! CGLS seed is the whole point. (The CSR patch and the warm resweep are
+//! measured by perfbench's allpairs-stream rows `graph.apply_batch_ms`,
+//! `dynamic.resweep_s`, `dynamic.resweep_sweeps` and
+//! `dynamic.resweep_adds`.)
 //!
 //! Results land in `BENCH_dynamic.json` via the vendored criterion's
 //! `BENCH_JSON_DIR` hook; the CI bench-smoke job discovers this harness
@@ -21,9 +15,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simrank_core::index::SimRankIndex;
-use simrank_core::{dynamic, naive, SimRankOptions};
+use simrank_core::SimRankOptions;
 use simrank_datasets as datasets;
-use simrank_graph::{gen, DiGraph, EdgeDelta};
+use simrank_graph::{DiGraph, EdgeDelta};
 
 const SEED: u64 = datasets::DEFAULT_SEED;
 
@@ -55,51 +49,9 @@ fn script(g: &DiGraph, k: usize) -> Vec<EdgeDelta> {
     deltas
 }
 
-/// The inverse script, in reverse order, so `forward; backward` is a
-/// round trip back to the original graph.
-fn inverse(script: &[EdgeDelta]) -> Vec<EdgeDelta> {
-    script.iter().rev().map(|d| d.inverse()).collect()
-}
-
-/// Pure CSR patch throughput: updates/sec = batch size / measured time
-/// (each iteration applies the script *and* its inverse, i.e. 2×size
-/// deltas, restoring the graph every time).
-fn apply_batch(c: &mut Criterion) {
-    let mut g = datasets::berkstan_like(700, SEED).graph;
-    let mut group = c.benchmark_group("apply_batch");
-    for size in [1usize, 16, 64] {
-        let fwd = script(&g, size);
-        let bwd = inverse(&fwd);
-        group.bench_function(format!("berkstan700_batch{size}"), |b| {
-            b.iter(|| {
-                g.apply_batch(&fwd).expect("forward script");
-                g.apply_batch(&bwd).expect("inverse script");
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Warm-start delta sweep after a 16-delta batch, per stream family.
-fn dynamic_resweep(c: &mut Criterion) {
-    let opts = opts();
-    let cases = [
-        ("berkstan260", datasets::berkstan_like(260, SEED).graph),
-        ("prefattach300", gen::preferential_attachment(300, 3, SEED)),
-    ];
-    let mut group = c.benchmark_group("dynamic_resweep");
-    group.sample_size(10);
-    for (name, g) in cases {
-        let warm = naive::naive_simrank(&g, &opts);
-        let mut mg = g.clone();
-        mg.apply_batch(&script(&g, 16)).expect("valid script");
-        group.bench_function(name, |b| b.iter(|| dynamic::resweep(&mg, &warm, &opts)));
-    }
-    group.finish();
-}
-
 /// Index repair after a 16-delta batch: the stale diagonal seeds CGLS, so
-/// this should sit well below the `index_build` cost on the same graph.
+/// this should sit well below a cold `SimRankIndex::build` of the same
+/// graph.
 fn index_repair(c: &mut Criterion) {
     let opts = opts();
     let g = datasets::berkstan_like(700, SEED).graph;
@@ -113,5 +65,5 @@ fn index_repair(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, apply_batch, dynamic_resweep, index_repair);
+criterion_group!(benches, index_repair);
 criterion_main!(benches);

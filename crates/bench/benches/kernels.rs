@@ -22,7 +22,7 @@ use simrank_core::{naive, psum, SimRankOptions};
 use simrank_datasets as datasets;
 use simrank_graph::DiGraph;
 use simrank_linalg::DenseMatrix;
-use simrank_par::kernel;
+use simrank_par::{kernel, WorkerPool};
 
 const SEED: u64 = datasets::DEFAULT_SEED;
 
@@ -259,8 +259,8 @@ fn psum_triangular_scalar(g: &DiGraph, c: f64, k: u32) -> Vec<f64> {
 
 /// Pre-kernel tiled matmul: same transpose-then-dot schedule as the
 /// shipped [`DenseMatrix::matmul`], scalar inner dot.
-fn matmul_scalar(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let bt = b.transpose();
+fn matmul_scalar(a: &DenseMatrix, b: &DenseMatrix, pool: &mut WorkerPool<'_>) -> DenseMatrix {
+    let bt = b.transpose(pool);
     DenseMatrix::from_fn(a.rows(), b.cols(), |i, j| scalar_dot(a.row(i), bt.row(j)))
 }
 
@@ -290,10 +290,14 @@ fn kernel_sweeps(c: &mut Criterion) {
     let n = 384;
     let ma = DenseMatrix::from_rows(n, n, &splitmix_vals(SEED, n * n));
     let mb = DenseMatrix::from_rows(n, n, &splitmix_vals(SEED ^ 0x33, n * n));
-    group.bench_function("matmul/scalar", |b| {
-        b.iter(|| matmul_scalar(black_box(&ma), black_box(&mb)))
+    WorkerPool::scoped(1, |pool| {
+        group.bench_function("matmul/scalar", |b| {
+            b.iter(|| matmul_scalar(black_box(&ma), black_box(&mb), pool))
+        });
+        group.bench_function("matmul/kernel", |b| {
+            b.iter(|| black_box(&ma).matmul(&mb, pool))
+        });
     });
-    group.bench_function("matmul/kernel", |b| b.iter(|| black_box(&ma).matmul(&mb)));
     group.finish();
 }
 

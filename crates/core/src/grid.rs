@@ -13,10 +13,10 @@ use simrank_par::kernel;
 ///
 /// Every dense sweep computes only the **upper triangle** (`b ≥ a`) — the
 /// SimRank recurrence is symmetric, so the lower triangle is redundant
-/// arithmetic — and then mirrors it down with the bandwidth-only
-/// [`ScoreGrid::mirror_upper_to_lower`] pass (or its sharded sibling
-/// `par::mirror_upper_to_lower`) before the next iteration reads whole
-/// rows. The upper triangle is therefore authoritative everywhere.
+/// arithmetic — and the iteration driver then mirrors it down with the
+/// bandwidth-only pooled pass `simrank_par::mirror_upper_to_lower` before
+/// the next iteration reads whole rows. The upper triangle is therefore
+/// authoritative everywhere.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScoreGrid {
     n: usize,
@@ -135,18 +135,6 @@ impl ScoreGrid {
         kernel::max_abs_diff(&self.data, &other.data)
     }
 
-    /// Copies the (authoritative) upper triangle of each row into the
-    /// strictly-lower triangle of the rows below it: `(a, b) ← (b, a)` for
-    /// all `b < a`. This is the sequential form of the post-pass every
-    /// triangular sweep runs before the next iteration reads full rows;
-    /// `par::mirror_upper_to_lower` shards the same cache-blocked body
-    /// ([`kernel::mirror_lower_rows`]) by row weight.
-    pub fn mirror_upper_to_lower(&mut self) {
-        // SAFETY: exclusive `&mut self` access; this single call owns
-        // every row of the square buffer.
-        unsafe { kernel::mirror_lower_rows(self.data.as_mut_ptr(), self.n, 1..self.n) };
-    }
-
     /// Converts to packed symmetric storage — a straight copy of the upper
     /// triangle, which the triangular sweeps make authoritative (no
     /// averaging of redundantly-computed triangles).
@@ -200,24 +188,6 @@ mod tests {
         let m = g.to_sim_matrix();
         assert_eq!(m.get(0, 1), 0.4);
         assert_eq!(m.get(1, 0), 0.4);
-    }
-
-    #[test]
-    fn mirror_overwrites_lower_triangle() {
-        let mut g = ScoreGrid::zeros(3);
-        g.set(0, 1, 0.25);
-        g.set(0, 2, 0.5);
-        g.set(1, 2, 0.75);
-        g.set(2, 0, 9.0); // stale value the mirror must clobber
-        g.set_diagonal(1.0);
-        g.mirror_upper_to_lower();
-        for a in 0..3 {
-            for b in 0..3 {
-                assert_eq!(g.get(a, b), g.get(b, a), "({a},{b})");
-            }
-        }
-        assert_eq!(g.get(2, 0), 0.5);
-        assert_eq!(g.get(1, 1), 1.0, "diagonal untouched");
     }
 
     #[test]

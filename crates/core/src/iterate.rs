@@ -168,32 +168,6 @@ fn sieve_upper(grid: &mut ScoreGrid, delta: f64) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sharded_mirror_matches_sequential() {
-        let n = 17;
-        let mut seq = ScoreGrid::zeros(n);
-        for i in 0..n {
-            for j in i..n {
-                seq.set(i, j, (i * 31 + j) as f64 * 0.01);
-            }
-        }
-        // Poison the lower triangle: the mirror must overwrite all of it.
-        for i in 1..n {
-            for j in 0..i {
-                seq.set(i, j, -7.0);
-            }
-        }
-        let sharded = seq.clone();
-        seq.mirror_upper_to_lower();
-        for workers in [1usize, 2, 3, 4] {
-            let mut g = sharded.clone();
-            WorkerPool::scoped(workers, |pool| {
-                simrank_par::mirror_upper_to_lower(pool, g.data_mut(), n)
-            });
-            assert_eq!(g, seq, "workers = {workers}");
-        }
-    }
-
     fn bits(s: &crate::SimMatrix) -> Vec<u64> {
         s.iter_upper().map(|(_, _, v)| v.to_bits()).collect()
     }

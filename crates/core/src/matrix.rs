@@ -7,11 +7,12 @@ use simrank_par::kernel;
 ///
 /// SimRank matrices are symmetric by definition, so packing halves the
 /// dominant memory cost of all-pairs computation and *enforces* symmetry of
-/// the result. The row helpers ([`SimMatrix::add_row_into`],
-/// [`SimMatrix::sub_row_from`]) are the hot path of the partial-sums
-/// machinery: they traverse the contiguous prefix of a row and the strided
-/// suffix with incremental index arithmetic, never recomputing triangle
-/// offsets per element.
+/// the result. This is the result container every dense all-pairs entry
+/// point returns; the sweeps themselves iterate on full-square
+/// [`ScoreGrid`](crate::grid::ScoreGrid) rows. Row reads
+/// ([`SimMatrix::copy_row_into`]) walk the contiguous prefix of a row and
+/// the strided suffix with incremental index arithmetic, never
+/// recomputing triangle offsets per element.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimMatrix {
     n: usize,
@@ -52,13 +53,6 @@ impl SimMatrix {
         m
     }
 
-    /// Scaled identity — the differential seed `Ŝ₀ = e^{-C}·I`.
-    pub fn scaled_identity(n: usize, alpha: f64) -> Self {
-        let mut m = Self::zeros(n);
-        m.set_diagonal(alpha);
-        m
-    }
-
     /// Matrix order `n`.
     #[inline]
     pub fn order(&self) -> usize {
@@ -85,41 +79,6 @@ impl SimMatrix {
     pub fn set_diagonal(&mut self, v: f64) {
         for i in 0..self.n {
             self.data[tri(i) + i] = v;
-        }
-    }
-
-    /// Resets every entry to zero (reused between iterations).
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// `out[y] += s(x, y)` for all `y` — one partial-sum accumulation.
-    /// The contiguous prefix (`y ≤ x`) routes through
-    /// [`kernel::accumulate`]; the strided suffix keeps its incremental
-    /// index walk (its access pattern does not vectorize).
-    pub fn add_row_into(&self, x: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.n);
-        let base = tri(x);
-        // y ≤ x: contiguous slice of row x.
-        kernel::accumulate(&mut out[..=x], &self.data[base..base + x + 1]);
-        // y > x: entry (y, x) at tri(y) + x; advance tri(y) incrementally.
-        let mut idx = tri(x + 1) + x;
-        for (dy, o) in out[x + 1..].iter_mut().enumerate() {
-            *o += self.data[idx];
-            idx += x + 2 + dy; // tri(y+1) - tri(y) = y + 1
-        }
-    }
-
-    /// `out[y] -= s(x, y)` for all `y` — the subtraction half of the
-    /// symmetric-difference update in Proposition 3.
-    pub fn sub_row_from(&self, x: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.n);
-        let base = tri(x);
-        kernel::subtract(&mut out[..=x], &self.data[base..base + x + 1]);
-        let mut idx = tri(x + 1) + x;
-        for (dy, o) in out[x + 1..].iter_mut().enumerate() {
-            *o -= self.data[idx];
-            idx += x + 2 + dy;
         }
     }
 
@@ -153,17 +112,6 @@ impl SimMatrix {
     pub fn max_abs_diff(&self, other: &SimMatrix) -> f64 {
         assert_eq!(self.n, other.n, "order mismatch");
         kernel::max_abs_diff(&self.data, &other.data)
-    }
-
-    /// Largest absolute entry.
-    pub fn max_norm(&self) -> f64 {
-        kernel::max_abs(&self.data)
-    }
-
-    /// `self += alpha · other` — the differential accumulation step.
-    pub fn add_assign_scaled(&mut self, other: &SimMatrix, alpha: f64) {
-        assert_eq!(self.n, other.n, "order mismatch");
-        kernel::axpy(&mut self.data, alpha, &other.data);
     }
 
     /// Heap footprint in bytes.
@@ -236,12 +184,12 @@ mod tests {
                 assert_eq!(m.get(i, j), if i == j { 1.0 } else { 0.0 });
             }
         }
-        let s = SimMatrix::scaled_identity(3, 0.25);
-        assert_eq!(s.get(2, 2), 0.25);
     }
 
     #[test]
-    fn add_row_matches_get() {
+    fn copy_row_matches_get() {
+        // Every row, every column: the contiguous prefix and the strided
+        // suffix walk of the packed triangle.
         let n = 7;
         let mut m = SimMatrix::zeros(n);
         // Fill with distinct values.
@@ -251,28 +199,11 @@ mod tests {
             }
         }
         for x in 0..n {
-            let mut out = vec![0.0; n];
-            m.add_row_into(x, &mut out);
+            let mut out = vec![f64::NAN; n];
+            m.copy_row_into(x, &mut out);
             for (y, &v) in out.iter().enumerate() {
                 assert_eq!(v, m.get(x, y), "row {x} col {y}");
             }
-        }
-    }
-
-    #[test]
-    fn sub_row_inverts_add_row() {
-        let n = 6;
-        let mut m = SimMatrix::zeros(n);
-        for i in 0..n {
-            for j in i..n {
-                m.set(i, j, ((i + 1) * (j + 2)) as f64 / 10.0);
-            }
-        }
-        let mut out = vec![0.25; n];
-        m.add_row_into(3, &mut out);
-        m.sub_row_from(3, &mut out);
-        for &v in &out {
-            assert!((v - 0.25).abs() < 1e-15);
         }
     }
 
@@ -310,17 +241,8 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b), 0.0);
         a.set(0, 2, -0.4);
         assert_eq!(a.max_abs_diff(&b), 0.4);
-        assert_eq!(a.max_norm(), 1.0);
-    }
-
-    #[test]
-    fn scaled_accumulation() {
-        let mut acc = SimMatrix::scaled_identity(2, 0.5);
-        let mut t = SimMatrix::zeros(2);
-        t.set(0, 1, 1.0);
-        acc.add_assign_scaled(&t, 0.25);
-        assert_eq!(acc.get(0, 1), 0.25);
-        assert_eq!(acc.get(0, 0), 0.5);
+        // ‖a‖max as the distance from the zero matrix.
+        assert_eq!(a.max_abs_diff(&SimMatrix::zeros(3)), 1.0);
     }
 
     #[test]

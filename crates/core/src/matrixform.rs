@@ -9,6 +9,13 @@
 use crate::matrix::SimMatrix;
 use simrank_graph::DiGraph;
 use simrank_linalg::{CsrMatrix, DenseMatrix};
+use simrank_par::WorkerPool;
+
+/// The backward transition matrix `Q` of `g`, built on a 1-wide pool
+/// (`Q` is bit-identical at every width).
+fn transition(g: &DiGraph) -> CsrMatrix {
+    WorkerPool::scoped(1, |pool| CsrMatrix::backward_transition(g, pool))
+}
 
 /// Conventional matrix-form SimRank (Eq. 3), iterated `k` times:
 /// `S ← C·Q·S·Qᵀ + (1−C)·Iₙ`, starting from `S₀ = (1−C)·Iₙ`.
@@ -18,7 +25,7 @@ use simrank_linalg::{CsrMatrix, DenseMatrix};
 /// geometric sum `(1−C)·Σ Cⁱ Qⁱ(Qᵀ)ⁱ`.
 pub fn matrix_form_simrank(g: &DiGraph, c: f64, k: u32) -> DenseMatrix {
     let n = g.node_count();
-    let q = CsrMatrix::backward_transition(g);
+    let q = transition(g);
     let mut identity = DenseMatrix::identity(n);
     identity.scale(1.0 - c);
     let mut s = identity.clone();
@@ -38,7 +45,7 @@ pub fn matrix_form_simrank(g: &DiGraph, c: f64, k: u32) -> DenseMatrix {
 /// between the two forms in tests.
 pub fn iterative_form_reference(g: &DiGraph, c: f64, k: u32) -> DenseMatrix {
     let n = g.node_count();
-    let q = CsrMatrix::backward_transition(g);
+    let q = transition(g);
     let mut s = DenseMatrix::identity(n);
     for _ in 0..k {
         let qs = q.mul_dense(&s);
@@ -56,7 +63,7 @@ pub fn iterative_form_reference(g: &DiGraph, c: f64, k: u32) -> DenseMatrix {
 /// the packed `Ŝ_k`.
 pub fn dsr_matrix_reference(g: &DiGraph, c: f64, k: u32) -> SimMatrix {
     let n = g.node_count();
-    let q = CsrMatrix::backward_transition(g);
+    let q = transition(g);
     let e_neg_c = (-c).exp();
     let mut t = DenseMatrix::identity(n);
     let mut s_hat = DenseMatrix::identity(n);
@@ -81,7 +88,7 @@ pub fn dsr_matrix_reference(g: &DiGraph, c: f64, k: u32) -> SimMatrix {
 /// validates Proposition 6's claim that Eq. (15) sums the series.
 pub fn exponential_sum_reference(g: &DiGraph, c: f64, terms: u32) -> DenseMatrix {
     let n = g.node_count();
-    let q = CsrMatrix::backward_transition(g);
+    let q = transition(g);
     let e_neg_c = (-c).exp();
     let mut t = DenseMatrix::identity(n);
     let mut acc = DenseMatrix::identity(n);
@@ -134,7 +141,7 @@ mod tests {
         let s40 = matrix_form_simrank(&g, 0.6, 40);
         assert!(s30.max_abs_diff(&s40) < 1e-7);
         // Fixed-point property: S = C·Q·S·Qᵀ + (1−C)·I.
-        let q = CsrMatrix::backward_transition(&g);
+        let q = transition(&g);
         let qs = q.mul_dense(&s40);
         let mut rhs = q.mul_dense_transposed(&qs);
         rhs.scale(0.6);

@@ -16,15 +16,16 @@
 //! # Parallel execution
 //!
 //! The whole path runs on one persistent [`simrank_par::WorkerPool`]
-//! ([`SimRankOptions::threads`] flows through): the Jacobi SVD shards
-//! tournament rounds of disjoint column-pair rotations
-//! ([`Svd::compute_with`]), every dense product shards output-row bands
-//! ([`DenseMatrix::matmul_with`]), and the final densification is
-//! *triangular* — the result is symmetric, so only unordered pairs
-//! `b ≥ a` are computed (half the arithmetic of forming `U·M·Uᵀ` square)
-//! and written straight into the packed [`SimMatrix`] triangle, sharded
-//! by triangular packed-row weights. Every stage runs the exact
-//! sequential per-item arithmetic on disjoint outputs, so scores are
+//! ([`SimRankOptions::threads`] flows through): `Q` is built and
+//! densified in row blocks ([`CsrMatrix::backward_transition`],
+//! [`CsrMatrix::to_dense`]), the Jacobi SVD shards tournament rounds of
+//! disjoint column-pair rotations ([`Svd::compute`]), every dense
+//! product shards output-row bands ([`DenseMatrix::matmul`]), and the
+//! final densification is *triangular* — the result is symmetric, so
+//! only unordered pairs `b ≥ a` are computed (half the arithmetic of
+//! forming `U·M·Uᵀ` square) and written straight into the packed
+//! [`SimMatrix`] triangle, sharded by triangular packed-row weights. Every stage runs the same per-item
+//! arithmetic on disjoint outputs at any width, so scores are
 //! **bit-for-bit identical at every thread count**.
 
 use crate::instrument::{PhaseTimer, Report};
@@ -98,16 +99,16 @@ fn mtx_factors(
     let mut timer = PhaseTimer::start();
 
     // --- Factorization phase (the analogue of "Build MST" in Fig. 6b). ---
-    let q_dense = CsrMatrix::backward_transition_with(g, pool).to_dense_with(pool);
-    let svd = Svd::compute_with(&q_dense, pool);
+    let q_dense = CsrMatrix::backward_transition(g, pool).to_dense(pool);
+    let svd = Svd::compute(&q_dense, pool);
     let r = rank.unwrap_or_else(|| svd.rank(1e-10)).max(1).min(n);
     let svd = svd.truncate(r);
     let factorize = timer.lap();
 
     // --- Rank-space iteration. ---
     let u = &svd.u; // n × r
-    let w = svd.v.transpose_with(pool).matmul_with(u, pool); // r × r
-    let wt = w.transpose_with(pool);
+    let w = svd.v.transpose(pool).matmul(u, pool); // r × r
+    let wt = w.transpose(pool);
     let sigma = &svd.sigma;
     // N₁ = Σ²; M = Σᵢ Cⁱ·Nᵢ.
     let mut n_i = DenseMatrix::from_fn(r, r, |i, j| if i == j { sigma[i] * sigma[i] } else { 0.0 });
@@ -116,8 +117,8 @@ fn mtx_factors(
     for _ in 0..k_max {
         m.add_assign_scaled(&n_i, coef);
         // N_{i+1} = Σ·W·Nᵢ·Wᵀ·Σ.
-        let wn = w.matmul_with(&n_i, pool);
-        let wnwt = wn.matmul_with(&wt, pool);
+        let wn = w.matmul(&n_i, pool);
+        let wnwt = wn.matmul(&wt, pool);
         n_i = DenseMatrix::from_fn(r, r, |i, j| sigma[i] * wnwt.get(i, j) * sigma[j]);
         coef *= c;
     }
@@ -126,7 +127,7 @@ fn mtx_factors(
     // symmetrized once in the cheap r × r space.
     let ms = DenseMatrix::from_fn(r, r, |i, j| 0.5 * (m.get(i, j) + m.get(j, i)));
     let (u, _sigma, _v) = svd.into_factors();
-    let scores = LowRankScores::from_parts_with(1.0 - c, u, ms, pool);
+    let scores = LowRankScores::from_parts(1.0 - c, u, ms, pool);
     let iterate = timer.lap();
     MtxFactors {
         scores,

@@ -5,16 +5,26 @@ use std::num::NonZeroUsize;
 
 /// Environment override consulted by [`SimRankOptions::default`]: set
 /// `SIMRANK_TEST_THREADS=<n>` to pin the default worker count (the CI
-/// determinism matrix runs the whole suite at 1, 2, 4, and 8). Re-exported
-/// from [`simrank_par`], where the resolution lives so pool-backed
-/// convenience wrappers outside this crate (e.g. the sharded CSR
-/// materialization in `simrank_linalg`) share the same default.
-pub use simrank_par::THREADS_ENV;
+/// determinism matrix runs the whole suite at 1, 2, 4, and 8).
+pub const THREADS_ENV: &str = "SIMRANK_TEST_THREADS";
 
-/// Default worker count, resolved once per process by
-/// [`simrank_par::default_workers`].
-fn default_threads() -> NonZeroUsize {
-    simrank_par::default_workers()
+/// Default worker count: the [`THREADS_ENV`] override when set and valid,
+/// else the machine's available parallelism, else 1. Resolved once per
+/// process — every `SimRankOptions::default()` consults it, and must not
+/// pay a getenv + syscall each time.
+fn default_workers() -> NonZeroUsize {
+    static DEFAULT: std::sync::OnceLock<NonZeroUsize> = std::sync::OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        if let Ok(raw) = std::env::var(THREADS_ENV) {
+            match raw.trim().parse::<NonZeroUsize>() {
+                Ok(t) => return t,
+                Err(_) => eprintln!(
+                    "warning: ignoring invalid {THREADS_ENV}={raw:?} (want an integer >= 1)"
+                ),
+            }
+        }
+        std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
+    })
 }
 
 /// Configuration for all SimRank computations.
@@ -55,7 +65,7 @@ impl Default for SimRankOptions {
             iterations: None,
             epsilon: 1e-3,
             threshold: None,
-            threads: default_threads(),
+            threads: default_workers(),
         }
     }
 }

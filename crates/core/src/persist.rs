@@ -36,6 +36,7 @@ use crate::matrix::SimMatrix;
 use crate::store::LowRankScores;
 use simrank_graph::{DiGraph, NodeId};
 use simrank_linalg::DenseMatrix;
+use simrank_par::WorkerPool;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -463,7 +464,9 @@ fn read_low_rank_body<R: Read>(
 ) -> Result<LowRankScores, PersistError> {
     let u = read_factor(r, n, rank, "U factor")?;
     let ms = read_factor(r, rank, rank, "mixing")?;
-    Ok(LowRankScores::from_parts(scale, u, ms))
+    Ok(WorkerPool::scoped(1, |pool| {
+        LowRankScores::from_parts(scale, u, ms, pool)
+    }))
 }
 
 /// Deserializes a [`LowRankScores`] from a reader (format `SRL1`).

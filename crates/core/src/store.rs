@@ -47,29 +47,21 @@ pub struct LowRankScores {
 }
 
 impl LowRankScores {
-    /// Assembles a store from its persisted factors, recomputing the
-    /// cached `gm = U·Ms` product sequentially. `scale` must lie in
-    /// `(0, 1)`; `u` must be `n × r` and `ms` `r × r`.
+    /// Assembles a store from its factors, computing the cached
+    /// `gm = U·Ms` product on the pool. `scale` must lie in `(0, 1)`;
+    /// `u` must be `n × r` and `ms` `r × r`.
     ///
-    /// The sequential product is bit-for-bit identical to the pooled one
-    /// ([`Self::from_parts_with`]), so an `SRL1` round trip reproduces
-    /// the original store `PartialEq`-exactly.
-    pub fn from_parts(scale: f64, u: DenseMatrix, ms: DenseMatrix) -> Self {
-        Self::validate(scale, &u, &ms);
-        let gm = u.matmul(&ms);
-        LowRankScores { scale, u, ms, gm }
-    }
-
-    /// As [`Self::from_parts`], sharding the `gm = U·Ms` product across
-    /// the worker pool (bit-identical result).
-    pub fn from_parts_with(
+    /// The product is bit-for-bit identical at every pool width, so an
+    /// `SRL1` round trip (which rebuilds on a 1-wide pool) reproduces the
+    /// original store `PartialEq`-exactly.
+    pub fn from_parts(
         scale: f64,
         u: DenseMatrix,
         ms: DenseMatrix,
         pool: &mut par::WorkerPool<'_>,
     ) -> Self {
         Self::validate(scale, &u, &ms);
-        let gm = u.matmul_with(&ms, pool);
+        let gm = u.matmul(&ms, pool);
         LowRankScores { scale, u, ms, gm }
     }
 

@@ -1,16 +1,14 @@
 //! Compressed sparse row matrices and the SimRank transition matrix.
 //!
 //! The two materialization paths — building the backward transition
-//! matrix from a graph and densifying a CSR matrix — were the last
-//! unsharded loops in the workspace. Both now shard whole rows across the
-//! shared [`WorkerPool`]: every row is produced by exactly one worker
-//! running the exact sequential per-row arithmetic, so the results are
-//! **bit-for-bit identical for every worker count** (and identical to the
-//! historical single-threaded construction).
+//! matrix from a graph and densifying a CSR matrix — shard whole rows
+//! across the caller's [`WorkerPool`]: every row is produced by exactly
+//! one worker running the same per-row arithmetic, so the results are
+//! **bit-for-bit identical for every worker count**.
 
 use crate::dense::DenseMatrix;
 use simrank_graph::DiGraph;
-use simrank_par::{default_workers, effective_workers, weighted_blocks, RowWriter, WorkerPool};
+use simrank_par::{weighted_blocks, RowWriter, WorkerPool};
 
 /// A sparse `f64` matrix in compressed sparse row form.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,22 +63,13 @@ impl CsrMatrix {
     /// `[Q]_{ij} = 1/|I(i)|` if there is an edge `j → i`, else 0.
     /// Row `i` of `Q` is supported on the in-neighbor set `I(i)`.
     ///
-    /// Spins up a scoped pool at the process-default width (see
-    /// [`simrank_par::default_workers`]); iterating callers that already
-    /// hold a pool should use [`CsrMatrix::backward_transition_with`].
-    pub fn backward_transition(g: &DiGraph) -> Self {
-        let workers = effective_workers(default_workers(), g.node_count());
-        WorkerPool::scoped(workers, |pool| Self::backward_transition_with(g, pool))
-    }
-
-    /// As [`CsrMatrix::backward_transition`], sharded over an existing
-    /// pool: the row-offset prefix sum is computed up front, so each
-    /// worker fills a disjoint `[row_offsets[start], row_offsets[end])`
-    /// slice of the index/value arrays — no triplet staging, no sort, and
-    /// bit-for-bit the same matrix at every worker count (in-neighbor
-    /// lists are already sorted, which is exactly the per-row column
-    /// order the triplet path produced).
-    pub fn backward_transition_with(g: &DiGraph, pool: &mut WorkerPool<'_>) -> Self {
+    /// Sharded over the pool: the row-offset prefix sum is computed up
+    /// front, so each worker fills a disjoint `[row_offsets[start],
+    /// row_offsets[end])` slice of the index/value arrays — no triplet
+    /// staging, no sort, and bit-for-bit the same matrix at every worker
+    /// count (in-neighbor lists are already sorted, which is exactly the
+    /// per-row column order [`CsrMatrix::from_triplets`] produces).
+    pub fn backward_transition(g: &DiGraph, pool: &mut WorkerPool<'_>) -> Self {
         let n = g.node_count();
         let mut row_offsets = vec![0usize; n + 1];
         for i in 0..n {
@@ -174,43 +163,22 @@ impl CsrMatrix {
         CsrMatrix::from_triplets(self.cols, self.rows, triplets)
     }
 
-    /// Densifies the matrix.
-    ///
-    /// Spins up a scoped pool at the process-default width; iterating
-    /// callers that already hold a pool should use
-    /// [`CsrMatrix::to_dense_with`].
-    pub fn to_dense(&self) -> DenseMatrix {
-        let workers = effective_workers(default_workers(), self.rows);
-        WorkerPool::scoped(workers, |pool| self.to_dense_with(pool))
-    }
-
-    /// As [`CsrMatrix::to_dense`], sharded over an existing pool: dense
-    /// output rows are disjoint memory, so each worker scatters its row
-    /// block through a [`RowWriter`] with the exact sequential per-row
-    /// stores — bit-for-bit identical at every worker count.
-    pub fn to_dense_with(&self, pool: &mut WorkerPool<'_>) -> DenseMatrix {
+    /// Densifies the matrix, sharded over the pool: dense output rows
+    /// are disjoint memory, so each worker scatters its row block through
+    /// a [`RowWriter`] — bit-for-bit identical at every worker count.
+    pub fn to_dense(&self, pool: &mut WorkerPool<'_>) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.rows, self.cols);
         if self.cols == 0 || self.rows == 0 {
             return out;
         }
-        if pool.workers() == 1 || self.rows < 2 {
-            for i in 0..self.rows {
-                let (cols, vals) = self.row(i);
-                let row = out.row_mut(i);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    row[c as usize] = v;
-                }
-            }
-            return out;
-        }
         let weights: Vec<usize> = (0..self.rows).map(|i| self.row(i).0.len() + 1).collect();
         let blocks = weighted_blocks(&weights, pool.workers());
-        // SAFETY (RowWriter): the blocks tile 0..rows disjointly, so each
-        // dense row is written by exactly one worker.
         let writer = RowWriter::new(out.as_mut_slice(), self.cols);
         pool.sweep(blocks, |rows, _counter| {
             for i in rows {
                 let (cols, vals) = self.row(i);
+                // SAFETY: the blocks tile 0..rows disjointly, so each dense
+                // row is written by exactly one worker.
                 let row = unsafe { writer.row_mut(i) };
                 for (&c, &v) in cols.iter().zip(vals) {
                     row[c as usize] = v;
@@ -273,6 +241,16 @@ mod tests {
     use super::*;
     use simrank_graph::fixtures::paper_fig1a;
 
+    /// `Q` of `g` built on a 1-wide pool.
+    fn transition(g: &DiGraph) -> CsrMatrix {
+        WorkerPool::scoped(1, |pool| CsrMatrix::backward_transition(g, pool))
+    }
+
+    /// `m` densified on a 1-wide pool.
+    fn dense(m: &CsrMatrix) -> DenseMatrix {
+        WorkerPool::scoped(1, |pool| m.to_dense(pool))
+    }
+
     #[test]
     fn from_triplets_merges_duplicates() {
         let m = CsrMatrix::from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 2.0), (1, 1, 4.0)]);
@@ -285,7 +263,7 @@ mod tests {
     #[test]
     fn backward_transition_rows_are_uniform_over_in_neighbors() {
         let g = paper_fig1a();
-        let q = CsrMatrix::backward_transition(&g);
+        let q = transition(&g);
         // I(b) = {e, f, g, i} (ids 4,5,6,8): each weight 1/4.
         let (cols, vals) = q.row(1);
         assert_eq!(cols, &[4, 5, 6, 8]);
@@ -323,11 +301,9 @@ mod tests {
                     .collect::<Vec<_>>()
             }),
         );
-        assert_eq!(CsrMatrix::backward_transition(&g), reference);
         for workers in [1usize, 2, 3, 8] {
-            let sharded = WorkerPool::scoped(workers, |pool| {
-                CsrMatrix::backward_transition_with(&g, pool)
-            });
+            let sharded =
+                WorkerPool::scoped(workers, |pool| CsrMatrix::backward_transition(&g, pool));
             assert_eq!(sharded, reference, "workers = {workers}");
         }
     }
@@ -335,30 +311,32 @@ mod tests {
     #[test]
     fn to_dense_thread_invariant() {
         let g = paper_fig1a();
-        let q = CsrMatrix::backward_transition(&g);
-        let seq = WorkerPool::scoped(1, |pool| q.to_dense_with(pool));
+        let q = transition(&g);
+        let base = dense(&q);
         for workers in [2usize, 3, 8] {
-            let par = WorkerPool::scoped(workers, |pool| q.to_dense_with(pool));
-            assert_eq!(par.as_slice(), seq.as_slice(), "workers = {workers}");
+            let par = WorkerPool::scoped(workers, |pool| q.to_dense(pool));
+            assert_eq!(par.as_slice(), base.as_slice(), "workers = {workers}");
         }
-        assert_eq!(q.to_dense().as_slice(), seq.as_slice());
     }
 
     #[test]
     fn degenerate_shapes_materialize() {
-        use simrank_graph::DiGraph;
-        // Empty graph, empty matrix, zero-column matrix.
+        // Empty graph, empty matrix, zero-column matrix, at widths 1 and 4.
         let empty = DiGraph::from_edges(0, []).unwrap();
-        let q = CsrMatrix::backward_transition(&empty);
-        assert_eq!(q.rows(), 0);
-        assert_eq!(q.to_dense().rows(), 0);
         let zero_cols = CsrMatrix::from_triplets(3, 0, []);
-        let d = zero_cols.to_dense();
-        assert_eq!((d.rows(), d.cols()), (3, 0));
-        // Single node, no edges: one all-zero row.
         let lone = DiGraph::from_edges(1, []).unwrap();
-        let d = CsrMatrix::backward_transition(&lone).to_dense();
-        assert_eq!(d.get(0, 0), 0.0);
+        for workers in [1usize, 4] {
+            WorkerPool::scoped(workers, |pool| {
+                let q = CsrMatrix::backward_transition(&empty, pool);
+                assert_eq!(q.rows(), 0);
+                assert_eq!(q.to_dense(pool).rows(), 0);
+                let d = zero_cols.to_dense(pool);
+                assert_eq!((d.rows(), d.cols()), (3, 0));
+                // Single node, no edges: one all-zero row.
+                let d = CsrMatrix::backward_transition(&lone, pool).to_dense(pool);
+                assert_eq!(d.get(0, 0), 0.0);
+            });
+        }
     }
 
     #[test]
@@ -366,8 +344,8 @@ mod tests {
         let m = CsrMatrix::from_triplets(3, 3, [(0, 1, 2.0), (1, 2, 3.0), (2, 0, 4.0)]);
         let b = DenseMatrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
         let sparse = m.mul_dense(&b);
-        let dense = m.to_dense().matmul(&b);
-        assert!(sparse.max_abs_diff(&dense) < 1e-12);
+        let product = WorkerPool::scoped(1, |pool| dense(&m).matmul(&b, pool));
+        assert!(sparse.max_abs_diff(&product) < 1e-12);
     }
 
     #[test]
@@ -375,7 +353,7 @@ mod tests {
         let m = CsrMatrix::from_triplets(3, 3, [(0, 1, 2.0), (1, 2, 3.0), (2, 0, 4.0)]);
         let b = DenseMatrix::from_fn(2, 3, |i, j| (1 + i + j) as f64);
         let fast = m.mul_dense_transposed(&b);
-        let slow = b.matmul(&m.to_dense().transpose());
+        let slow = WorkerPool::scoped(1, |pool| b.matmul(&dense(&m).transpose(pool), pool));
         assert!(fast.max_abs_diff(&slow) < 1e-12);
     }
 
@@ -384,7 +362,7 @@ mod tests {
         // One reference step S' = C·Q·S·Qᵀ + (1-C)·I on the fixture.
         let g = paper_fig1a();
         let n = g.node_count();
-        let q = CsrMatrix::backward_transition(&g);
+        let q = transition(&g);
         let s = DenseMatrix::identity(n);
         let qs = q.mul_dense(&s);
         let mut s1 = q.mul_dense_transposed(&qs);

@@ -80,17 +80,37 @@ impl DenseMatrix {
     }
 
     /// Element access.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `(i, j)` lies outside the matrix.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
+        self.check(i, j);
         self.data[i * self.cols + j]
     }
 
     /// Element assignment.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `(i, j)` lies outside the matrix.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        debug_assert!(i < self.rows && j < self.cols);
+        self.check(i, j);
         self.data[i * self.cols + j] = v;
+    }
+
+    /// Bounds check for [`Self::get`] / [`Self::set`]: a column past
+    /// `cols` would otherwise alias an entry of the next row.
+    #[inline]
+    fn check(&self, i: usize, j: usize) {
+        assert!(
+            i < self.rows && j < self.cols,
+            "entry ({i}, {j}) out of range for a {}x{} matrix",
+            self.rows,
+            self.cols
+        );
     }
 
     /// Immutable row view.
@@ -118,13 +138,13 @@ impl DenseMatrix {
     }
 
     /// One tile of output rows of the product: `out[i][j] =`
-    /// [`kernel::dot`]`(a_row(i), btᵀ_row(j))` for `i ∈ rows`. Shared by
-    /// the sequential and pooled matmuls, so every output element runs
-    /// exactly the same lane-chunked dot regardless of how rows are
-    /// banded across workers — the determinism contract is structural,
-    /// not numerical. The `j`-outer / `i`-inner order inside a
-    /// [`MATMUL_TILE`]-row tile reuses each loaded `bt` row across the
-    /// whole tile instead of re-streaming `bt` once per output row.
+    /// [`kernel::dot`]`(a_row(i), btᵀ_row(j))` for `i ∈ rows`. Every
+    /// output element runs exactly the same lane-chunked dot regardless
+    /// of how rows are banded across workers — the determinism contract
+    /// is structural, not numerical. The `j`-outer / `i`-inner order
+    /// inside a [`MATMUL_TILE`]-row tile reuses each loaded `bt` row
+    /// across the whole tile instead of re-streaming `bt` once per output
+    /// row.
     ///
     /// # Safety
     ///
@@ -148,38 +168,23 @@ impl DenseMatrix {
 
     /// Matrix product `self · other` with a transposed-operand,
     /// tile-blocked inner loop (better cache behaviour than the naive
-    /// ijk order) over the lane-chunked [`kernel::dot`].
-    pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
+    /// ijk order) over the lane-chunked [`kernel::dot`], sharded by
+    /// contiguous output-row bands across the worker pool. Each worker
+    /// runs the same per-element kernel dot on disjoint rows, so the
+    /// product is **bit-for-bit identical** at every pool width.
+    pub fn matmul(&self, other: &DenseMatrix, pool: &mut WorkerPool<'_>) -> DenseMatrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let bt = other.transpose();
+        let bt = other.transpose(pool);
         let mut out = DenseMatrix::zeros(self.rows, other.cols);
         if other.cols > 0 {
+            let bands = blocks(self.rows, pool.workers());
             let writer = RowWriter::new(&mut out.data, other.cols);
-            // SAFETY: one call owning every output row — nothing aliases.
-            unsafe { self.matmul_band(&bt, &writer, 0..self.rows) };
+            pool.sweep(bands, |rows, _counter| {
+                // SAFETY: the bands tile 0..rows disjointly, so each output
+                // row is written by exactly one worker.
+                unsafe { self.matmul_band(&bt, &writer, rows) };
+            });
         }
-        out
-    }
-
-    /// Matrix product `self · other` sharded by contiguous output-row
-    /// bands across the worker pool. Each worker runs the exact
-    /// single-threaded per-element kernel dot on disjoint rows, so the
-    /// product is **bit-for-bit identical** to [`DenseMatrix::matmul`] at
-    /// every thread count.
-    pub fn matmul_with(&self, other: &DenseMatrix, pool: &mut WorkerPool<'_>) -> DenseMatrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        if pool.workers() == 1 || self.rows < 2 || other.cols == 0 {
-            return self.matmul(other);
-        }
-        let bt = other.transpose_with(pool);
-        let mut out = DenseMatrix::zeros(self.rows, other.cols);
-        let bands = blocks(self.rows, pool.workers());
-        let writer = RowWriter::new(&mut out.data, other.cols);
-        pool.sweep(bands, |rows, _counter| {
-            // SAFETY (RowWriter): the bands tile 0..rows disjointly, so
-            // each output row is written by exactly one worker.
-            unsafe { self.matmul_band(&bt, &writer, rows) };
-        });
         out
     }
 
@@ -212,35 +217,21 @@ impl DenseMatrix {
         }
     }
 
-    /// Transposed copy (tile-blocked via the internal `transpose_band`).
-    pub fn transpose(&self) -> DenseMatrix {
+    /// Transposed copy (tile-blocked via the internal `transpose_band`),
+    /// sharded by contiguous output-row bands (columns of `self`) across
+    /// the worker pool. A transpose is a pure permutation copy, so the
+    /// result is trivially identical at every pool width.
+    pub fn transpose(&self, pool: &mut WorkerPool<'_>) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.cols, self.rows);
         if self.rows > 0 {
+            let bands = blocks(self.cols, pool.workers());
             let writer = RowWriter::new(&mut out.data, self.rows);
-            // SAFETY: one call owning every output row — nothing aliases.
-            unsafe { self.transpose_band(&writer, 0..self.cols) };
+            pool.sweep(bands, |cols, _counter| {
+                // SAFETY: the bands tile 0..cols disjointly, so each output
+                // row (a column of `self`) is written by exactly one worker.
+                unsafe { self.transpose_band(&writer, cols) };
+            });
         }
-        out
-    }
-
-    /// Transposed copy sharded by contiguous output-row bands (columns of
-    /// `self`) across the worker pool. A transpose is a pure permutation
-    /// copy, so the result is trivially identical at every thread count;
-    /// sharding it keeps the pooled matmul's operand preparation off the
-    /// single-thread critical path.
-    pub fn transpose_with(&self, pool: &mut WorkerPool<'_>) -> DenseMatrix {
-        if pool.workers() == 1 || self.cols < 2 || self.rows == 0 {
-            return self.transpose();
-        }
-        let mut out = DenseMatrix::zeros(self.cols, self.rows);
-        let bands = blocks(self.cols, pool.workers());
-        let writer = RowWriter::new(&mut out.data, self.rows);
-        pool.sweep(bands, |cols, _counter| {
-            // SAFETY (RowWriter): the bands tile 0..cols disjointly, so
-            // each output row (a column of `self`) is written by exactly
-            // one worker.
-            unsafe { self.transpose_band(&writer, cols) };
-        });
         out
     }
 
@@ -319,23 +310,42 @@ mod tests {
     fn identity_is_multiplicative_unit() {
         let a = DenseMatrix::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let i = DenseMatrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
+        WorkerPool::scoped(1, |pool| {
+            assert_eq!(a.matmul(&i, pool), a);
+            assert_eq!(i.matmul(&a, pool), a);
+        });
     }
 
     #[test]
     fn matmul_known_product() {
         let a = DenseMatrix::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = DenseMatrix::from_rows(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
+        let c = WorkerPool::scoped(1, |pool| a.matmul(&b, pool));
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn transpose_involution() {
         let a = DenseMatrix::from_fn(3, 5, |i, j| (i * 5 + j) as f64);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(4, 2), a.get(2, 4));
+        let at = WorkerPool::scoped(1, |pool| a.transpose(pool));
+        assert_eq!(WorkerPool::scoped(1, |pool| at.transpose(pool)), a);
+        assert_eq!(at.get(4, 2), a.get(2, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn get_rejects_out_of_range_column() {
+        // Row-major storage: (0, 2) of a 2 × 2 matrix would read (1, 0).
+        let a = DenseMatrix::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
+        let _ = a.get(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_rejects_out_of_range_column() {
+        // (0, 3) of a 2 × 2 matrix would overwrite (1, 1).
+        let mut a = DenseMatrix::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
+        a.set(0, 3, 9.0);
     }
 
     #[test]
@@ -373,16 +383,12 @@ mod tests {
         let b = DenseMatrix::from_fn(7, 11, |i, j| {
             ((i * 13 + j * 29 + 5) % 19) as f64 / 5.0 - 1.5
         });
-        let seq_prod = a.matmul(&b);
-        let seq_t = a.transpose();
-        for workers in [1usize, 2, 3, 4, 8] {
+        let (base_prod, base_t) =
+            WorkerPool::scoped(1, |pool| (a.matmul(&b, pool), a.transpose(pool)));
+        for workers in [2usize, 3, 4, 8] {
             WorkerPool::scoped(workers, |pool| {
-                assert_eq!(
-                    a.matmul_with(&b, pool),
-                    seq_prod,
-                    "matmul workers={workers}"
-                );
-                assert_eq!(a.transpose_with(pool), seq_t, "transpose workers={workers}");
+                assert_eq!(a.matmul(&b, pool), base_prod, "matmul workers={workers}");
+                assert_eq!(a.transpose(pool), base_t, "transpose workers={workers}");
             });
         }
     }
@@ -392,11 +398,14 @@ mod tests {
         let empty = DenseMatrix::zeros(0, 4);
         let tall = DenseMatrix::zeros(4, 0);
         WorkerPool::scoped(4, |pool| {
-            assert_eq!(empty.matmul_with(&tall, pool), DenseMatrix::zeros(0, 0));
-            assert_eq!(tall.matmul_with(&empty, pool), DenseMatrix::zeros(4, 4));
-            assert_eq!(empty.transpose_with(pool), DenseMatrix::zeros(4, 0));
+            assert_eq!(empty.matmul(&tall, pool), DenseMatrix::zeros(0, 0));
+            assert_eq!(tall.matmul(&empty, pool), DenseMatrix::zeros(4, 4));
+            assert_eq!(empty.transpose(pool), DenseMatrix::zeros(4, 0));
             let one = DenseMatrix::from_rows(1, 3, &[1.0, 2.0, 3.0]);
-            assert_eq!(one.transpose_with(pool), one.transpose());
+            assert_eq!(
+                one.transpose(pool),
+                DenseMatrix::from_rows(3, 1, &[1.0, 2.0, 3.0])
+            );
         });
     }
 

@@ -44,6 +44,7 @@ pub fn one_norm(a: &DenseMatrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simrank_par::WorkerPool;
 
     #[test]
     fn vec_unvec_round_trip() {
@@ -59,8 +60,11 @@ mod tests {
         let a = DenseMatrix::from_rows(2, 2, &[1.0, 2.0, 0.5, -1.0]);
         let x = DenseMatrix::from_rows(2, 2, &[0.25, 1.0, -0.75, 2.0]);
         let b = DenseMatrix::from_rows(2, 2, &[2.0, 0.0, 1.0, 1.0]);
-        let lhs = vec_mat(&a.matmul(&x).matmul(&b));
-        let k = kronecker(&b.transpose(), &a);
+        let (axb, bt) = WorkerPool::scoped(1, |pool| {
+            (a.matmul(&x, pool).matmul(&b, pool), b.transpose(pool))
+        });
+        let lhs = vec_mat(&axb);
+        let k = kronecker(&bt, &a);
         let vx = vec_mat(&x);
         let rhs: Vec<f64> = (0..k.rows())
             .map(|i| (0..k.cols()).map(|j| k.get(i, j) * vx[j]).sum())

@@ -14,19 +14,21 @@
 //! * [`svd`] — one-sided Jacobi singular value decomposition, the engine of
 //!   the `mtx-SR` baseline (Li et al., EDBT'10) that the paper compares
 //!   against;
-//!
-//! The heavy kernels shard over the workspace's persistent worker-pool
-//! executor (`simrank_par`): [`DenseMatrix::matmul_with`] and
-//! [`DenseMatrix::transpose_with`] split output rows into contiguous
-//! bands, and [`Svd::compute_with`] schedules each Jacobi sweep as a
-//! round-robin tournament of disjoint column-pair rotations. All of them
-//! are **bit-for-bit identical at every thread count** — workers own
-//! disjoint output rows (or columns) and the per-item arithmetic is
-//! exactly the sequential kernel's, so only the interleaving changes
-//! (enforced by the `parallel_*` tests and the CI determinism matrix).
 //! * [`kron`] — Kronecker-product and `vec(·)` helpers mirroring the
 //!   error-bound proof of the paper's Proposition 7 (used by tests to check
 //!   the bound machinery itself).
+//!
+//! The heavy kernels take the caller's worker pool (`simrank_par`) and
+//! have no other form: [`DenseMatrix::matmul`] and
+//! [`DenseMatrix::transpose`] split output rows into contiguous bands,
+//! [`CsrMatrix::backward_transition`] and [`CsrMatrix::to_dense`] shard
+//! whole rows, and [`Svd::compute`] schedules each Jacobi sweep as a
+//! round-robin tournament of disjoint column-pair rotations. A 1-wide
+//! pool runs every sweep inline on the calling thread. All of them are
+//! **bit-for-bit identical at every pool width** — workers own disjoint
+//! output rows (or columns) and the per-item arithmetic does not depend
+//! on the banding, so only the interleaving changes (enforced by the
+//! `parallel_*` tests and the CI determinism matrix).
 
 mod csr;
 mod dense;

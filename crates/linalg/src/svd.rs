@@ -76,26 +76,19 @@ fn rotate_pair(bw: &RowWriter<'_>, vw: &RowWriter<'_>, p: usize, q: usize, off_b
 }
 
 impl Svd {
-    /// Computes the SVD of `a` by one-sided Jacobi on the calling thread.
+    /// Computes the SVD of `a` by one-sided Jacobi, sharding each
+    /// tournament round of disjoint column-pair rotations across the
+    /// worker pool.
     ///
     /// Sweeps rotate column pairs of a working copy `B = A·V` until all
     /// pairs are orthogonal; singular values are then the column norms of
-    /// `B` and `U = B · diag(1/σ)`. Equivalent to [`Svd::compute_with`]
-    /// on a 1-wide pool (and bit-for-bit identical to it at *any* pool
-    /// width — see the module docs).
-    pub fn compute(a: &DenseMatrix) -> Svd {
-        WorkerPool::scoped(1, |pool| Svd::compute_with(a, pool))
-    }
-
-    /// Computes the SVD of `a` by one-sided Jacobi, sharding each
-    /// tournament round of disjoint column-pair rotations across the
-    /// worker pool. Factors are **bit-for-bit identical for every worker
-    /// count** — rotations within a round touch disjoint columns and
-    /// therefore commute exactly.
+    /// `B` and `U = B · diag(1/σ)`. Factors are **bit-for-bit identical
+    /// for every worker count** — rotations within a round touch disjoint
+    /// columns and therefore commute exactly (see the module docs).
     ///
     /// An empty matrix (`m == 0` or `n == 0`) yields an explicit empty
     /// factorization: `u` is `m × 0`, `sigma` is empty, `v` is `n × 0`.
-    pub fn compute_with(a: &DenseMatrix, pool: &mut WorkerPool<'_>) -> Svd {
+    pub fn compute(a: &DenseMatrix, pool: &mut WorkerPool<'_>) -> Svd {
         let m = a.rows();
         let n = a.cols();
         if m == 0 || n == 0 {
@@ -199,8 +192,8 @@ impl Svd {
         (self.u, self.sigma, self.v)
     }
 
-    /// Reconstructs `U · diag(σ) · Vᵀ`.
-    pub fn reconstruct(&self) -> DenseMatrix {
+    /// Reconstructs `U · diag(σ) · Vᵀ` with the pooled matmul/transpose.
+    pub fn reconstruct(&self, pool: &mut WorkerPool<'_>) -> DenseMatrix {
         let r = self.sigma.len();
         let mut us = DenseMatrix::zeros(self.u.rows(), r);
         for i in 0..self.u.rows() {
@@ -208,7 +201,7 @@ impl Svd {
                 us.set(i, j, self.u.get(i, j) * self.sigma[j]);
             }
         }
-        us.matmul(&self.v.transpose())
+        us.matmul(&self.v.transpose(pool), pool)
     }
 }
 
@@ -216,9 +209,19 @@ impl Svd {
 mod tests {
     use super::*;
 
+    /// The factorization of `a` on a 1-wide pool.
+    fn svd_of(a: &DenseMatrix) -> Svd {
+        WorkerPool::scoped(1, |pool| Svd::compute(a, pool))
+    }
+
+    /// `U · diag(σ) · Vᵀ` on a 1-wide pool.
+    fn rebuilt(svd: &Svd) -> DenseMatrix {
+        WorkerPool::scoped(1, |pool| svd.reconstruct(pool))
+    }
+
     fn ortho_error(m: &DenseMatrix) -> f64 {
         // ‖MᵀM − I‖max over the leading r columns.
-        let g = m.transpose().matmul(m);
+        let g = WorkerPool::scoped(1, |pool| m.transpose(pool).matmul(m, pool));
         let mut err = 0.0f64;
         for i in 0..g.rows() {
             for j in 0..g.cols() {
@@ -231,17 +234,17 @@ mod tests {
 
     #[test]
     fn identity_svd() {
-        let svd = Svd::compute(&DenseMatrix::identity(4));
+        let svd = svd_of(&DenseMatrix::identity(4));
         for &s in &svd.sigma {
             assert!((s - 1.0).abs() < 1e-12);
         }
-        assert!(svd.reconstruct().max_abs_diff(&DenseMatrix::identity(4)) < 1e-12);
+        assert!(rebuilt(&svd).max_abs_diff(&DenseMatrix::identity(4)) < 1e-12);
     }
 
     #[test]
     fn diagonal_matrix_singular_values() {
         let a = DenseMatrix::from_rows(3, 3, &[3.0, 0.0, 0.0, 0.0, -5.0, 0.0, 0.0, 0.0, 1.0]);
-        let svd = Svd::compute(&a);
+        let svd = svd_of(&a);
         assert!((svd.sigma[0] - 5.0).abs() < 1e-12);
         assert!((svd.sigma[1] - 3.0).abs() < 1e-12);
         assert!((svd.sigma[2] - 1.0).abs() < 1e-12);
@@ -254,9 +257,9 @@ mod tests {
             let x = (i * 31 + j * 17 + 7) % 23;
             (x as f64) / 23.0 - 0.5
         });
-        let svd = Svd::compute(&a);
+        let svd = svd_of(&a);
         assert!(
-            svd.reconstruct().max_abs_diff(&a) < 1e-10,
+            rebuilt(&svd).max_abs_diff(&a) < 1e-10,
             "reconstruction failed"
         );
         assert!(ortho_error(&svd.u) < 1e-10, "U not orthonormal");
@@ -269,15 +272,15 @@ mod tests {
     fn rank_deficient_matrix() {
         // Rank-1: outer product.
         let a = DenseMatrix::from_fn(4, 4, |i, j| ((i + 1) * (j + 1)) as f64);
-        let svd = Svd::compute(&a);
+        let svd = svd_of(&a);
         assert_eq!(svd.rank(1e-9), 1);
         let truncated = svd.truncate(1);
-        assert!(truncated.reconstruct().max_abs_diff(&a) < 1e-9);
+        assert!(rebuilt(&truncated).max_abs_diff(&a) < 1e-9);
     }
 
     #[test]
     fn truncation_clamps() {
-        let svd = Svd::compute(&DenseMatrix::identity(3));
+        let svd = svd_of(&DenseMatrix::identity(3));
         assert_eq!(svd.truncate(10).sigma.len(), 3);
         assert_eq!(svd.truncate(2).sigma.len(), 2);
     }
@@ -285,10 +288,10 @@ mod tests {
     #[test]
     fn rectangular_matrix() {
         let a = DenseMatrix::from_rows(3, 2, &[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]);
-        let svd = Svd::compute(&a);
+        let svd = svd_of(&a);
         assert!((svd.sigma[0] - 2.0).abs() < 1e-12);
         assert!((svd.sigma[1] - 1.0).abs() < 1e-12);
-        assert!(svd.reconstruct().max_abs_diff(&a) < 1e-12);
+        assert!(rebuilt(&svd).max_abs_diff(&a) < 1e-12);
     }
 
     #[test]
@@ -297,7 +300,7 @@ mod tests {
         // working vectors; they must produce an explicit empty
         // factorization instead.
         for (m, n) in [(0usize, 0usize), (0, 3), (3, 0)] {
-            let svd = Svd::compute(&DenseMatrix::zeros(m, n));
+            let svd = svd_of(&DenseMatrix::zeros(m, n));
             assert_eq!(svd.sigma.len(), 0, "{m}x{n}");
             assert_eq!((svd.u.rows(), svd.u.cols()), (m, 0), "{m}x{n}");
             assert_eq!((svd.v.rows(), svd.v.cols()), (n, 0), "{m}x{n}");
@@ -317,9 +320,9 @@ mod tests {
             let x = (i * 37 + j * 11 + 5) % 29;
             (x as f64) / 29.0 - 0.5
         });
-        let base = Svd::compute(&a);
+        let base = svd_of(&a);
         for workers in [2usize, 3, 4, 8] {
-            let svd = WorkerPool::scoped(workers, |pool| Svd::compute_with(&a, pool));
+            let svd = WorkerPool::scoped(workers, |pool| Svd::compute(&a, pool));
             assert_eq!(svd.u, base.u, "U diverged at workers={workers}");
             assert_eq!(svd.sigma, base.sigma, "σ diverged at workers={workers}");
             assert_eq!(svd.v, base.v, "V diverged at workers={workers}");

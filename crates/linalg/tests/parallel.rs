@@ -1,6 +1,7 @@
 //! Determinism contract of the pooled matrix kernels: `threads = N`
 //! reproduces `threads = 1` **bit-for-bit** for the banded
-//! matmul/transpose and the tournament-scheduled Jacobi SVD.
+//! matmul/transpose, the tournament-scheduled Jacobi SVD and the sharded
+//! CSR materialization.
 //!
 //! These are the `parallel_*` tests the CI determinism matrix runs
 //! explicitly (`cargo test -q -p simrank_linalg parallel`) before the full
@@ -18,16 +19,14 @@ fn dense(rows: usize, cols: usize) -> impl Strategy<Value = DenseMatrix> {
 
 proptest! {
     /// Pooled matmul and transpose shard output rows into contiguous
-    /// bands; each band runs the exact sequential per-row kernel, so the
-    /// product is identical — not merely close — at every pool width.
+    /// bands; each band runs the same per-row kernel, so the product is
+    /// identical — not merely close — at every pool width.
     #[test]
     fn parallel_matmul_bit_identical(a in dense(7, 5), b in dense(5, 6), t in 2usize..9) {
-        let seq = a.matmul(&b);
-        let seq_t = a.transpose();
-        let (pooled, pooled_t) =
-            WorkerPool::scoped(t, |pool| (a.matmul_with(&b, pool), a.transpose_with(pool)));
-        prop_assert_eq!(&pooled, &seq, "matmul diverged at workers={}", t);
-        prop_assert_eq!(&pooled_t, &seq_t, "transpose diverged at workers={}", t);
+        let (base, base_t) = WorkerPool::scoped(1, |pool| (a.matmul(&b, pool), a.transpose(pool)));
+        let (pooled, pooled_t) = WorkerPool::scoped(t, |pool| (a.matmul(&b, pool), a.transpose(pool)));
+        prop_assert_eq!(&pooled, &base, "matmul diverged at workers={}", t);
+        prop_assert_eq!(&pooled_t, &base_t, "transpose diverged at workers={}", t);
     }
 
     /// The Jacobi tournament schedule is a pure function of the column
@@ -36,8 +35,8 @@ proptest! {
     /// bit-for-bit thread-invariant.
     #[test]
     fn parallel_svd_factors_bit_identical(a in dense(6, 6), t in 2usize..9) {
-        let base = Svd::compute(&a);
-        let svd = WorkerPool::scoped(t, |pool| Svd::compute_with(&a, pool));
+        let base = WorkerPool::scoped(1, |pool| Svd::compute(&a, pool));
+        let svd = WorkerPool::scoped(t, |pool| Svd::compute(&a, pool));
         prop_assert_eq!(&svd.u, &base.u, "U diverged at workers={}", t);
         prop_assert_eq!(&svd.sigma, &base.sigma, "sigma diverged at workers={}", t);
         prop_assert_eq!(&svd.v, &base.v, "V diverged at workers={}", t);
@@ -47,35 +46,33 @@ proptest! {
     /// rectangular shapes at an arbitrary pool width.
     #[test]
     fn parallel_svd_reconstructs(a in dense(6, 4), t in 1usize..9) {
-        let svd = WorkerPool::scoped(t, |pool| Svd::compute_with(&a, pool));
-        prop_assert!(svd.reconstruct().max_abs_diff(&a) < 1e-8);
+        let rebuilt = WorkerPool::scoped(t, |pool| Svd::compute(&a, pool).reconstruct(pool));
+        prop_assert!(rebuilt.max_abs_diff(&a) < 1e-8);
     }
 }
 
 /// A long pooled chain (transpose → products → SVD) on one shared pool
-/// matches the sequential chain exactly — the composition property the
+/// matches the width-1 chain exactly — the composition property the
 /// `mtx` pipeline relies on.
 #[test]
 fn parallel_pipeline_composition_is_bit_identical() {
     let a = DenseMatrix::from_fn(12, 9, |i, j| {
         ((i * 41 + j * 23 + 11) % 31) as f64 / 9.0 - 1.5
     });
-    let seq = {
-        let at = a.transpose();
-        let g = at.matmul(&a);
-        let svd = Svd::compute(&g);
-        svd.u.matmul(&g).matmul(&svd.v.transpose())
+    let chain = |pool: &mut WorkerPool<'_>| {
+        let at = a.transpose(pool);
+        let g = at.matmul(&a, pool);
+        let svd = Svd::compute(&g, pool);
+        let vt = svd.v.transpose(pool);
+        svd.u.matmul(&g, pool).matmul(&vt, pool)
     };
-    for workers in [1usize, 2, 3, 5, 8] {
-        let pooled = WorkerPool::scoped(workers, |pool| {
-            let at = a.transpose_with(pool);
-            let g = at.matmul_with(&a, pool);
-            let svd = Svd::compute_with(&g, pool);
-            svd.u
-                .matmul_with(&g, pool)
-                .matmul_with(&svd.v.transpose_with(pool), pool)
-        });
-        assert_eq!(pooled, seq, "workers = {workers}");
+    let base = WorkerPool::scoped(1, chain);
+    for workers in [2usize, 3, 5, 8] {
+        assert_eq!(
+            WorkerPool::scoped(workers, chain),
+            base,
+            "workers = {workers}"
+        );
     }
 }
 
@@ -92,28 +89,19 @@ fn graph() -> impl Strategy<Value = simrank_graph::DiGraph> {
 proptest! {
     /// Sharded CSR materialization — `backward_transition` filling rows
     /// of `Q` and `to_dense` scattering them — hands each worker disjoint
-    /// row ranges running the exact sequential per-row arithmetic, so
-    /// both the sparse structure and the dense scatter are bit-for-bit
-    /// identical at every pool width (and therefore under any
-    /// `SIMRANK_TEST_THREADS` the CI matrix pins).
+    /// row ranges running the same per-row arithmetic, so both the sparse
+    /// structure and the dense scatter are bit-for-bit identical at every
+    /// pool width.
     #[test]
     fn parallel_csr_materialization_bit_identical(g in graph(), t in 2usize..9) {
-        let (base_q, base_dense) = WorkerPool::scoped(1, |pool| {
-            let q = CsrMatrix::backward_transition_with(&g, pool);
-            let d = q.to_dense_with(pool);
+        let materialize = |pool: &mut WorkerPool<'_>| {
+            let q = CsrMatrix::backward_transition(&g, pool);
+            let d = q.to_dense(pool);
             (q, d)
-        });
-        let (q, dense) = WorkerPool::scoped(t, |pool| {
-            let q = CsrMatrix::backward_transition_with(&g, pool);
-            let d = q.to_dense_with(pool);
-            (q, d)
-        });
+        };
+        let (base_q, base_dense) = WorkerPool::scoped(1, materialize);
+        let (q, dense) = WorkerPool::scoped(t, materialize);
         prop_assert_eq!(&q, &base_q, "CSR structure diverged at workers={}", t);
         prop_assert_eq!(&dense, &base_dense, "dense scatter diverged at workers={}", t);
-        // The default-width wrappers resolve their own pool; their output
-        // must land on the same bits regardless of that width.
-        let wrapper = CsrMatrix::backward_transition(&g);
-        prop_assert_eq!(&wrapper, &base_q);
-        prop_assert_eq!(&wrapper.to_dense(), &base_dense);
     }
 }

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use simrank_linalg::{kron, CsrMatrix, DenseMatrix, Svd};
+use simrank_par::WorkerPool;
 
 /// Strategy: a small dense matrix with entries in [-2, 2].
 fn dense(rows: usize, cols: usize) -> impl Strategy<Value = DenseMatrix> {
@@ -13,16 +14,20 @@ proptest! {
     /// (A·B)·C = A·(B·C) within floating tolerance.
     #[test]
     fn matmul_associative(a in dense(4, 3), b in dense(3, 5), c in dense(5, 2)) {
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let (left, right) = WorkerPool::scoped(1, |pool| {
+            let bc = b.matmul(&c, pool);
+            (a.matmul(&b, pool).matmul(&c, pool), a.matmul(&bc, pool))
+        });
         prop_assert!(left.max_abs_diff(&right) < 1e-10);
     }
 
     /// (A·B)ᵀ = Bᵀ·Aᵀ.
     #[test]
     fn transpose_of_product(a in dense(3, 4), b in dense(4, 3)) {
-        let lhs = a.matmul(&b).transpose();
-        let rhs = b.transpose().matmul(&a.transpose());
+        let (lhs, rhs) = WorkerPool::scoped(1, |pool| {
+            let at = a.transpose(pool);
+            (a.matmul(&b, pool).transpose(pool), b.transpose(pool).matmul(&at, pool))
+        });
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-12);
     }
 
@@ -36,21 +41,27 @@ proptest! {
             .filter(|&(_, _, v)| v != 0.0)
             .collect();
         let m = CsrMatrix::from_triplets(5, 5, triplets);
-        prop_assert!(m.to_dense().max_abs_diff(&a) < 1e-15);
-        prop_assert!(m.mul_dense(&b).max_abs_diff(&a.matmul(&b)) < 1e-10);
-        prop_assert!(
-            m.mul_dense_transposed(&b).max_abs_diff(&b.matmul(&a.transpose())) < 1e-10
-        );
+        let (dense_m, ab, bat) = WorkerPool::scoped(1, |pool| {
+            let at = a.transpose(pool);
+            (m.to_dense(pool), a.matmul(&b, pool), b.matmul(&at, pool))
+        });
+        prop_assert!(dense_m.max_abs_diff(&a) < 1e-15);
+        prop_assert!(m.mul_dense(&b).max_abs_diff(&ab) < 1e-10);
+        prop_assert!(m.mul_dense_transposed(&b).max_abs_diff(&bat) < 1e-10);
     }
 
     /// SVD reconstructs its input and produces orthonormal factors with
     /// descending singular values.
     #[test]
     fn svd_reconstructs(a in dense(5, 5)) {
-        let svd = Svd::compute(&a);
-        prop_assert!(svd.reconstruct().max_abs_diff(&a) < 1e-8);
+        let (svd, rebuilt, utu) = WorkerPool::scoped(1, |pool| {
+            let svd = Svd::compute(&a, pool);
+            let rebuilt = svd.reconstruct(pool);
+            let utu = svd.u.transpose(pool).matmul(&svd.u, pool);
+            (svd, rebuilt, utu)
+        });
+        prop_assert!(rebuilt.max_abs_diff(&a) < 1e-8);
         prop_assert!(svd.sigma.windows(2).all(|w| w[0] >= w[1] - 1e-10));
-        let utu = svd.u.transpose().matmul(&svd.u);
         for i in 0..utu.rows() {
             for j in 0..utu.cols() {
                 // Columns with zero singular value may be zero vectors; only
@@ -68,9 +79,13 @@ proptest! {
     /// (Eckart–Young, spectral norm checked via Frobenius upper bound).
     #[test]
     fn truncation_error_bounded(a in dense(4, 4)) {
-        let svd = Svd::compute(&a);
         let r = 2;
-        let err = svd.truncate(r).reconstruct().max_abs_diff(&a);
+        let (svd, rebuilt) = WorkerPool::scoped(1, |pool| {
+            let svd = Svd::compute(&a, pool);
+            let rebuilt = svd.truncate(r).reconstruct(pool);
+            (svd, rebuilt)
+        });
+        let err = rebuilt.max_abs_diff(&a);
         // max-norm ≤ spectral norm = σ_{r+1}; allow slack for the norm gap.
         let dropped = svd.sigma.get(r).copied().unwrap_or(0.0);
         prop_assert!(err <= dropped + 1e-8, "err {err} vs dropped σ {dropped}");
@@ -81,8 +96,11 @@ proptest! {
     fn kron_vec_identity(a in dense(3, 3), x in dense(3, 3), b in dense(3, 3)) {
         let v = kron::vec_mat(&x);
         prop_assert_eq!(kron::unvec(&v, 3, 3), x.clone());
-        let lhs = kron::vec_mat(&a.matmul(&x).matmul(&b));
-        let k = kron::kronecker(&b.transpose(), &a);
+        let (axb, bt) = WorkerPool::scoped(1, |pool| {
+            (a.matmul(&x, pool).matmul(&b, pool), b.transpose(pool))
+        });
+        let lhs = kron::vec_mat(&axb);
+        let k = kron::kronecker(&bt, &a);
         let rhs: Vec<f64> = (0..9)
             .map(|i| (0..9).map(|j| k.get(i, j) * v[j]).sum())
             .collect();

@@ -92,31 +92,6 @@ pub fn effective_workers(requested: NonZeroUsize, jobs: usize) -> usize {
     requested.get().min(jobs.max(1))
 }
 
-/// Environment override consulted by [`default_workers`]: set
-/// `SIMRANK_TEST_THREADS=<n>` to pin the default worker count (the CI
-/// determinism matrix runs the whole suite at 1, 2, 4, and 8).
-pub const THREADS_ENV: &str = "SIMRANK_TEST_THREADS";
-
-/// Default worker count: the [`THREADS_ENV`] override when set and valid,
-/// else the machine's available parallelism, else 1. Resolved once per
-/// process — callers consult this in hot loops (every
-/// `SimRankOptions::default()`, every pool-backed convenience wrapper)
-/// and must not pay a getenv + syscall each time.
-pub fn default_workers() -> NonZeroUsize {
-    static DEFAULT: std::sync::OnceLock<NonZeroUsize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Ok(raw) = std::env::var(THREADS_ENV) {
-            match raw.trim().parse::<NonZeroUsize>() {
-                Ok(t) => return t,
-                Err(_) => eprintln!(
-                    "warning: ignoring invalid {THREADS_ENV}={raw:?} (want an integer >= 1)"
-                ),
-            }
-        }
-        std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
-    })
-}
-
 /// Partitions `0..len` into at most `workers` contiguous, near-equal
 /// blocks (sizes differ by at most one, larger blocks first). Returns an
 /// empty vector when `len == 0`.
@@ -224,10 +199,9 @@ pub fn round_robin_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
 /// rows; it performs no similarity arithmetic and therefore counts zero
 /// adds.
 ///
-/// Sequential and sharded execution share one body —
+/// A 1-wide pool and the sharded path share one body —
 /// [`kernel::mirror_lower_rows`], the cache-blocked transpose-copy — so
-/// there is exactly one mirror implementation in the workspace; the grid
-/// layer's sequential mirror is a thin wrapper over the same call.
+/// there is exactly one mirror implementation in the workspace.
 ///
 /// # Panics
 ///
@@ -939,6 +913,12 @@ mod tests {
             for j in 0..i {
                 assert_eq!(seq[i * n + j], seq[j * n + i], "({i},{j})");
             }
+        }
+        // The stale corner entry now holds its upper twin; the diagonal is
+        // untouched.
+        assert_eq!(seq[(n - 1) * n], poisoned[n - 1], "stale (n-1, 0)");
+        for i in 0..n {
+            assert_eq!(seq[i * n + i], poisoned[i * n + i], "diagonal ({i},{i})");
         }
         for workers in [2usize, 3, 4] {
             let mut g = poisoned.clone();
