@@ -2,14 +2,15 @@
 //!
 //! The paper's machinery (and every other all-pairs entry point in this
 //! workspace) assumes a static graph: scores are computed once by running
-//! `K = ⌈log_C ε⌉` Jeh–Widom iterations from the identity. When edges
-//! arrive or vanish, a from-scratch rerun discards everything the previous
-//! run converged to. This module reuses it instead: [`resweep`] seeds the
+//! `K = ⌈log_C ε⌉` iterations from the identity. When edges arrive or
+//! vanish, a from-scratch rerun discards everything the previous run
+//! converged to. This module reuses it instead: [`resweep`] seeds the
 //! shared iteration driver with the **previously converged scores** and
-//! runs the exact same triangular sweep as [`crate::naive`] (same kernel,
-//! same pool sharding, same op counting) only until
-//! [`ScoreGrid::max_abs_diff`](crate::ScoreGrid::max_abs_diff) between
-//! consecutive iterates falls under the re-convergence tolerance.
+//! runs psum-SR sweeps (the partial-sums kernel of [`crate::psum`], same
+//! pool sharding, same op counting) only until the max-norm difference
+//! between consecutive iterates falls under the re-convergence tolerance.
+//! [`crate::naive::naive_resweep`] runs the same warm iteration on the
+//! Jeh–Widom kernel; it is the test oracle for this one.
 //!
 //! # When a warm start pays off — and when it doesn't
 //!
@@ -21,9 +22,10 @@
 //! pairs whose in-neighborhoods (or whose neighbors' neighborhoods…)
 //! changed move — so the warm distance is typically orders of magnitude
 //! smaller and the resweep stops after a handful of iterations; each sweep
-//! still costs `O(d²·n²/2)`, so the savings factor is exactly the
-//! iteration ratio (an updates/second measurement lives in
-//! `cargo bench --bench dynamic`). The warm start *loses* when the edit
+//! still costs a full psum-SR sweep, `O(d·n²)`, so the savings factor is
+//! exactly the iteration ratio (perfbench's allpairs-stream workload
+//! measures it: `dynamic.resweep_s`, `dynamic.resweep_sweeps` and
+//! `dynamic.resweep_adds`). The warm start *loses* when the edit
 //! rewires a large fraction of the graph (the old scores are no better
 //! than the identity — expect the full `⌈log_C ε⌉` sweeps plus the
 //! stopping-check overhead) and is pointless when the batch nets out to
@@ -39,7 +41,9 @@
 //! and edit batch, the resweep is bit-for-bit identical at every worker
 //! count, and its merged op count is exact
 //! ([`OpCounter`](simrank_par::OpCounter) shard merge) — both
-//! enforced by the `dynamic_resweep/*` cases of `tests/op_baselines.rs`.
+//! enforced by the `dynamic_resweep_psum/*` cases of
+//! `tests/op_baselines.rs` (the `dynamic_resweep/*` cases pin the naive
+//! oracle).
 //!
 //! The single-source index path has its own warm-start analogue:
 //! [`SimRankIndex::repair`](crate::SimRankIndex::repair) re-solves the
@@ -48,10 +52,10 @@
 
 use crate::convergence;
 use crate::instrument::Report;
-use crate::iterate::{iterate, Start, Stop};
+use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::matrix::SimMatrix;
-use crate::naive::NaiveKernel;
 use crate::options::SimRankOptions;
+use crate::psum::PsumKernel;
 use simrank_graph::{BatchSummary, DiGraph, EdgeDelta, GraphError};
 
 /// Re-convergence tolerance of a warm resweep, derived from the requested
@@ -105,6 +109,24 @@ pub fn resweep_with_report(
     warm: &SimMatrix,
     opts: &SimRankOptions,
 ) -> (SimMatrix, Report) {
+    let mut kernel = PsumKernel::new(g, opts);
+    let (scores, report) = warm_iterate(g, warm, opts, &mut kernel);
+    let report = Report {
+        peak_intermediate_bytes: kernel.state_bytes(),
+        ..report
+    };
+    (scores, report)
+}
+
+/// The warm iteration behind every resweep: runs `kernel` from `warm`
+/// until consecutive iterates differ by at most [`resweep_tolerance`], or
+/// for the cap [`resweep`] documents.
+pub(crate) fn warm_iterate(
+    g: &DiGraph,
+    warm: &SimMatrix,
+    opts: &SimRankOptions,
+    kernel: &mut dyn Kernel,
+) -> (SimMatrix, Report) {
     let c = opts.damping;
     let tol = resweep_tolerance(c, opts.epsilon);
     // A warm start never needs more sweeps than a cold run bound for the
@@ -114,7 +136,7 @@ pub fn resweep_with_report(
     let (grid, report) = iterate(
         g.node_count(),
         opts.threshold,
-        &mut NaiveKernel::new(g, opts),
+        kernel,
         Start::Warm(warm),
         Stop::Residual { tol, cap },
         |_, _| {},
@@ -138,11 +160,10 @@ pub struct DynamicSimRank {
 }
 
 impl DynamicSimRank {
-    /// Cold-builds the initial scores with [`crate::naive::naive_simrank`]
-    /// (the workspace's correctness oracle), then maintains them
-    /// incrementally.
+    /// Cold-builds the initial scores with the paper's
+    /// [`crate::oip::oip_simrank`], then maintains them incrementally.
     pub fn new(graph: DiGraph, opts: SimRankOptions) -> Self {
-        let scores = crate::naive::naive_simrank(&graph, &opts);
+        let scores = crate::oip::oip_simrank(&graph, &opts);
         DynamicSimRank {
             graph,
             scores,
@@ -241,6 +262,13 @@ mod tests {
         let cold = naive_simrank(&g, &opts);
         assert_close(&warm, &cold, 1e-8);
         assert!(report.iterations > 0);
+        // The warm psum-SR kernel holds the same state as a cold psum run.
+        let (_, cold_psum) = crate::psum::psum_simrank_with_report(&g, &opts);
+        assert_eq!(report.peak_intermediate_bytes, 9 * 8);
+        assert_eq!(
+            report.peak_intermediate_bytes,
+            cold_psum.peak_intermediate_bytes
+        );
     }
 
     #[test]

@@ -637,7 +637,7 @@ mod tests {
             for t in [2usize, 3, 5, 8] {
                 let opts = base.with_threads(t);
                 let (st, rt) = run(&g, &plan, &opts, mode, 6, |_, _| {});
-                assert_eq!(s1.max_abs_diff(&st), 0.0, "mode {mode:?} threads {t}");
+                assert!(s1 == st, "mode {mode:?} threads {t}");
                 assert_eq!(r1.adds, rt.adds, "op counts must merge exactly");
                 assert!(rt.workers >= 1 && rt.workers <= t);
             }
@@ -672,7 +672,7 @@ mod tests {
                 for t in [2usize, 3, 5, 8] {
                     let (st, rt) = run(&g, &plan, &base.with_threads(t), mode, 4, |_, _| {});
                     let what = format!("{targets} targets, mode {mode:?}, threads {t}");
-                    assert_eq!(s1.max_abs_diff(&st), 0.0, "{what}");
+                    assert!(s1 == st, "{what}");
                     assert_eq!(r1.adds, rt.adds, "{what}");
                 }
             }

@@ -12,7 +12,9 @@
 //!
 //! Each sweep runs the same steps in the same order:
 //!
-//! 1. `next.clear()`;
+//! 1. `next.clear_upper()` zeroes the pairs `b ≥ a`; the strictly-lower
+//!    entries keep stale values until step 5 overwrites them, and nothing
+//!    reads them before that;
 //! 2. the kernel writes the pairs `b > a` of `next` (and `b = a` when it
 //!    does not pin the diagonal) from the full rows of `cur`;
 //! 3. the threshold sieve (when `threshold` is set) zeroes every
@@ -22,6 +24,11 @@
 //! 5. the bandwidth-only mirror pass copies the upper triangle down, so
 //!    the next sweep reads whole contiguous rows;
 //! 6. the grids swap, and `after_each(k, S_k)` runs.
+//!
+//! Under [`Stop::Residual`] the driver stops after the first sweep whose
+//! `max |S_{k+1} − S_k|` over the upper triangle (`b ≥ a`) is at most
+//! `tol`, or after `cap` sweeps. Both grids are exact mirrors by then, so
+//! the upper-triangle maximum is the full-square one.
 //!
 //! The sieve and the pin touch each entry independently and the mirror is
 //! a pure copy, so none of them depends on the pool width: a kernel that
@@ -66,9 +73,11 @@ pub(crate) trait Kernel {
         true
     }
 
-    /// Writes the upper triangle of the cleared `next` from the full rows
-    /// of `cur`, draining the sweep items it pushes onto the (empty)
-    /// `items` queue, and returns the merged add count.
+    /// Writes the upper triangle of `next` (zeroed by the driver) from the
+    /// full rows of `cur`, draining the sweep items it pushes onto the
+    /// (empty) `items` queue, and returns the merged add count. It never
+    /// reads or writes `next`'s strictly-lower entries, which hold stale
+    /// values until the mirror pass.
     fn sweep(
         &mut self,
         pool: &mut WorkerPool<'_>,
@@ -121,7 +130,7 @@ pub(crate) fn iterate(
     let mut iterations = 0u32;
     WorkerPool::scoped(workers, |pool| {
         while iterations < cap {
-            next.clear();
+            next.clear_upper();
             counter.add(kernel.sweep(pool, &mut items, &cur, &mut next));
             if let Some(delta) = threshold {
                 sieve_upper(&mut next, delta);
@@ -133,7 +142,7 @@ pub(crate) fn iterate(
             // The diff is a lane-chunked max fold (`f64::max` is
             // associative), so the stopping decision — and with it the
             // iteration and op counts — is identical at every width.
-            let converged = tol.is_some_and(|tol| cur.max_abs_diff(&next) <= tol);
+            let converged = tol.is_some_and(|tol| cur.max_abs_diff_upper(&next) <= tol);
             std::mem::swap(&mut cur, &mut next);
             iterations += 1;
             after_each(iterations, &cur);

@@ -34,15 +34,17 @@
 //! (`DMST-Reduce`: transition-cost graph, minimum spanning arborescence,
 //! Proposition-3 update ops, buffer schedule) and the per-sweep OIP
 //! engine that replays it for either the conventional or the
-//! differential recurrence. Every dense all-pairs sweep — naive, psum,
-//! the OIP engine, P-Rank and the warm [`dynamic`] resweep — runs under
-//! one crate-private iteration driver, which owns the ping-pong grids,
-//! the worker pool, the threshold sieve, the diagonal pin, the mirror
-//! pass and the stop rule. [`convergence`] carries the iteration-count
-//! theory (geometric bound, Proposition 7, Corollaries 1–2 with a
-//! from-scratch Lambert-W implementation), [`instrument`] the measurements
-//! the paper's figures report (phase timings, addition counts, peak
-//! intermediate memory); the plan itself carries the tree weight and `d′`.
+//! differential recurrence. Every dense all-pairs sweep — naive, psum
+//! (cold, and warm in the [`dynamic`] resweep), the OIP engine and
+//! P-Rank — runs under one crate-private iteration driver, which owns the
+//! ping-pong grids, the worker pool, the threshold sieve, the diagonal
+//! pin, the mirror pass and the stop rule (its clear and its residual
+//! touch only the authoritative upper triangle). [`convergence`] carries
+//! the iteration-count theory (geometric bound, Proposition 7,
+//! Corollaries 1–2 with a from-scratch Lambert-W implementation),
+//! [`instrument`] the measurements the paper's figures report (phase
+//! timings, addition counts, peak intermediate memory); the plan itself
+//! carries the tree weight and `d′`.
 //!
 //! Results come in three representations, one producer each: every
 //! all-pairs entry point returns the packed triangle ([`SimMatrix`]),
@@ -54,12 +56,13 @@
 //!
 //! Graphs are not frozen: [`dynamic`] maintains converged results under
 //! edge streams. `DiGraph::apply_batch` patches the CSR adjacency in
-//! place, [`dynamic::resweep`] re-converges the all-pairs scores from
-//! the stale grid as a warm start (a fraction of the cold iteration
-//! bound), and [`SimRankIndex::repair`] re-solves the diagonal system
-//! with the stale diagonal seeding CGLS — all on the same pooled sweeps,
-//! with the same bit-for-bit thread-invariance contract (`dynamic/*`
-//! cases in `baselines/op_counts.txt`).
+//! place, [`dynamic::resweep`] re-converges the all-pairs scores with
+//! psum-SR sweeps from the stale grid as a warm start (a fraction of the
+//! cold iteration bound), and [`SimRankIndex::repair`] re-solves the
+//! diagonal system with the stale diagonal seeding CGLS — all on the same
+//! pooled sweeps, with the same bit-for-bit thread-invariance contract
+//! (`dynamic_resweep_psum/*` and `dynamic_repair/*` cases in
+//! `baselines/op_counts.txt`).
 //!
 //! Every way to read scores — [`SimRankIndex`], the three score
 //! representations, and the Monte-Carlo [`montecarlo::Fingerprints`] —

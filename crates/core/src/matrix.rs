@@ -108,6 +108,13 @@ impl SimMatrix {
         out
     }
 
+    /// Packed row `hi`: the `hi + 1` entries `s(lo, hi)`, `lo ≤ hi`, in
+    /// ascending `lo`.
+    #[inline]
+    pub(crate) fn packed_row_mut(&mut self, hi: usize) -> &mut [f64] {
+        &mut self.data[tri(hi)..tri(hi + 1)]
+    }
+
     /// Largest absolute entry difference — the `‖·‖max` convergence metric.
     pub fn max_abs_diff(&self, other: &SimMatrix) -> f64 {
         assert_eq!(self.n, other.n, "order mismatch");

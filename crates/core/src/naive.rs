@@ -33,10 +33,18 @@ pub fn naive_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatr
     (grid.to_sim_matrix(), report)
 }
 
+/// The warm-start resweep of [`crate::dynamic::resweep_with_report`] on the
+/// naive kernel: the same warm start, tolerance and sweep cap, with
+/// Jeh–Widom sweeps in place of psum-SR sweeps. This is the reference the
+/// tests compare the production resweep against, not a production path.
+pub fn naive_resweep(g: &DiGraph, warm: &SimMatrix, opts: &SimRankOptions) -> (SimMatrix, Report) {
+    crate::dynamic::warm_iterate(g, warm, opts, &mut NaiveKernel::new(g, opts))
+}
+
 /// The triangular Jeh–Widom sweep, shared verbatim by the cold
-/// [`naive_simrank_with_report`] run and the warm-start [`crate::dynamic`] resweep so the
-/// two are the same arithmetic by construction.
-pub(crate) struct NaiveKernel<'a> {
+/// [`naive_simrank_with_report`] run and the warm [`naive_resweep`] oracle
+/// so the two are the same arithmetic by construction.
+struct NaiveKernel<'a> {
     g: &'a DiGraph,
     c: f64,
     workers: usize,
@@ -45,7 +53,7 @@ pub(crate) struct NaiveKernel<'a> {
 }
 
 impl<'a> NaiveKernel<'a> {
-    pub(crate) fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
+    fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
         let workers = par::effective_workers(opts.threads, g.node_count());
         NaiveKernel {
             g,

@@ -48,17 +48,16 @@ pub fn psum_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatri
         |_, _| {},
     );
     let report = Report {
-        // One n-vector of partial sums per worker is the only intermediate
-        // state.
-        peak_intermediate_bytes: report.workers * n * std::mem::size_of::<f64>(),
+        peak_intermediate_bytes: kernel.state_bytes(),
         ..report
     };
     (grid.to_sim_matrix(), report)
 }
 
 /// One psum-SR sweep over the ascending target list, sharded by weighted
-/// target block.
-struct PsumKernel<'a> {
+/// target block. The cold [`psum_simrank_with_report`] run and the warm
+/// [`crate::dynamic`] resweep both run it.
+pub(crate) struct PsumKernel<'a> {
     g: &'a DiGraph,
     c: f64,
     workers: usize,
@@ -72,7 +71,7 @@ struct PsumKernel<'a> {
 }
 
 impl<'a> PsumKernel<'a> {
-    fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
+    pub(crate) fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
         let n = g.node_count();
         let targets: Vec<NodeId> = g.nodes_with_in_edges();
         // Each source's partial-sum chain is independent: shard the
@@ -107,6 +106,12 @@ impl<'a> PsumKernel<'a> {
             targets,
             target_blocks,
         }
+    }
+
+    /// Bytes of intermediate state: one `n`-vector of partial sums per
+    /// target block, at most one block per worker.
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.partials_flat.len() * std::mem::size_of::<f64>()
     }
 }
 

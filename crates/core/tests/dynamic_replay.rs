@@ -5,7 +5,8 @@
 //! scores and [`SimRankIndex::repair`] seeded from the pre-edit diagonal
 //! — and checks every answer against a from-scratch recompute on the
 //! mutated graph (`naive` *and* `psum` for the sweep path, a fresh index
-//! build for the query path). The streams run over both synthetic
+//! build for the query path). The sweep path is also checked against the
+//! naive warm oracle [`naive_resweep`]. The streams run over both synthetic
 //! families the benchmarks use: the BERKSTAN-like site-template model and
 //! preferential attachment.
 //!
@@ -23,7 +24,7 @@
 
 use proptest::prelude::*;
 use simrank_core::index::SimRankIndex;
-use simrank_core::naive::naive_simrank;
+use simrank_core::naive::{naive_resweep, naive_simrank};
 use simrank_core::psum::psum_simrank;
 use simrank_core::query::QueryEngine;
 use simrank_core::{dynamic, SimRankOptions};
@@ -81,7 +82,8 @@ proptest! {
     /// Oracle test for the warm-start sweep: replaying an edit script and
     /// resweeping from the stale converged scores lands within the
     /// convergence bound of *both* cold `naive` and cold `psum` on the
-    /// mutated graph.
+    /// mutated graph, and the production (psum-SR) resweep agrees with the
+    /// naive warm oracle from the same start, in the same sweep count.
     #[test]
     fn dynamic_replay_resweep_matches_cold_recompute(
         (g, script) in arb_graph_and_script(),
@@ -90,7 +92,14 @@ proptest! {
         let warm = naive_simrank(&g, &opts);
         let mut mg = g.clone();
         let summary = mg.apply_batch(&script).expect("in-range script");
-        let re = dynamic::resweep(&mg, &warm, &opts);
+        let (re, report) = dynamic::resweep_with_report(&mg, &warm, &opts);
+        let (oracle, oracle_report) = naive_resweep(&mg, &warm, &opts);
+        prop_assert!(
+            re.max_abs_diff(&oracle) < 1e-12,
+            "psum warm resweep diverged from the naive warm oracle: {}",
+            re.max_abs_diff(&oracle)
+        );
+        prop_assert_eq!(report.iterations, oracle_report.iterations);
         let cold_naive = naive_simrank(&mg, &opts);
         let cold_psum = psum_simrank(&mg, &opts);
         prop_assert!(

@@ -59,12 +59,25 @@ fn dynamic_script(g: &DiGraph) -> Vec<EdgeDelta> {
     deltas
 }
 
-/// The `dynamic_resweep/*` case: converge on `g`, apply the fixed edit
-/// script, and re-converge warm from the stale scores.
-fn resweep_case(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
+/// The stale scores and the mutated graph of the `dynamic_resweep*/*`
+/// cases: converge on `g`, then apply the fixed edit script.
+fn resweep_input(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, DiGraph) {
     let warm = naive::naive_simrank(g, opts);
     let mut mg = g.clone();
     mg.apply_batch(&dynamic_script(g)).expect("valid script");
+    (warm, mg)
+}
+
+/// The `dynamic_resweep/*` case: the naive warm-resweep oracle.
+fn resweep_case(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
+    let (warm, mg) = resweep_input(g, opts);
+    naive::naive_resweep(&mg, &warm, opts)
+}
+
+/// The `dynamic_resweep_psum/*` case: the production warm resweep
+/// (psum-SR sweeps) on the same input.
+fn resweep_psum_case(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
+    let (warm, mg) = resweep_input(g, opts);
     dynamic::resweep_with_report(&mg, &warm, opts)
 }
 
@@ -125,6 +138,10 @@ fn measured_cases() -> Vec<(String, u64)> {
             format!("dynamic_resweep/{gname}"),
             resweep_case(&g, &opts).1.adds,
         ));
+        out.push((
+            format!("dynamic_resweep_psum/{gname}"),
+            resweep_psum_case(&g, &opts).1.adds,
+        ));
         out.push((format!("dynamic_repair/{gname}"), {
             let index = simrank::algo::index::SimRankIndex::build(&g, &opts);
             index
@@ -174,6 +191,7 @@ fn measured_digests() -> Vec<(String, u64)> {
             ("prank", prank_with_report(&g, &prank_opts(opts)).0),
             ("prank_t05", prank_with_report(&g, &prank_opts(sieved)).0),
             ("dynamic_resweep", resweep_case(&g, &opts).0),
+            ("dynamic_resweep_psum", resweep_psum_case(&g, &opts).0),
         ];
         for (algo, scores) in cases {
             out.push((format!("{algo}/{gname}"), score_digest(&scores)));
