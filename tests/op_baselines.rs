@@ -21,6 +21,8 @@
 //! SIMRANK_UPDATE_BASELINES=1 cargo test --test op_baselines
 //! ```
 
+use simrank::algo::index::SimRankIndex;
+use simrank::algo::query::QueryEngine;
 use simrank::algo::montecarlo::Fingerprints;
 use simrank::algo::prank::{prank_with_report, PRankOptions};
 use simrank::algo::{dsr, dynamic, naive, oip, psum, Report, SimMatrix, SimRankOptions};
@@ -127,7 +129,7 @@ fn measured_cases() -> Vec<(String, u64)> {
         ));
         out.push((
             format!("index/{gname}"),
-            simrank::algo::index::SimRankIndex::build_with_report(&g, &opts)
+            SimRankIndex::build_with_report(&g, &opts)
                 .1
                 .adds,
         ));
@@ -143,7 +145,7 @@ fn measured_cases() -> Vec<(String, u64)> {
             resweep_psum_case(&g, &opts).1.adds,
         ));
         out.push((format!("dynamic_repair/{gname}"), {
-            let index = simrank::algo::index::SimRankIndex::build(&g, &opts);
+            let index = SimRankIndex::build(&g, &opts);
             index
                 .repair_with_report(&dynamic_script(&g), &opts)
                 .expect("valid script")
@@ -158,8 +160,15 @@ fn measured_cases() -> Vec<(String, u64)> {
 /// the diagonal: any bit flip in any score (even `0.0` vs `-0.0`) changes
 /// the digest.
 fn score_digest(s: &SimMatrix) -> u64 {
+    bits_digest(s.iter_upper().map(|(_, _, v)| v))
+}
+
+/// FNV-1a over the IEEE-754 bits of `values` in order — the byte loop
+/// behind [`score_digest`], also applied to the index's diagonal and
+/// served rows.
+fn bits_digest(values: impl IntoIterator<Item = f64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (_, _, v) in s.iter_upper() {
+    for v in values {
         for byte in v.to_bits().to_le_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -169,8 +178,12 @@ fn score_digest(s: &SimMatrix) -> u64 {
 }
 
 /// Digests every dense all-pairs `<algorithm>/<graph>` output, plain and
-/// `δ = 0.05`-sieved (`*_t05`). Runs at the default pool width so the
-/// determinism matrix checks each width against the same committed file.
+/// `δ = 0.05`-sieved (`*_t05`), plus the index's outputs: the diagonal
+/// correction `d` of a build (`index/*`) and of a repair after the fixed
+/// edit script (`dynamic_repair/*`), and every `single_source(u)` row,
+/// concatenated in `u` order (`index_rows/*`). Runs at the default pool
+/// width so the determinism matrix checks each width against the same
+/// committed file.
 fn measured_digests() -> Vec<(String, u64)> {
     let opts = SimRankOptions::default()
         .with_damping(0.6)
@@ -196,6 +209,20 @@ fn measured_digests() -> Vec<(String, u64)> {
         for (algo, scores) in cases {
             out.push((format!("{algo}/{gname}"), score_digest(&scores)));
         }
+        let index = SimRankIndex::build(&g, &opts);
+        let repaired = index
+            .repair(&dynamic_script(&g), &opts)
+            .expect("valid script");
+        let rows = (0..g.node_count() as u32).flat_map(|u| index.single_source(u));
+        out.push((
+            format!("index/{gname}"),
+            bits_digest(index.diagonal_correction().iter().copied()),
+        ));
+        out.push((
+            format!("dynamic_repair/{gname}"),
+            bits_digest(repaired.diagonal_correction().iter().copied()),
+        ));
+        out.push((format!("index_rows/{gname}"), bits_digest(rows)));
     }
     out
 }
