@@ -6,7 +6,7 @@
 //! `-C target-cpu=native`. This harness pits the kernels against the
 //! historical single-accumulator scalar loops at both granularities:
 //!
-//! * **primitives** — `dot` / `axpy` / `gather_dot` / triangle mirror at
+//! * **primitives** — `dot` / `axpy` / triangle mirror at
 //!   several vector and matrix sizes, each against a faithful scalar
 //!   re-implementation of the pre-kernel loop;
 //! * **sweeps** — the shipped kernel-routed triangular `naive` / `psum`
@@ -41,32 +41,11 @@ fn splitmix_vals(mut state: u64, len: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Deterministic index stream into `0..len`.
-fn splitmix_indices(mut state: u64, count: usize, len: usize) -> Vec<u32> {
-    (0..count)
-        .map(|_| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z ^= z >> 31;
-            (z % len as u64) as u32
-        })
-        .collect()
-}
-
 /// The pre-kernel reduction: one accumulator, strictly sequential.
 fn scalar_dot(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;
     for (&x, &y) in a.iter().zip(b) {
         acc += x * y;
-    }
-    acc
-}
-
-fn scalar_gather_dot(a: &[f64], b: &[f64], idx: &[u32]) -> f64 {
-    let mut acc = 0.0;
-    for &j in idx {
-        acc += a[j as usize] * b[j as usize];
     }
     acc
 }
@@ -78,7 +57,6 @@ fn kernel_primitives(c: &mut Criterion) {
     for &n in &[64usize, 256, 1024, 4096] {
         let a = splitmix_vals(SEED, n);
         let b = splitmix_vals(SEED ^ 0x5555, n);
-        let idx = splitmix_indices(SEED ^ 0xAAAA, 2 * n, n);
         // The bodies are cheap at small n; batch them so timer overhead
         // does not swamp the measurement.
         let reps = (1 << 22) / n.max(1);
@@ -96,24 +74,6 @@ fn kernel_primitives(c: &mut Criterion) {
                 let mut acc = 0.0;
                 for _ in 0..reps {
                     acc += kernel::dot(black_box(&a), black_box(&b));
-                }
-                acc
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("gather_dot_scalar", n), &n, |be, _| {
-            be.iter(|| {
-                let mut acc = 0.0;
-                for _ in 0..reps / 2 {
-                    acc += scalar_gather_dot(black_box(&a), black_box(&b), black_box(&idx));
-                }
-                acc
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("gather_dot_kernel", n), &n, |be, _| {
-            be.iter(|| {
-                let mut acc = 0.0;
-                for _ in 0..reps / 2 {
-                    acc += kernel::gather_dot(black_box(&a), black_box(&b), black_box(&idx));
                 }
                 acc
             })

@@ -34,8 +34,10 @@
 //!
 //! Stacking those equations gives a linear system `M·d = 𝟙` with
 //! `M = Σ_k Cᵏ (Qᵏ ∘ Qᵏ)` (`∘` the entrywise square, applied row-wise).
-//! `M` is applied **matrix-free**: one constraint row costs one depth-`K`
-//! reverse walk, so `M·x` and `Mᵀ·x` are each `O(n·K·(n + m))` sweeps and
+//! `M` is applied **matrix-free**: a constraint row is a depth-`K`
+//! reverse walk, and every sweep walks 8 rows at once as the columns of
+//! row-major `n × 8` blocks, so one pass over the out-lists advances all
+//! eight walks. `M·x` and `Mᵀ·x` are each `O(n·K·(n + m))` sweeps, and
 //! nothing `n × n` is ever formed.
 //!
 //! `M` is *not* diagonally dominant in general — on a pure directed
@@ -47,13 +49,18 @@
 //! `(0, 1)` because the normal system is symmetric positive
 //! (semi-)definite. Each CGLS round applies `M` once and `Mᵀ` once:
 //!
-//! * `M·x` shards per-vertex rows over the [`simrank_par::WorkerPool`] —
-//!   disjoint writes, identical per-vertex arithmetic, so the product is
-//!   a pure function of the inputs at any pool width.
+//! * `M·x` shards contiguous vertex blocks over the
+//!   [`simrank_par::WorkerPool`] and walks each block 8 rows per walk —
+//!   disjoint writes, and every lane is bit-for-bit the row walked alone,
+//!   so the product is a pure function of the inputs at any pool width
+//!   and wherever the 8-row blocks fall.
 //! * `Mᵀ·x` scatters weighted rows into per-shard accumulators over a
 //!   **fixed** [`TRANSPOSE_SHARDS`]-way vertex partition (independent of
 //!   the worker count) and folds the shards in index order, so its bits
-//!   never depend on scheduling either.
+//!   never depend on scheduling either. The scatter is order-preserving:
+//!   a block of 8 rows walks all `K` levels first, then the rows scatter
+//!   one after another, levels ascending — the order of rows scattered
+//!   alone.
 //!
 //! The result: the whole solve — round count, op count, and every bit of
 //! `d` — is **identical at every thread count**, and per-worker
@@ -110,8 +117,10 @@ pub const MAX_SOLVER_ROUNDS: u32 = 256;
 /// Fixed shard count for the matrix-free `Mᵀ·x` scatter. The partition is
 /// a function of the vertex count alone — never of the worker count — so
 /// the shard-fold order (ascending shard index) yields bit-identical sums
-/// at every pool width. Also bounds the scatter's transient memory at
-/// `TRANSPOSE_SHARDS · n` doubles.
+/// at every pool width. Also bounds the scatter's accumulator arena at
+/// `TRANSPOSE_SHARDS · n` doubles; each running shard adds its walk
+/// buffers, `(K + 2) · n · 8` doubles (see the solve's
+/// `Report::peak_intermediate_bytes`).
 pub const TRANSPOSE_SHARDS: usize = 64;
 
 /// A precomputed single-source / top-k SimRank query index: the graph's
@@ -141,13 +150,35 @@ pub struct SimRankIndex {
     residual: f64,
 }
 
-/// One reverse-walk step `next ← Qᵀ·cur`: similarity mass flows from each
-/// vertex to its in-neighbors, scaled by `1/|I(·)|`. Gathered per target
-/// over sorted out-neighbor lists, so the accumulation order is a pure
-/// function of the graph — never of scheduling.
-fn reverse_step(g: &DiGraph, inv_in: &[f64], cur: &[f64], next: &mut [f64]) {
-    for (j, slot) in next.iter_mut().enumerate() {
-        *slot = par::kernel::gather_dot(cur, inv_in, g.out_neighbors(j as NodeId));
+/// Sources every constraint sweep walks at once: their reverse walks are
+/// the columns of row-major `n × WB` blocks, so one pass over the
+/// out-lists advances all of them.
+const WB: usize = 8;
+
+/// One reverse-walk step `next ← Qᵀ·cur` for `B` walks at once: `cur` and
+/// `next` are row-major `n × B` blocks (column `s` is walk `s`) and `w` is
+/// scratch of the same shape. Similarity mass flows from each vertex to
+/// its in-neighbors, scaled by `1/|I(·)|`: the scale is applied once per
+/// vertex, then each target gathers its sorted out-neighbor rows, so the
+/// accumulation order is a pure function of the graph — never of
+/// scheduling or of `B` (every column is bit-for-bit the `B = 1` walk).
+fn reverse_step<const B: usize>(
+    g: &DiGraph,
+    inv_in: &[f64],
+    cur: &[f64],
+    w: &mut [f64],
+    next: &mut [f64],
+) {
+    for ((wr, cr), &scale) in w.chunks_exact_mut(B).zip(cur.chunks_exact(B)).zip(inv_in) {
+        for (wv, &cv) in wr.iter_mut().zip(cr) {
+            *wv = cv * scale;
+        }
+    }
+    for (j, row) in next.chunks_exact_mut(B).enumerate() {
+        row.copy_from_slice(&par::kernel::gather_sum_block::<B>(
+            w,
+            g.out_neighbors(j as NodeId),
+        ));
     }
 }
 
@@ -172,86 +203,162 @@ fn inverse_in_degrees(g: &DiGraph) -> Vec<f64> {
         .collect()
 }
 
-/// `⟨m_a, x⟩` for constraint row `a` of `M = Σ_k Cᵏ (Qᵏ ∘ Qᵏ)`, computed
-/// matrix-free by walking `h₀..h_K` in the `cur`/`nxt` scratch buffers.
-/// This is the single definition of the row arithmetic — the solver's
-/// `M`-apply sweeps and the residual recompute on index load all run it,
-/// so their values agree bit-for-bit.
+/// Splits a vertex range into the consecutive sub-blocks of at most
+/// [`WB`] rows that one blocked walk covers (the last may be partial).
+fn row_blocks(rows: std::ops::Range<usize>) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let end = rows.end;
+    rows.step_by(WB).map(move |a| a..(a + WB).min(end))
+}
+
+/// Nonzero entries per column of a row-major `n × WB` block — the
+/// per-row op bill of one walk level.
+fn column_nnz(block: &[f64]) -> [u64; WB] {
+    let mut nnz = [0u64; WB];
+    for row in block.chunks_exact(WB) {
+        for (count, &h) in nnz.iter_mut().zip(row) {
+            *count += u64::from(h != 0.0);
+        }
+    }
+    nnz
+}
+
+/// Starts one walk per row of `rows` (at most [`WB`]) in the `n × WB`
+/// block `seed`: lane `s` is `e_a` for `a = rows.start + s` where `live(a)`
+/// holds, and zero otherwise (as are the lanes past a partial block).
+fn seed_walks(seed: &mut [f64], rows: std::ops::Range<usize>, live: impl Fn(usize) -> bool) {
+    seed.fill(0.0);
+    for (s, a) in rows.enumerate() {
+        if live(a) {
+            seed[a * WB + s] = 1.0;
+        }
+    }
+}
+
+/// `⟨m_a, x⟩` for the up-to-[`WB`] constraint rows `a ∈ rows` of
+/// `M = Σ_k Cᵏ (Qᵏ ∘ Qᵏ)`, computed matrix-free by walking their
+/// `h₀..h_K` side by side in the `n × WB` blocks `cur`/`nxt` (`w` is the
+/// step's scale scratch). Lane `s` is bit-for-bit the row dot of vertex
+/// `rows.start + s` walked alone, and the op bill is exactly the sum of
+/// those rows' bills: the lanes past a partial block walk zeros and bill
+/// nothing. This is the single definition of the row arithmetic — the
+/// solver's `M`-apply sweeps and the residual recompute on index load
+/// all run it, so their values agree bit-for-bit.
 #[allow(clippy::too_many_arguments)]
-fn constraint_row_dot(
+fn constraint_block_dot(
     g: &DiGraph,
     inv_in: &[f64],
     c: f64,
     depth: u32,
-    a: usize,
+    rows: std::ops::Range<usize>,
     x: &[f64],
-    cur: &mut Vec<f64>,
-    nxt: &mut Vec<f64>,
+    [cur, nxt, w]: &mut [Vec<f64>; 3],
     ops: &mut OpCounter,
-) -> f64 {
+) -> [f64; WB] {
     let m_edges = g.edge_count() as u64;
-    cur.fill(0.0);
-    cur[a] = 1.0;
+    let live = rows.len();
+    seed_walks(cur, rows.clone(), |_| true);
     // k = 0 term: h₀ = e_a.
-    let mut acc = x[a];
+    let mut acc = [0.0f64; WB];
+    for (slot, a) in acc.iter_mut().zip(rows) {
+        *slot = x[a];
+    }
     let mut ck = 1.0;
     for _ in 0..depth {
-        reverse_step(g, inv_in, cur, nxt);
+        reverse_step::<WB>(g, inv_in, cur, w, nxt);
         ck *= c;
-        // Σ h²·x as one dense lane-chunked kernel: zero-weight terms
-        // contribute an exact zero to their lane, so dropping the
+        // Σ h²·x as one dense lane-chunked kernel per column: zero-weight
+        // terms contribute an exact zero to their lane, so dropping the
         // sparsity guard cannot perturb the sum and the loop stays
         // branch-free. The op count still bills only the nonzeros.
-        let dot = par::kernel::weighted_sq_dot(nxt, x);
-        let nnz = nxt.iter().filter(|&&h| h != 0.0).count() as u64;
-        acc += ck * dot;
-        ops.add(m_edges + nnz + 1);
+        let dot = par::kernel::weighted_sq_dot_block::<WB>(nxt, x);
+        let nnz = column_nnz(nxt);
+        for s in 0..live {
+            acc[s] += ck * dot[s];
+            ops.add(m_edges + nnz[s] + 1);
+        }
         std::mem::swap(cur, nxt);
     }
     acc
 }
 
-/// `acc[j] += weight · m_a[j]` — the `Mᵀ` scatter of one constraint row,
-/// walking the same levels as [`constraint_row_dot`].
+/// `acc[j] += x[a] · m_a[j]` for the up-to-[`WB`] constraint rows
+/// `a ∈ rows` — the `Mᵀ` scatter, walking the same levels as
+/// [`constraint_block_dot`]. All `K` levels are walked first into
+/// `levels`, a `(K + 1) × n × WB` buffer whose level 0 is the seed (`w`
+/// is the step's scale scratch); the rows then scatter one after another,
+/// levels ascending, so `acc[j]` receives its terms in exactly the order
+/// of the rows scattered alone. Zero-weight rows contribute nothing and
+/// are skipped (a pure function of the values, so determinism is
+/// unaffected).
 #[allow(clippy::too_many_arguments)]
-fn constraint_row_scatter(
+fn constraint_block_scatter(
     g: &DiGraph,
     inv_in: &[f64],
     c: f64,
-    depth: u32,
-    a: usize,
-    weight: f64,
+    rows: std::ops::Range<usize>,
+    x: &[f64],
     acc: &mut [f64],
-    cur: &mut Vec<f64>,
-    nxt: &mut Vec<f64>,
+    levels: &mut [f64],
+    w: &mut [f64],
     ops: &mut OpCounter,
 ) {
+    if rows.clone().all(|a| x[a] == 0.0) {
+        return;
+    }
     let m_edges = g.edge_count() as u64;
-    cur.fill(0.0);
-    cur[a] = 1.0;
-    acc[a] += weight;
-    let mut ck = 1.0;
-    for _ in 0..depth {
-        reverse_step(g, inv_in, cur, nxt);
-        ck *= c;
-        let wck = weight * ck;
-        let mut nnz = 0u64;
-        for (j, &h) in nxt.iter().enumerate() {
-            if h != 0.0 {
-                acc[j] += wck * h * h;
-                nnz += 1;
-            }
+    let block = acc.len() * WB;
+    seed_walks(&mut levels[..block], rows.clone(), |a| x[a] != 0.0);
+    for k in 1..levels.len() / block {
+        let (done, rest) = levels.split_at_mut(k * block);
+        reverse_step::<WB>(g, inv_in, &done[(k - 1) * block..], w, &mut rest[..block]);
+    }
+    for (s, a) in rows.enumerate() {
+        let weight = x[a];
+        if weight == 0.0 {
+            continue;
         }
-        ops.add(m_edges + nnz + 1);
-        std::mem::swap(cur, nxt);
+        acc[a] += weight;
+        let mut ck = 1.0;
+        for level in levels.chunks_exact(block).skip(1) {
+            ck *= c;
+            let wck = weight * ck;
+            let mut nnz = 0u64;
+            for (j, row) in level.chunks_exact(WB).enumerate() {
+                let h = row[s];
+                if h != 0.0 {
+                    acc[j] += wck * h * h;
+                    nnz += 1;
+                }
+            }
+            ops.add(m_edges + nnz + 1);
+        }
     }
 }
 
+/// The three `n × WB` walk blocks (`cur`, `nxt`, scale scratch) one
+/// [`constraint_block_dot`] steps through.
+fn dot_walk_buffers(n: usize) -> [Vec<f64>; 3] {
+    std::array::from_fn(|_| vec![0.0f64; n * WB])
+}
+
+/// Peak transient memory of one diagonal solve on `n` vertices at series
+/// depth `depth` over `workers` workers: the `Mᵀ·x` accumulator arena
+/// (one `n`-vector per [`TRANSPOSE_SHARDS`] shard), five CGLS
+/// `n`-vectors (`d`, `r`, `s`, `p` and the `M·x` output), and per worker
+/// the blocked walk buffers of the sweep running — three `n × WB` blocks
+/// for `M·x`, or for `Mᵀ·x` the `(K + 1) × n × WB` level buffer plus one
+/// `n × WB` scale block.
+fn solve_intermediate_bytes(n: usize, depth: u32, workers: usize) -> usize {
+    let walk_blocks = (depth as usize + 2).max(3);
+    ((TRANSPOSE_SHARDS.min(n.max(1)) + 5) * n + workers * walk_blocks * n * WB)
+        * std::mem::size_of::<f64>()
+}
+
 /// `out[a] = ⟨m_a, x⟩` for every vertex — the matrix-free `M·x`, sharded
-/// by contiguous vertex blocks with disjoint per-vertex writes. `blocks`
-/// is the fixed vertex partition and `items` a recycled index buffer, both
-/// hoisted by the caller so the per-round sweeps allocate nothing. Returns
-/// the merged add count.
+/// by contiguous vertex blocks with disjoint per-vertex writes; each
+/// worker walks its block [`WB`] rows at a time. `blocks` is the fixed
+/// vertex partition and `items` a recycled index buffer, both hoisted by
+/// the caller. Returns the merged add count.
 #[allow(clippy::too_many_arguments)]
 fn apply_constraint(
     g: &DiGraph,
@@ -270,22 +377,23 @@ fn apply_constraint(
     let slots = par::SlotWriter::new(out);
     items.extend(0..blocks.len());
     pool.sweep_drain(items, |bi, ops| {
-        let mut cur = vec![0.0f64; n];
-        let mut nxt = vec![0.0f64; n];
-        for a in blocks[bi].clone() {
-            let v = constraint_row_dot(g, inv_in, c, depth, a, x, &mut cur, &mut nxt, ops);
-            unsafe { *slots.slot_mut(a) = v };
+        let mut walk = dot_walk_buffers(n);
+        for rows in row_blocks(blocks[bi].clone()) {
+            let vals = constraint_block_dot(g, inv_in, c, depth, rows.clone(), x, &mut walk, ops);
+            for (a, v) in rows.zip(vals) {
+                unsafe { *slots.slot_mut(a) = v };
+            }
         }
     })
 }
 
-/// `out = Mᵀ·x`, matrix-free: rows scatter `x[a]·m_a` into per-shard
-/// accumulators over the fixed [`TRANSPOSE_SHARDS`]-way partition
-/// (`shards`, hoisted by the caller along with the flat `shards.len() × n`
-/// accumulator arena and the recycled `items` buffer), then the shards
-/// fold in ascending index order — a summation tree that is a pure
-/// function of `n`, so the result is bit-identical at every pool width.
-/// Returns the merged add count.
+/// `out = Mᵀ·x`, matrix-free: rows scatter `x[a]·m_a`, [`WB`] at a time,
+/// into per-shard accumulators over the fixed [`TRANSPOSE_SHARDS`]-way
+/// partition (`shards`, hoisted by the caller along with the flat
+/// `shards.len() × n` accumulator arena and the recycled `items` buffer),
+/// then the shards fold in ascending index order — a summation tree that
+/// is a pure function of `n`, so the result is bit-identical at every
+/// pool width. Returns the merged add count.
 #[allow(clippy::too_many_arguments)]
 fn apply_constraint_transpose(
     g: &DiGraph,
@@ -306,14 +414,10 @@ fn apply_constraint_transpose(
     items.extend(0..shards.len());
     let adds = pool.sweep_drain(items, |si, ops| {
         let acc = unsafe { scratch.row_mut(si) };
-        let mut cur = vec![0.0f64; n];
-        let mut nxt = vec![0.0f64; n];
-        for a in shards[si].clone() {
-            // Zero-weight rows contribute nothing; skipping them is a
-            // pure function of the values, so determinism is unaffected.
-            if x[a] != 0.0 {
-                constraint_row_scatter(g, inv_in, c, depth, a, x[a], acc, &mut cur, &mut nxt, ops);
-            }
+        let mut levels = vec![0.0f64; (depth as usize + 1) * n * WB];
+        let mut w = vec![0.0f64; n * WB];
+        for rows in row_blocks(shards[si].clone()) {
+            constraint_block_scatter(g, inv_in, c, rows, x, acc, &mut levels, &mut w, ops);
         }
     });
     out.fill(0.0);
@@ -357,9 +461,7 @@ impl SimRankIndex {
             iterations: rounds,
             adds: counter.total(),
             share_sums: timer.lap(),
-            peak_intermediate_bytes: (TRANSPOSE_SHARDS.min(n.max(1)) + 2 * workers + 5)
-                * n
-                * std::mem::size_of::<f64>(),
+            peak_intermediate_bytes: solve_intermediate_bytes(n, depth, workers),
             workers,
             ..Default::default()
         };
@@ -468,9 +570,7 @@ impl SimRankIndex {
             iterations: rounds,
             adds: counter.total(),
             share_sums: timer.lap(),
-            peak_intermediate_bytes: (TRANSPOSE_SHARDS.min(n.max(1)) + 2 * workers + 5)
-                * n
-                * std::mem::size_of::<f64>(),
+            peak_intermediate_bytes: solve_intermediate_bytes(n, depth, workers),
             workers,
             ..Default::default()
         };
@@ -682,24 +782,24 @@ impl SimRankIndex {
     /// residual of the current `d`, via the same row primitive the solver
     /// runs (so the value matches a fresh build's bit-for-bit).
     fn max_constraint_residual(&self) -> f64 {
-        let n = self.order();
         let mut worst = 0.0f64;
-        let mut cur = vec![0.0f64; n];
-        let mut nxt = vec![0.0f64; n];
+        let mut walk = dot_walk_buffers(self.order());
         let mut ops = OpCounter::new();
-        for a in 0..n {
-            let coef = constraint_row_dot(
+        for rows in row_blocks(0..self.order()) {
+            let live = rows.len();
+            let coefs = constraint_block_dot(
                 &self.graph,
                 &self.inv_in,
                 self.damping,
                 self.depth,
-                a,
+                rows,
                 &self.diag,
-                &mut cur,
-                &mut nxt,
+                &mut walk,
                 &mut ops,
             );
-            worst = worst.max((1.0 - coef).abs());
+            for &coef in &coefs[..live] {
+                worst = worst.max((1.0 - coef).abs());
+            }
         }
         worst
     }
@@ -725,12 +825,14 @@ impl QueryEngine for SimRankIndex {
         let mut seed = vec![0.0f64; n];
         seed[u as usize] = 1.0;
         levels.push(seed);
+        let mut w = vec![0.0f64; n];
         for _ in 0..self.depth {
             let mut next = vec![0.0f64; n];
-            reverse_step(
+            reverse_step::<1>(
                 &self.graph,
                 &self.inv_in,
                 levels.last().expect("seeded"),
+                &mut w,
                 &mut next,
             );
             levels.push(next);
@@ -769,6 +871,193 @@ mod tests {
         SimRankOptions::default()
             .with_damping(0.6)
             .with_epsilon(1e-4)
+    }
+
+    /// The scalar row dot `⟨m_a, x⟩` of one constraint row, walking
+    /// `h₀..h_K` alone — the oracle every lane of [`constraint_block_dot`]
+    /// must reproduce bit for bit, op bill included.
+    fn constraint_row_dot(
+        g: &DiGraph,
+        inv_in: &[f64],
+        c: f64,
+        depth: u32,
+        a: usize,
+        x: &[f64],
+        ops: &mut OpCounter,
+    ) -> f64 {
+        let n = g.node_count();
+        let (mut cur, mut nxt, mut w) = (vec![0.0f64; n], vec![0.0f64; n], vec![0.0f64; n]);
+        cur[a] = 1.0;
+        let mut acc = x[a];
+        let mut ck = 1.0;
+        for _ in 0..depth {
+            reverse_step::<1>(g, inv_in, &cur, &mut w, &mut nxt);
+            ck *= c;
+            let [dot] = par::kernel::weighted_sq_dot_block::<1>(&nxt, x);
+            let nnz = nxt.iter().filter(|&&h| h != 0.0).count() as u64;
+            acc += ck * dot;
+            ops.add(g.edge_count() as u64 + nnz + 1);
+            std::mem::swap(&mut cur, &mut nxt);
+        }
+        acc
+    }
+
+    /// `acc[j] += weight · m_a[j]` for one constraint row walked alone —
+    /// the oracle of [`constraint_block_scatter`].
+    #[allow(clippy::too_many_arguments)]
+    fn constraint_row_scatter(
+        g: &DiGraph,
+        inv_in: &[f64],
+        c: f64,
+        depth: u32,
+        a: usize,
+        weight: f64,
+        acc: &mut [f64],
+        ops: &mut OpCounter,
+    ) {
+        let n = g.node_count();
+        let (mut cur, mut nxt, mut w) = (vec![0.0f64; n], vec![0.0f64; n], vec![0.0f64; n]);
+        cur[a] = 1.0;
+        acc[a] += weight;
+        let mut ck = 1.0;
+        for _ in 0..depth {
+            reverse_step::<1>(g, inv_in, &cur, &mut w, &mut nxt);
+            ck *= c;
+            let wck = weight * ck;
+            let mut nnz = 0u64;
+            for (j, &h) in nxt.iter().enumerate() {
+                if h != 0.0 {
+                    acc[j] += wck * h * h;
+                    nnz += 1;
+                }
+            }
+            ops.add(g.edge_count() as u64 + nnz + 1);
+            std::mem::swap(&mut cur, &mut nxt);
+        }
+    }
+
+    /// Graphs for the blocked-vs-scalar row checks: fewer than `WB`
+    /// vertices, in-degree-0 and isolated vertices, a dense random graph
+    /// and a copying-model web graph.
+    fn row_graphs() -> Vec<DiGraph> {
+        vec![
+            two_triangles(),
+            DiGraph::from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap(),
+            DiGraph::from_edges(11, [(0, 1), (1, 2), (2, 1), (3, 4), (4, 4), (5, 6)]).unwrap(),
+            paper_fig1a(),
+            gen::gnm(21, 70, 5),
+            gen::copying_web_graph(gen::CopyingParams::berkstan_like(30), 2),
+        ]
+    }
+
+    /// A weight vector with exact zeros at every third vertex (the
+    /// zero-weight lanes) and signed values elsewhere.
+    fn row_weights(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|v| {
+                if v % 3 == 1 {
+                    0.0
+                } else {
+                    0.3 + 0.17 * v as f64 - 0.05 * (v % 4) as f64
+                }
+            })
+            .collect()
+    }
+
+    /// Every start and every block fill `1..=WB` (clipped at `n`).
+    fn row_ranges(n: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+        (0..n).flat_map(move |a| (1..=WB).filter(move |f| a + f <= n).map(move |f| a..a + f))
+    }
+
+    #[test]
+    fn blocked_row_dot_matches_scalar_rows_bit_for_bit() {
+        for g in row_graphs() {
+            let n = g.node_count();
+            let inv_in = inverse_in_degrees(&g);
+            let x = row_weights(n);
+            for depth in [0u32, 1, 6] {
+                let mut walk = dot_walk_buffers(n);
+                for rows in row_ranges(n) {
+                    let mut blocked_ops = OpCounter::new();
+                    let got = constraint_block_dot(
+                        &g,
+                        &inv_in,
+                        0.6,
+                        depth,
+                        rows.clone(),
+                        &x,
+                        &mut walk,
+                        &mut blocked_ops,
+                    );
+                    let mut scalar_ops = OpCounter::new();
+                    for (s, a) in rows.clone().enumerate() {
+                        let want =
+                            constraint_row_dot(&g, &inv_in, 0.6, depth, a, &x, &mut scalar_ops);
+                        assert_eq!(
+                            got[s].to_bits(),
+                            want.to_bits(),
+                            "n={n} K={depth} rows={rows:?} lane {s}"
+                        );
+                    }
+                    assert_eq!(
+                        blocked_ops.total(),
+                        scalar_ops.total(),
+                        "n={n} K={depth} rows={rows:?} ops"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_row_scatter_matches_scalar_rows_bit_for_bit() {
+        for g in row_graphs() {
+            let n = g.node_count();
+            let inv_in = inverse_in_degrees(&g);
+            let x = row_weights(n);
+            // A nonzero starting accumulator, so a reordered term shows.
+            let start: Vec<f64> = (0..n).map(|v| 1.0 / (v + 3) as f64).collect();
+            for depth in [0u32, 1, 6] {
+                let mut levels = vec![0.0f64; (depth as usize + 1) * n * WB];
+                let mut w = vec![0.0f64; n * WB];
+                for rows in row_ranges(n) {
+                    let mut got = start.clone();
+                    let mut blocked_ops = OpCounter::new();
+                    constraint_block_scatter(
+                        &g,
+                        &inv_in,
+                        0.6,
+                        rows.clone(),
+                        &x,
+                        &mut got,
+                        &mut levels,
+                        &mut w,
+                        &mut blocked_ops,
+                    );
+                    let mut want = start.clone();
+                    let mut scalar_ops = OpCounter::new();
+                    for a in rows.clone().filter(|&a| x[a] != 0.0) {
+                        constraint_row_scatter(
+                            &g,
+                            &inv_in,
+                            0.6,
+                            depth,
+                            a,
+                            x[a],
+                            &mut want,
+                            &mut scalar_ops,
+                        );
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "n={n} K={depth} rows={rows:?}");
+                    assert_eq!(
+                        blocked_ops.total(),
+                        scalar_ops.total(),
+                        "n={n} K={depth} rows={rows:?} ops"
+                    );
+                }
+            }
+        }
     }
 
     /// Dense oracle at depth high enough that truncation error is far
@@ -880,6 +1169,24 @@ mod tests {
                 "round count must not depend on threads"
             );
             assert_eq!(rt.adds, r1.adds, "op counts must merge exactly");
+        }
+    }
+
+    #[test]
+    fn solve_memory_counts_the_blocked_walk_buffers() {
+        // n = 40, K = 5: a 40-shard arena and five CGLS vectors, plus per
+        // worker the Mᵀ·x level buffer (K + 1 levels) and scale block,
+        // each 40 × WB doubles. Build and repair report the same formula.
+        let g = gen::gnm(40, 160, 9);
+        let o = opts().with_iterations(5);
+        for (t, bytes) in [(1usize, ((40 + 5) * 40 + 7 * 40 * 8) * 8), (2, 50_240)] {
+            let (index, built) = SimRankIndex::build_with_report(&g, &o.with_threads(t));
+            assert_eq!(built.peak_intermediate_bytes, bytes, "threads = {t}");
+            let deltas = [EdgeDelta::Insert(0, 39)];
+            let (_, repaired) = index
+                .repair_with_report(&deltas, &o.with_threads(t))
+                .unwrap();
+            assert_eq!(repaired.peak_intermediate_bytes, bytes, "threads = {t}");
         }
     }
 

@@ -146,7 +146,8 @@ pub fn gather_sum(x: &[f64], idx: &[u32]) -> f64 {
 /// pairwise lane fold, then the sequential tail), so every lane is
 /// bit-for-bit the `gather_sum` of its own column. Each index touches one
 /// contiguous `B`-wide row — the OIP engine's outer pass gathers `B`
-/// sources' partial sums at once this way.
+/// sources' partial sums at once this way, and the index engine's
+/// reverse step advances `B` walks.
 ///
 /// # Panics
 ///
@@ -185,56 +186,49 @@ pub fn gather_sum_block<const B: usize>(x: &[f64], idx: &[u32]) -> [f64; B] {
     acc
 }
 
-/// Lane-chunked gather-dot `Σⱼ a[idx[j]]·b[idx[j]]` over an index list —
-/// the index engine's reverse step (`Σ cur[i]·inv_in[i]` over
-/// out-neighbors).
+/// Blocked weighted square dot over the columns of a row-major `rows × B`
+/// block `h`: lane `k` of the result is `Σⱼ h[j·B + k]²·x[j]` — one level
+/// of `B` of the index engine's constraint rows at once. Each term is the
+/// product `(h·h)·x`, summed in the [`LANES`]-chunked order with the
+/// pairwise lane fold and the sequential tail, so every lane is
+/// bit-for-bit the lane-chunked reduction of its own column's terms.
+/// Zero entries of `h` contribute an exact `±0.0` term, which never
+/// perturbs a lane (this is why the kernel can run dense over `h` while
+/// the caller counts `nnz` separately).
 ///
 /// # Panics
 ///
-/// Panics (via slice indexing) when any index is out of bounds.
+/// Panics when `h.len() != x.len() · B`.
 #[inline]
-pub fn gather_dot(a: &[f64], b: &[f64], idx: &[u32]) -> f64 {
-    let mut lanes = [0.0f64; LANES];
-    let ic = idx.chunks_exact(LANES);
-    let tail = ic.remainder();
-    for c in ic {
-        for k in 0..LANES {
-            let j = c[k] as usize;
-            lanes[k] += a[j] * b[j];
-        }
-    }
-    let mut acc = fold_lanes(lanes);
-    for &j in tail {
-        let j = j as usize;
-        acc += a[j] * b[j];
-    }
-    acc
-}
-
-/// Lane-chunked weighted square dot `Σⱼ h[j]²·x[j]` — one level of the
-/// index engine's `constraint_row_dot`. Zero entries of `h` contribute
-/// an exact `±0.0` term, which never perturbs a lane (this is why the
-/// kernel can run dense over `h` while the caller counts `nnz`
-/// separately).
-///
-/// # Panics
-///
-/// Panics when `h.len() != x.len()`.
-#[inline]
-pub fn weighted_sq_dot(h: &[f64], x: &[f64]) -> f64 {
-    assert_eq!(h.len(), x.len(), "weighted_sq_dot needs equal lengths");
-    let mut lanes = [0.0f64; LANES];
-    let hc = h.chunks_exact(LANES);
+pub fn weighted_sq_dot_block<const B: usize>(h: &[f64], x: &[f64]) -> [f64; B] {
+    assert_eq!(
+        h.len(),
+        x.len() * B,
+        "weighted_sq_dot_block needs one B-wide row of h per entry of x"
+    );
+    let hc = h.chunks_exact(LANES * B);
     let xc = x.chunks_exact(LANES);
     let (th, tx) = (hc.remainder(), xc.remainder());
-    for (ch, cx) in hc.zip(xc) {
-        for k in 0..LANES {
-            lanes[k] += ch[k] * ch[k] * cx[k];
+    let mut acc = [0.0f64; B];
+    if x.len() >= LANES {
+        let mut lanes = [[0.0f64; B]; LANES];
+        for (ch, cx) in hc.zip(xc) {
+            for ((lane, hr), &xv) in lanes.iter_mut().zip(ch.chunks_exact(B)).zip(cx) {
+                for (l, &hv) in lane.iter_mut().zip(hr) {
+                    *l += hv * hv * xv;
+                }
+            }
+        }
+        for (k, a) in acc.iter_mut().enumerate() {
+            *a = fold_lanes(std::array::from_fn(|i| lanes[i][k]));
         }
     }
-    let mut acc = fold_lanes(lanes);
-    for (&hv, &xv) in th.iter().zip(tx) {
-        acc += hv * hv * xv;
+    // Below LANES the chunked prefix is empty and its fold is `+0.0` —
+    // exactly the zero `acc` starts from.
+    for (hr, &xv) in th.chunks_exact(B).zip(tx) {
+        for (a, &hv) in acc.iter_mut().zip(hr) {
+            *a += hv * hv * xv;
+        }
     }
     acc
 }
@@ -490,28 +484,39 @@ mod tests {
             let b = splitmix_vals(6, len);
             let idx: Vec<u32> = (0..len as u32).collect();
             assert_eq!(gather_sum(&a, &idx).to_bits(), sum(&a).to_bits());
-            assert_eq!(gather_dot(&a, &b, &idx).to_bits(), dot(&a, &b).to_bits());
+            let ab: Vec<f64> = a.iter().zip(&b).flat_map(|(&x, &y)| [x, y]).collect();
+            let [sa, sb] = gather_sum_block::<2>(&ab, &idx);
+            assert_eq!(sa.to_bits(), sum(&a).to_bits());
+            assert_eq!(sb.to_bits(), sum(&b).to_bits());
         }
     }
 
     #[test]
     fn weighted_sq_dot_ignores_zero_weights_exactly() {
-        let mut h = splitmix_vals(7, 40);
+        // Two columns: `h` and a copy of it with some entries zeroed.
+        let h = splitmix_vals(7, 40);
         let x = splitmix_vals(8, 40);
-        // Zeroing an entry contributes ±0.0, which never changes a lane.
-        let full = weighted_sq_dot(&h, &x);
+        let mut zeroed = h.clone();
         for k in [3usize, 11, 25] {
-            h[k] = 0.0;
+            zeroed[k] = 0.0;
         }
-        let mut h_ref = h.clone();
-        for v in h_ref.iter_mut() {
-            *v = if *v == 0.0 { 0.0 } else { *v };
-        }
-        assert_eq!(
-            weighted_sq_dot(&h, &x).to_bits(),
-            weighted_sq_dot(&h_ref, &x).to_bits()
-        );
-        assert_ne!(full.to_bits(), weighted_sq_dot(&h, &x).to_bits());
+        let block: Vec<f64> = h.iter().zip(&zeroed).flat_map(|(&a, &b)| [a, b]).collect();
+        let [full, sparse] = weighted_sq_dot_block::<2>(&block, &x);
+        // Zeroing an entry contributes ±0.0, which never changes a lane:
+        // the sparse column equals the reduction that skips those terms.
+        let terms: Vec<f64> = (0..40)
+            .map(|j| {
+                if zeroed[j] == 0.0 {
+                    0.0
+                } else {
+                    h[j] * h[j] * x[j]
+                }
+            })
+            .collect();
+        assert_eq!(sparse.to_bits(), reference_reduce(&terms).to_bits());
+        let [alone] = weighted_sq_dot_block::<1>(&zeroed, &x);
+        assert_eq!(alone.to_bits(), sparse.to_bits());
+        assert_ne!(full.to_bits(), sparse.to_bits());
     }
 
     #[test]

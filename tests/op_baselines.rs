@@ -22,9 +22,9 @@
 //! ```
 
 use simrank::algo::index::SimRankIndex;
-use simrank::algo::query::QueryEngine;
 use simrank::algo::montecarlo::Fingerprints;
 use simrank::algo::prank::{prank_with_report, PRankOptions};
+use simrank::algo::query::QueryEngine;
 use simrank::algo::{dsr, dynamic, naive, oip, psum, Report, SimMatrix, SimRankOptions};
 use simrank::graph::{fixtures, gen, DiGraph, EdgeDelta};
 use std::collections::BTreeMap;
@@ -129,9 +129,7 @@ fn measured_cases() -> Vec<(String, u64)> {
         ));
         out.push((
             format!("index/{gname}"),
-            SimRankIndex::build_with_report(&g, &opts)
-                .1
-                .adds,
+            SimRankIndex::build_with_report(&g, &opts).1.adds,
         ));
         // Dynamic maintenance: warm resweep and index repair after the
         // fixed edit script. The warm paths stop on a convergence check,
