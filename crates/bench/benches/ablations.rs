@@ -43,8 +43,8 @@ fn ablation_dmst_algo(c: &mut Criterion) {
     group.bench_function("greedy_dag_fast_path", |b| {
         b.iter(|| SharingPlan::build(&g, &base))
     });
-    // Both arms pay for the transition costs: the greedy scan computes
-    // them on the fly, Edmonds needs them materialized first.
+    // Only Edmonds pays for every pair's transition cost, materialized
+    // first; the greedy prices just the pairs that share an in-neighbor.
     let targets = SharingPlan::build(&g, &base).targets;
     group.bench_function("chu_liu_edmonds", |b| {
         b.iter(|| edmonds(targets.len() + 1, &cost_graph(&g, &targets), 0))

@@ -3,8 +3,8 @@
 //! Sweeps the `threads` knob over every pooled surface on the largest
 //! bench fixture (the BERKSTAN-like copying graph — the densest in-set
 //! overlap, hence the heaviest per-iteration work): the OIP engine replay,
-//! the psum row-band sweep, both P-Rank direction passes, Monte-Carlo
-//! fingerprint sampling, and the plan builder's candidate-pair scan.
+//! the psum row-band sweep, both P-Rank direction passes, and Monte-Carlo
+//! fingerprint sampling.
 //! Results are bit-for-bit identical across the sweep by the executor's
 //! determinism contract, so any timing difference is pure scheduling: on a
 //! multi-core host the `threads = N` rows should undercut `threads = 1`
@@ -100,28 +100,11 @@ fn parallel_montecarlo(c: &mut Criterion) {
     group.finish();
 }
 
-/// Plan-construction sweep (the `O(t²·d)` candidate-pair scan sharded by
-/// weighted column blocks).
-fn parallel_plan_build(c: &mut Criterion) {
-    let d = datasets::berkstan_like(800, SEED);
-    let g = &d.graph;
-    let mut group = c.benchmark_group("parallel_plan_build");
-    group.sample_size(10);
-    for t in thread_sweep() {
-        let opts = SimRankOptions::default().with_threads(t);
-        group.bench_with_input(BenchmarkId::new("threads", t), &opts, |b, opts| {
-            b.iter(|| SharingPlan::build(g, opts))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     parallel,
     parallel_oip,
     parallel_psum,
     parallel_prank,
-    parallel_montecarlo,
-    parallel_plan_build
+    parallel_montecarlo
 );
 criterion_main!(parallel);

@@ -79,10 +79,10 @@
 //! barrier-synchronized sweeps, and shards `naive`/`psum` by row band,
 //! the OIP engine and both `prank` direction passes by sharing-tree
 //! segment, `montecarlo` fingerprint sampling by node band (with
-//! deterministic per-walk seeding), `SharingPlan::build`'s candidate-pair
-//! scan by weighted column block, and `mtx` by SVD tournament round /
-//! matmul row band / packed triangle band — no single-threaded algorithm
-//! path remains. Per-worker instrumentation shards merge exactly.
+//! deterministic per-walk seeding), `SharingPlan::build`'s in-neighbor
+//! overlap count by column block of near-equal out-list work, and `mtx`
+//! by SVD tournament round / matmul row band / packed triangle band — no
+//! single-threaded algorithm path remains. Per-worker instrumentation shards merge exactly.
 //! Control the worker count with [`SimRankOptions::with_threads`];
 //! results are bit-for-bit identical for every thread count.
 

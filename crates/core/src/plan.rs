@@ -9,7 +9,9 @@
 //!    streaming greedy that is exact because `G*`'s edges only go forward
 //!    along the (in-degree, id) total order (so `G*` is a DAG and
 //!    per-vertex cheapest-incoming-edge selection is optimal; the unit
-//!    tests pin it against full Chu–Liu/Edmonds);
+//!    tests pin it against full Chu–Liu/Edmonds). A predecessor disjoint
+//!    from a target never beats `∅`, so the greedy only visits pairs that
+//!    share an in-neighbor: `O(Σₓ |O(x)|²)` time, not `O(t²·d)`;
 //! 3. per-tree-edge update *ops* — the `(A ∖ B, B ∖ A)` lists of
 //!    Proposition 3, or `Scratch` when recomputing is cheaper;
 //! 4. a replayable *schedule* of buffer steps covering the whole tree with
@@ -21,10 +23,6 @@
 //! disjoint root paths and frees each path's buffers as it goes; the
 //! schedule here generalizes that to arbitrary tree shapes while preserving
 //! (and slightly strengthening) the memory claim of Proposition 5.
-
-// The greedy DMST scan is written with explicit pair indices, matching the
-// paper's sorted-order formulation.
-#![allow(clippy::needless_range_loop)]
 
 use crate::options::SimRankOptions;
 use crate::setops;
@@ -234,16 +232,27 @@ impl SharingPlan {
     }
 
     /// Streaming greedy `DMST-Reduce`: exact on the DAG-shaped cost graph,
-    /// O(t² · d) time, O(t) memory (no edge list materialized).
+    /// `O(Σₓ |O(x)|²)` time, `O(n)` memory per worker (no edge list
+    /// materialized).
     ///
-    /// The candidate-pair scan — by far the dominant cost of plan
-    /// construction — shards across workers *by column*: column `j`'s best
-    /// incoming edge depends only on the read-only in-neighbor sets of
-    /// `targets[..j]`, so each worker owns a disjoint slice of the
-    /// best-edge arrays and the chosen tree is identical at every thread
-    /// count (each column replays the exact sequential scan). Columns are
-    /// carved into contiguous ranges of near-equal *triangular* weight
-    /// (column `j` scans `j` predecessors).
+    /// Only predecessors that share an in-neighbor with a target can win:
+    /// a disjoint `A` costs `|A ⊖ B| = |A| + |B| > |B| − 1`, which never
+    /// beats the root `∅` under the strict `<`. Column `j` therefore walks
+    /// `O(x)` for every `x ∈ I(j)`, counting `hits[i] = |I(i) ∩ I(j)|` for
+    /// each earlier target `i` it meets, and prices the pair as
+    /// `|I(i)| + |I(j)| − 2·hits[i]` with no set merge. Summed over all
+    /// columns that is `Σₓ |O(x)|² = Σ_{i,j} |I(i) ∩ I(j)|` out-list steps,
+    /// where a scan over every pair merges `Σ_{i<j} (|I(i)| + |I(j)|)`
+    /// entries. The touched predecessors are then scanned in ascending rank
+    /// order, after the root, with a strict `<`, so ties go to `∅` and then
+    /// to the earliest minimal predecessor.
+    ///
+    /// The scan shards across workers *by column*: column `j`'s best
+    /// incoming edge depends only on the read-only in- and out-lists, so
+    /// each worker owns a disjoint slice of the best-edge arrays plus its
+    /// own `hits`/`touched` scratch, and the chosen tree is identical at
+    /// every thread count. Columns are carved into contiguous ranges of
+    /// near-equal candidate work `Σ_{x ∈ I(j)} |O(x)|`.
     fn solve_greedy(g: &DiGraph, targets: &[NodeId], opts: &SimRankOptions) -> Arborescence {
         let t = targets.len();
         // best incoming (weight, parent) per tree node; root edges first so
@@ -254,7 +263,15 @@ impl SharingPlan {
             best_w.push((g.in_degree(v) as u64).saturating_sub(1));
         }
         if t > 1 {
-            let col_weights: Vec<usize> = (0..t).collect();
+            // Every out-neighbor has an in-edge, hence a rank.
+            let mut rank = vec![u32::MAX; g.node_count()];
+            for (r, &v) in targets.iter().enumerate() {
+                rank[v as usize] = r as u32;
+            }
+            let col_weights: Vec<usize> = targets
+                .iter()
+                .map(|&v| g.in_neighbors(v).iter().map(|&x| g.out_degree(x)).sum())
+                .collect();
             let workers = par::effective_workers(opts.threads, t);
             let col_blocks = par::weighted_blocks(&col_weights, workers);
             let mut items: Vec<(std::ops::Range<usize>, &mut [u64], &mut [usize])> =
@@ -271,18 +288,33 @@ impl SharingPlan {
             par::WorkerPool::scoped(items.len(), |pool| {
                 pool.sweep(items, |(cols, w_band, p_band), _counter| {
                     let base = cols.start;
+                    let mut hits = vec![0usize; t];
+                    let mut touched: Vec<usize> = Vec::new();
                     for j in cols {
                         let ins_j = g.in_neighbors(targets[j]);
+                        for &x in ins_j {
+                            for &v in g.out_neighbors(x) {
+                                let i = rank[v as usize] as usize;
+                                if i < j {
+                                    if hits[i] == 0 {
+                                        touched.push(i);
+                                    }
+                                    hits[i] += 1;
+                                }
+                            }
+                        }
                         // Ascending `i` with strict `<` keeps the sequential
                         // tie-break: the earliest minimal predecessor wins.
-                        for i in 0..j {
-                            let ins_i = g.in_neighbors(targets[i]);
-                            let w = setops::transition_cost(ins_i, ins_j);
+                        touched.sort_unstable();
+                        for &i in &touched {
+                            let w = (g.in_degree(targets[i]) + ins_j.len() - 2 * hits[i]) as u64;
                             if w < w_band[j - base] {
                                 w_band[j - base] = w;
                                 p_band[j - base] = i + 1;
                             }
+                            hits[i] = 0;
                         }
+                        touched.clear();
                     }
                 })
             });
@@ -482,6 +514,26 @@ pub(crate) fn build_with_edmonds(g: &DiGraph) -> SharingPlan {
     SharingPlan::from_tree(g, targets, arb, start)
 }
 
+/// Test oracle: the plan of the all-pairs greedy scan, which prices every
+/// forward pair of `G*` (disjoint ones included) and keeps each target's
+/// first cheapest incoming edge in `cost_graph`'s order — the root edge,
+/// then predecessors in ascending rank.
+#[cfg(test)]
+pub(crate) fn build_with_full_scan(g: &DiGraph) -> SharingPlan {
+    let start = Instant::now();
+    let targets = SharingPlan::sorted_targets(g);
+    let mut parents = vec![None; targets.len() + 1];
+    let mut weights = vec![0u64; targets.len() + 1];
+    for e in cost_graph(g, &targets) {
+        if parents[e.to].is_none() || e.weight < weights[e.to] {
+            parents[e.to] = Some(e.from);
+            weights[e.to] = e.weight;
+        }
+    }
+    let arb = Arborescence::from_parents(0, parents, weights);
+    SharingPlan::from_tree(g, targets, arb, start)
+}
+
 /// The full `DMST-Reduce` cost graph `G*`: a root edge of weight
 /// `|B| − 1` to every target, plus one Eq. 7 edge per forward pair in the
 /// sorted target order.
@@ -504,7 +556,9 @@ fn cost_graph(g: &DiGraph, targets: &[NodeId]) -> Vec<simrank_mst::Edge> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simrank_graph::fixtures::{fig1a, paper_fig1a};
+    use simrank_graph::gen;
     use simrank_mst::edmonds;
 
     fn default_plan() -> SharingPlan {
@@ -733,9 +787,112 @@ mod tests {
         }
     }
 
+    /// Every component the engine replays must be `==` between two plans.
+    fn assert_same_plan(a: &SharingPlan, b: &SharingPlan, label: &str) {
+        assert_eq!(a.targets, b.targets, "{label}: targets");
+        assert_eq!(a.arb, b.arb, "{label}: arb");
+        assert_eq!(a.ops, b.ops, "{label}: ops");
+        assert_eq!(a.outer, b.outer, "{label}: outer");
+        assert_eq!(a.schedule, b.schedule, "{label}: schedule");
+        assert_eq!(a.segments, b.segments, "{label}: segments");
+        assert_eq!(a.slots, b.slots, "{label}: slots");
+        assert_eq!(a.tree_weight, b.tree_weight, "{label}: tree_weight");
+    }
+
+    /// The candidate greedy builds exactly the plan of the scan over every
+    /// target pair.
+    #[test]
+    fn candidate_greedy_matches_full_scan() {
+        let graphs = [
+            ("paper_fig1a", paper_fig1a()),
+            ("gnm", gen::gnm(60, 260, 4)),
+            (
+                "preferential_attachment",
+                gen::preferential_attachment(80, 4, 2),
+            ),
+            (
+                "berkstan_like(80)",
+                gen::copying_web_graph(gen::CopyingParams::berkstan_like(80), 1),
+            ),
+            (
+                "berkstan_like(300)",
+                gen::copying_web_graph(gen::CopyingParams::berkstan_like(300), 3),
+            ),
+        ];
+        for (label, g) in &graphs {
+            let plan = SharingPlan::build(g, &SimRankOptions::default());
+            assert_same_plan(&plan, &build_with_full_scan(g), label);
+        }
+    }
+
+    /// Hand-built ties for the greedy's choice rule, one isolated
+    /// component each (vertices 0–7, 8–12 and 13–17 share no in-neighbor
+    /// across components):
+    /// - `B = 7` with `I(B) = {0,1,2,3}` ties at cost 2 between `P1 = 6`
+    ///   (`{0,1}`, rank 2) and `P2 = 5` (`{0,1,2,4}`, rank 5). `P1` ranks
+    ///   first but `O(0)` lists `P2` first, so the earlier rank wins only
+    ///   if the touched ranks are scanned in sorted order with a strict `<`;
+    /// - `B2 = 12` with `I(B2) = {8,9,10}` ties its root cost 2 with the
+    ///   overlapping `P3 = 11` (`{8}`): `∅` wins;
+    /// - `B3 = 15` with `I(B3) = {16,17}` would tie its root cost 1 with the
+    ///   disjoint, lower-ranked `D = 14` (`{13}`) under Eq. 7's
+    ///   `min(|A ⊖ B|, |B| − 1)`: `∅` wins.
+    #[test]
+    fn greedy_tie_breaks_fixture() {
+        let mut edges = vec![(0, 6), (1, 6)];
+        edges.extend([0, 1, 2, 4].map(|x| (x, 5)));
+        edges.extend([0, 1, 2, 3].map(|x| (x, 7)));
+        edges.extend([(8, 11), (8, 12), (9, 12), (10, 12)]);
+        edges.extend([(13, 14), (16, 15), (17, 15)]);
+        let g = DiGraph::from_edges(18, edges).unwrap();
+        // Ranks: 11, 14 | 6, 15 | 12 | 5, 7 — tree node = rank + 1.
+        let plan = SharingPlan::build(&g, &SimRankOptions::default());
+        assert_eq!(plan.targets, vec![11, 14, 6, 15, 12, 5, 7]);
+        let parents: Vec<_> = (1..=7).map(|v| plan.arb.parent(v).unwrap()).collect();
+        assert_eq!(parents, vec![0, 0, 0, 0, 0, 3, 3]);
+        let weights: Vec<_> = (1..=7).map(|v| plan.arb.parent_weight(v)).collect();
+        assert_eq!(weights, vec![0, 0, 1, 1, 2, 2, 2]);
+        assert_same_plan(&plan, &build_with_full_scan(&g), "tie fixture");
+    }
+
+    /// Random graphs with self-loops, isolated vertices and vertices that
+    /// share an identical in-set.
+    fn arb_plan_graph() -> impl Strategy<Value = DiGraph> {
+        (3usize..28).prop_flat_map(|n| {
+            let v = 0..n as NodeId;
+            (
+                prop::collection::vec((v.clone(), v.clone()), 0..(4 * n)),
+                prop::collection::vec(v.clone(), 1..4),
+                prop::collection::vec((v.clone(), v), 1..4),
+                0usize..4,
+            )
+                .prop_map(move |(mut edges, loops, copies, isolated)| {
+                    edges.extend(loops.iter().map(|&v| (v, v)));
+                    // `dst` takes over `src`'s in-set exactly.
+                    for &(src, dst) in &copies {
+                        let ins: Vec<NodeId> =
+                            edges.iter().filter(|e| e.1 == src).map(|e| e.0).collect();
+                        edges.retain(|e| e.1 != dst);
+                        edges.extend(ins.into_iter().map(|u| (u, dst)));
+                    }
+                    DiGraph::from_edges(n + isolated, edges).unwrap()
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn candidate_greedy_matches_full_scan_on_random_graphs(g in arb_plan_graph()) {
+            let plan = SharingPlan::build(&g, &SimRankOptions::default());
+            assert_same_plan(&plan, &build_with_full_scan(&g), "random graph");
+        }
+    }
+
     #[test]
     fn parallel_build_is_thread_invariant() {
-        // The sharded candidate-pair scan replays the sequential per-column
+        // The sharded overlap count replays the sequential per-column
         // decision exactly: every component of the plan must be identical
         // at every thread count.
         let g = simrank_graph::gen::gnm(70, 300, 9);
@@ -743,14 +900,7 @@ mod tests {
         let p1 = SharingPlan::build(&g, &base.with_threads(1));
         for t in [2usize, 3, 5, 8] {
             let pt = SharingPlan::build(&g, &base.with_threads(t));
-            assert_eq!(p1.targets, pt.targets, "threads={t}");
-            assert_eq!(p1.arb, pt.arb, "threads={t}");
-            assert_eq!(p1.ops, pt.ops, "threads={t}");
-            assert_eq!(p1.outer, pt.outer);
-            assert_eq!(p1.schedule, pt.schedule);
-            assert_eq!(p1.segments, pt.segments);
-            assert_eq!(p1.slots, pt.slots);
-            assert_eq!(p1.tree_weight, pt.tree_weight);
+            assert_same_plan(&p1, &pt, &format!("threads={t}"));
         }
     }
 

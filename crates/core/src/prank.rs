@@ -70,7 +70,7 @@ pub fn prank_with_report(g: &DiGraph, opts: &PRankOptions) -> (SimMatrix, Report
 
     // In-link plan on G; out-link plan is the in-link plan of reversed G.
     // Each direction's factor gates its entire pass, so neither the
-    // reversed graph nor a direction's O(t²·d) plan is built when λ pins
+    // reversed graph nor a direction's O(Σₓ|O(x)|²) plan is built when λ pins
     // that factor to zero (λ = 1 is pure SimRank, λ = 0 pure reversed
     // SimRank — the single-direction cases run one plan build, not two).
     let in_factor = opts.lambda * c;

@@ -309,8 +309,8 @@ proptest! {
         prop_assert_eq!(t1.max_abs_diff(&tt), 0.0, "rank={} threads={} diverged", r, t);
     }
 
-    /// Determinism contract for plan construction: the sharded candidate-
-    /// pair scan replays the sequential per-column best-edge decision
+    /// Determinism contract for plan construction: the sharded in-neighbor
+    /// overlap count replays the sequential per-column best-edge decision
     /// exactly, so every component of the plan — including the triangular
     /// pruning metadata — is thread-invariant.
     #[test]

@@ -116,9 +116,10 @@ pub fn blocks(len: usize, workers: usize) -> Vec<Range<usize>> {
 /// Partitions `0..weights.len()` into at most `workers` contiguous blocks
 /// of near-equal total weight: a block closes as soon as it holds its fair
 /// share of the weight that remains. Deterministic. This is the balancing
-/// primitive for *triangular* scans — the plan builder's candidate-pair
-/// sweep costs `O(j·d)` per column `j`, so equal-length blocks would load
-/// the last worker quadratically harder.
+/// primitive for scans whose items cost unevenly — the plan builder's
+/// column `j` walks `Σ_{x ∈ I(j)} |O(x)|` out-list entries, so
+/// equal-length blocks would load the columns of high in-degree, at the
+/// end of its sort order, onto the last worker.
 pub fn weighted_blocks(weights: &[usize], workers: usize) -> Vec<Range<usize>> {
     let len = weights.len();
     if len == 0 {
