@@ -54,7 +54,7 @@ fn store_build(c: &mut Criterion) {
 fn store_query(c: &mut Criterion) {
     let g = graph();
     let opts = opts();
-    let packed = mtx::mtx_simrank(&g, &opts, Some(RANK));
+    let packed = mtx::mtx_simrank(&g, &opts, Some(RANK)).0;
     let lr = mtx::mtx_simrank_low_rank(&g, &opts, Some(RANK));
     let sparse = ThresholdedSparse::from_store(&lr, THETA);
 

@@ -71,11 +71,11 @@ pub fn run(scale: Scale, seed: u64) -> Fig6a {
     for snap in datasets::DblpSnapshot::ALL {
         let d = datasets::dblp_like(snap, scale.dblp_scale_div(), seed);
         let g = &d.graph;
-        let (_, r_dsr) = dsr::oip_dsr_simrank_with_report(g, &opts);
+        let (_, r_dsr) = dsr::oip_dsr_simrank(g, &opts);
         let (_, r_oip) = oip::oip_simrank_with_report(g, &opts);
         let (_, r_psum) = psum::psum_simrank_with_report(g, &opts);
         let mtx_sr = (g.node_count() <= MTX_NODE_CAP)
-            .then(|| mtx::mtx_simrank_with_report(g, &opts, None).1.total_time());
+            .then(|| mtx::mtx_simrank(g, &opts, None).1.total_time());
         dblp.push(DblpPoint {
             label: snap.label(),
             nodes: g.node_count(),
@@ -179,7 +179,7 @@ mod tests {
         // Additions (the machine-independent cost) must favor OIP.
         assert!(r_oip.adds < r_psum.adds);
         // DSR runs far fewer iterations at equal ε.
-        let (_, r_dsr) = dsr::oip_dsr_simrank_with_report(&d.graph, &opts);
+        let (_, r_dsr) = dsr::oip_dsr_simrank(&d.graph, &opts);
         assert!(r_dsr.iterations < r_oip.iterations / 2);
     }
 

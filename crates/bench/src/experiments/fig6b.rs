@@ -47,7 +47,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<PhaseSplit> {
         datasets::berkstan_like(scale.berkstan_nodes(), seed),
         datasets::patent_like(scale.patent_nodes(), seed),
     ] {
-        let (_, r_dsr) = dsr::oip_dsr_simrank_with_report(&d.graph, &opts);
+        let (_, r_dsr) = dsr::oip_dsr_simrank(&d.graph, &opts);
         out.push(PhaseSplit {
             dataset: d.name.clone(),
             algorithm: "OIP-DSR",

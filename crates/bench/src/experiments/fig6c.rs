@@ -41,7 +41,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<DensityPoint> {
         .into_iter()
         .map(|d| {
             let g = datasets::syn(n, d, seed).graph;
-            let (_, r_dsr) = dsr::oip_dsr_simrank_with_report(&g, &opts);
+            let (_, r_dsr) = dsr::oip_dsr_simrank(&g, &opts);
             let plan = SharingPlan::build(&g, &opts);
             let (_, r_oip) = oip::oip_simrank_with_plan(&g, &plan, &opts);
             let (_, r_psum) = psum::psum_simrank_with_report(&g, &opts);

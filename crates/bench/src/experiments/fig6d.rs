@@ -57,7 +57,7 @@ pub fn run(scale: Scale, seed: u64) -> Fig6d {
     let mut dblp = Vec::new();
     for snap in datasets::DblpSnapshot::ALL {
         let d = datasets::dblp_like(snap, scale.dblp_scale_div(), seed);
-        let (_, r_dsr) = dsr::oip_dsr_simrank_with_report(&d.graph, &opts);
+        let (_, r_dsr) = dsr::oip_dsr_simrank(&d.graph, &opts);
         let (_, r_oip) = oip::oip_simrank_with_report(&d.graph, &opts);
         let (_, r_psum) = psum::psum_simrank_with_report(&d.graph, &opts);
         // mtx-SR's intermediate memory is a closed-form function of its
@@ -66,7 +66,7 @@ pub fn run(scale: Scale, seed: u64) -> Fig6d {
         // paying the O(n³) SVD just to read the counter.
         let n = d.graph.node_count();
         let mtx_bytes = if n <= crate::experiments::fig6a::MTX_NODE_CAP {
-            mtx::mtx_simrank_with_report(&d.graph, &opts, None)
+            mtx::mtx_simrank(&d.graph, &opts, None)
                 .1
                 .peak_intermediate_bytes
         } else {
@@ -152,7 +152,7 @@ mod tests {
     fn mtx_dwarfs_iterative_algorithms() {
         let opts = SimRankOptions::default().with_iterations(3).with_threads(1);
         let d = datasets::dblp_like(datasets::DblpSnapshot::D02, 48, 1);
-        let (_, r_mtx) = mtx::mtx_simrank_with_report(&d.graph, &opts, None);
+        let (_, r_mtx) = mtx::mtx_simrank(&d.graph, &opts, None);
         let (_, r_oip) = oip::oip_simrank_with_report(&d.graph, &opts);
         assert!(
             r_mtx.peak_intermediate_bytes > 10 * r_oip.peak_intermediate_bytes,

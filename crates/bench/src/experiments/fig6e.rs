@@ -41,12 +41,12 @@ pub fn run(scale: Scale, seed: u64) -> Vec<ConvergencePoint> {
     let k_ref_conv = convergence::geometric_iterations(c, tightest * 1e-2);
     let conv_ref = oip::oip_simrank(&g, &opts.with_iterations(k_ref_conv));
     let k_ref_dsr = convergence::differential_iterations(c, tightest * 1e-2);
-    let dsr_ref = dsr::oip_dsr_simrank(&g, &opts.with_iterations(k_ref_dsr));
+    let dsr_ref = dsr::oip_dsr_simrank(&g, &opts.with_iterations(k_ref_dsr)).0;
 
     // Track first-crossing iterations via observers.
     let mut conv_hits = vec![0u32; epsilons.len()];
     let _ = oip::oip_simrank_observe(&g, &opts, k_ref_conv, |k, s| {
-        let err = s.to_sim_matrix().max_abs_diff(&conv_ref);
+        let err = s.max_abs_diff(&conv_ref);
         for (i, &eps) in epsilons.iter().enumerate() {
             if conv_hits[i] == 0 && err <= eps {
                 conv_hits[i] = k;
@@ -55,7 +55,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<ConvergencePoint> {
     });
     let mut dsr_hits = vec![0u32; epsilons.len()];
     let _ = dsr::oip_dsr_simrank_observe(&g, &opts, k_ref_dsr, |k, s| {
-        let err = s.to_sim_matrix().max_abs_diff(&dsr_ref);
+        let err = s.max_abs_diff(&dsr_ref);
         for (i, &eps) in epsilons.iter().enumerate() {
             if dsr_hits[i] == 0 && err <= eps {
                 dsr_hits[i] = k;

@@ -57,7 +57,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<NdcgPoint> {
 
     // Evaluated rankings at the working accuracy.
     let s_oip: &dyn QueryEngine = &oip::oip_simrank(&g, &opts);
-    let s_dsr: &dyn QueryEngine = &dsr::oip_dsr_simrank(&g, &opts);
+    let s_dsr: &dyn QueryEngine = &dsr::oip_dsr_simrank(&g, &opts).0;
 
     // Queries: three most prolific authors.
     let mut by_degree: Vec<NodeId> = g.nodes().collect();

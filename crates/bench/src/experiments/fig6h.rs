@@ -56,7 +56,7 @@ pub fn run(scale: Scale, seed: u64) -> Fig6h {
         .expect("non-empty graph");
     // The ranking and evaluation below only need the uniform
     // `QueryEngine` surface, so they run identically over any backend.
-    let s_dsr: &dyn QueryEngine = &dsr::oip_dsr_simrank(&g, &opts);
+    let s_dsr: &dyn QueryEngine = &dsr::oip_dsr_simrank(&g, &opts).0;
     let s_oip: &dyn QueryEngine = &oip::oip_simrank(&g, &opts);
     let dsr_ranked = s_dsr.top_k(query, 30);
     let oip_ranked = s_oip.top_k(query, 30);

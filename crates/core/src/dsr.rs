@@ -19,20 +19,15 @@
 //! conventional SimRank dozens.
 
 use crate::engine::{self, Mode};
-use crate::grid::ScoreGrid;
 use crate::instrument::Report;
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
 use crate::plan::SharingPlan;
 use simrank_graph::DiGraph;
 
-/// All-pairs *differential* SimRank via OIP sharing (the paper's `OIP-DSR`).
-pub fn oip_dsr_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
-    oip_dsr_simrank_with_report(g, opts).0
-}
-
-/// As [`oip_dsr_simrank`], also returning instrumentation.
-pub fn oip_dsr_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
+/// All-pairs *differential* SimRank via OIP sharing (the paper's `OIP-DSR`),
+/// with its instrumentation.
+pub fn oip_dsr_simrank(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
     oip_dsr_simrank_with_plan(g, &SharingPlan::build(g, opts), opts)
 }
 
@@ -42,10 +37,12 @@ pub fn oip_dsr_simrank_observe(
     g: &DiGraph,
     opts: &SimRankOptions,
     iterations: u32,
-    observer: impl FnMut(u32, &ScoreGrid),
+    mut observer: impl FnMut(u32, &SimMatrix),
 ) -> (SimMatrix, Report) {
     let plan = SharingPlan::build(g, opts);
-    let (grid, report) = engine::run(g, &plan, opts, Mode::Differential, iterations, observer);
+    let (grid, report) = engine::run(g, &plan, opts, Mode::Differential, iterations, |k, s| {
+        observer(k, &s.to_sim_matrix())
+    });
     (grid.to_sim_matrix(), report)
 }
 
@@ -81,7 +78,7 @@ mod tests {
             let opts = SimRankOptions::default()
                 .with_damping(0.6)
                 .with_iterations(k);
-            let fast = oip_dsr_simrank(&g, &opts);
+            let fast = oip_dsr_simrank(&g, &opts).0;
             let reference = dsr_matrix_reference(&g, 0.6, k);
             let mut worst = 0.0f64;
             for a in 0..9 {
@@ -100,7 +97,7 @@ mod tests {
             let opts = SimRankOptions::default()
                 .with_damping(0.7)
                 .with_iterations(5);
-            let fast = oip_dsr_simrank(&g, &opts);
+            let fast = oip_dsr_simrank(&g, &opts).0;
             let reference = dsr_matrix_reference(&g, 0.7, 5);
             for a in 0..35 {
                 for b in 0..35 {
@@ -124,10 +121,11 @@ mod tests {
             &SimRankOptions::default()
                 .with_damping(c)
                 .with_iterations(30),
-        );
+        )
+        .0;
         for k in 1..8 {
             let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
-            let s_k = oip_dsr_simrank(&g, &opts);
+            let s_k = oip_dsr_simrank(&g, &opts).0;
             let err = s_k.max_abs_diff(&reference);
             let bound = convergence::differential_residual(c, k);
             assert!(err <= bound + 1e-12, "k={k}: err {err} > bound {bound}");
@@ -145,15 +143,15 @@ mod tests {
         let conv_ref = crate::oip::oip_simrank(&g, &opts.with_iterations(120));
         let mut conv_iters = 0;
         let _ = crate::oip::oip_simrank_observe(&g, &opts, 120, |k, s| {
-            if conv_iters == 0 && s.to_sim_matrix().max_abs_diff(&conv_ref) <= eps {
+            if conv_iters == 0 && s.max_abs_diff(&conv_ref) <= eps {
                 conv_iters = k;
             }
         });
 
-        let dsr_ref = oip_dsr_simrank(&g, &opts.with_iterations(40));
+        let dsr_ref = oip_dsr_simrank(&g, &opts.with_iterations(40)).0;
         let mut dsr_iters = 0;
         let _ = oip_dsr_simrank_observe(&g, &opts, 40, |k, s| {
-            if dsr_iters == 0 && s.to_sim_matrix().max_abs_diff(&dsr_ref) <= eps {
+            if dsr_iters == 0 && s.max_abs_diff(&dsr_ref) <= eps {
                 dsr_iters = k;
             }
         });
@@ -170,7 +168,7 @@ mod tests {
         let opts = SimRankOptions::default()
             .with_damping(0.6)
             .with_iterations(8);
-        let s = oip_dsr_simrank(&g, &opts);
+        let s = oip_dsr_simrank(&g, &opts).0;
         // f (id 5) has no in-edges: T_k(f,f) = 0 for k ≥ 1, so Ŝ(f,f) = e^{-C}.
         assert!((s.get(5, 5) - (-0.6f64).exp()).abs() < 1e-12);
     }
@@ -178,7 +176,7 @@ mod tests {
     #[test]
     fn scores_bounded_by_one() {
         let g = gen::preferential_attachment(50, 3, 2);
-        let s = oip_dsr_simrank(&g, &SimRankOptions::default().with_iterations(12));
+        let s = oip_dsr_simrank(&g, &SimRankOptions::default().with_iterations(12)).0;
         for a in 0..50 {
             for b in 0..50 {
                 let v = s.get(a, b);
@@ -193,7 +191,7 @@ mod tests {
         let opts = SimRankOptions::default()
             .with_damping(0.8)
             .with_epsilon(1e-4);
-        let (_, r) = oip_dsr_simrank_with_report(&g, &opts);
+        let (_, r) = oip_dsr_simrank(&g, &opts);
         assert!(
             r.iterations <= 8,
             "differential run took {} iterations",

@@ -84,14 +84,14 @@ pub fn resweep_tolerance(damping: f64, epsilon: f64) -> f64 {
 ///
 /// let mut g = DiGraph::from_edges(4, [(0, 1), (0, 2), (1, 3)]).unwrap();
 /// let opts = SimRankOptions::default().with_epsilon(1e-8);
-/// let converged = naive_simrank(&g, &opts);
+/// let converged = naive_simrank(&g, &opts).0;
 ///
 /// // An edge lands: patch the graph, then re-converge from the old scores.
 /// g.insert_edge(2, 3).unwrap();
 /// let warm = dynamic::resweep(&g, &converged, &opts);
 ///
 /// // Same fixed point as a from-scratch run, to the convergence tolerance.
-/// let cold = naive_simrank(&g, &opts);
+/// let cold = naive_simrank(&g, &opts).0;
 /// for a in 0..4 {
 ///     for b in 0..4 {
 ///         assert!((warm.get(a, b) - cold.get(a, b)).abs() < 1e-7);
@@ -256,10 +256,10 @@ mod tests {
     fn resweep_matches_cold_recompute_after_insert() {
         let opts = tight();
         let mut g = paper_fig1a();
-        let converged = naive_simrank(&g, &opts);
+        let converged = naive_simrank(&g, &opts).0;
         assert_eq!(g.insert_edge(5, 0), Ok(true));
         let (warm, report) = resweep_with_report(&g, &converged, &opts);
-        let cold = naive_simrank(&g, &opts);
+        let cold = naive_simrank(&g, &opts).0;
         assert_close(&warm, &cold, 1e-8);
         assert!(report.iterations > 0);
         // The warm psum-SR kernel holds the same state as a cold psum run.
@@ -275,10 +275,10 @@ mod tests {
     fn resweep_matches_cold_recompute_after_remove() {
         let opts = tight();
         let mut g = paper_fig1a();
-        let converged = naive_simrank(&g, &opts);
+        let converged = naive_simrank(&g, &opts).0;
         assert_eq!(g.remove_edge(0, 3), Ok(true));
         let warm = resweep(&g, &converged, &opts);
-        let cold = naive_simrank(&g, &opts);
+        let cold = naive_simrank(&g, &opts).0;
         assert_close(&warm, &cold, 1e-8);
     }
 
@@ -288,7 +288,7 @@ mod tests {
         // one sweep confirms convergence.
         let opts = tight();
         let g = paper_fig1a();
-        let converged = naive_simrank(&g, &opts);
+        let converged = naive_simrank(&g, &opts).0;
         let (again, report) = resweep_with_report(&g, &converged, &opts);
         assert_eq!(report.iterations, 1);
         assert_close(&again, &converged, 1e-9);
@@ -298,7 +298,7 @@ mod tests {
     fn resweep_uses_fewer_iterations_than_cold_bound() {
         let opts = tight();
         let mut g = paper_fig1a();
-        let converged = naive_simrank(&g, &opts);
+        let converged = naive_simrank(&g, &opts).0;
         g.insert_edge(8, 0).unwrap();
         let (_, report) = resweep_with_report(&g, &converged, &opts);
         let cold_bound =
@@ -331,7 +331,7 @@ mod tests {
             .unwrap();
         d.apply_batch(&[EdgeDelta::Remove(3, 7), EdgeDelta::Insert(7, 8)])
             .unwrap();
-        let cold = naive_simrank(d.graph(), &opts);
+        let cold = naive_simrank(d.graph(), &opts).0;
         assert_close(d.scores(), &cold, 1e-8);
     }
 
@@ -349,7 +349,7 @@ mod tests {
     fn store_warm_start_matches_matrix_warm_start() {
         let opts = tight();
         let mut g = paper_fig1a();
-        let converged = naive_simrank(&g, &opts);
+        let converged = naive_simrank(&g, &opts).0;
         g.insert_edge(4, 6).unwrap();
         let (from_matrix, _) = resweep_with_report(&g, &converged, &opts);
         // A persisted `SRM1` result seeds the first resweep after a
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn thread_count_is_bitwise_invariant() {
         let mut g = paper_fig1a();
-        let base = naive_simrank(&g, &tight());
+        let base = naive_simrank(&g, &tight()).0;
         assert_eq!(g.insert_edge(2, 8), Ok(true));
         assert_eq!(g.remove_edge(4, 1), Ok(true));
         let mut reference: Option<(SimMatrix, u64, u32)> = None;

@@ -31,24 +31,16 @@ pub struct ScoreGrid {
 
 impl ScoreGrid {
     /// All-zeros grid. Panics (with a clear message, not an allocator
-    /// abort) when the square cannot be allocated — the fallible form is
-    /// [`ScoreGrid::try_zeros`].
+    /// abort) when `n²` overflows `usize` or the allocator refuses the
+    /// square, so every dense entry point (whose grids route through
+    /// here) reports an absurd order instead of aborting.
     pub fn zeros(n: usize) -> Self {
-        Self::try_zeros(n)
-            .unwrap_or_else(|| panic!("cannot allocate a {n} x {n} score grid ({n}² doubles)"))
-    }
-
-    /// Fallible all-zeros constructor: `None` when `n²` overflows `usize`
-    /// or the allocator refuses the square. Mirror of
-    /// [`SimMatrix::try_zeros`] so every dense entry point (whose grids
-    /// route through here) surfaces absurd orders as an error instead of
-    /// aborting.
-    pub fn try_zeros(n: usize) -> Option<Self> {
-        let len = n.checked_mul(n)?;
         let mut data = Vec::new();
-        data.try_reserve_exact(len).ok()?;
-        data.resize(len, 0.0);
-        Some(ScoreGrid { n, data })
+        match n.checked_mul(n) {
+            Some(len) if data.try_reserve_exact(len).is_ok() => data.resize(len, 0.0),
+            _ => panic!("cannot allocate a {n} x {n} score grid ({n}² doubles)"),
+        }
+        ScoreGrid { n, data }
     }
 
     /// Identity grid (`S₀`).
@@ -72,13 +64,13 @@ impl ScoreGrid {
     }
 
     /// Entry `(a, b)`.
-    #[inline]
+    #[cfg(test)]
     pub fn get(&self, a: usize, b: usize) -> f64 {
         self.data[a * self.n + b]
     }
 
     /// Sets entry `(a, b)` only (no mirror write; see type docs).
-    #[inline]
+    #[cfg(test)]
     pub fn set(&mut self, a: usize, b: usize, v: f64) {
         self.data[a * self.n + b] = v;
     }
@@ -171,11 +163,6 @@ impl ScoreGrid {
             }
         }
         out
-    }
-
-    /// Heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -288,19 +275,17 @@ mod tests {
     }
 
     #[test]
-    fn try_zeros_rejects_absurd_orders() {
-        assert!(ScoreGrid::try_zeros(3).is_some());
-        assert_eq!(ScoreGrid::try_zeros(0).unwrap().order(), 0);
+    #[should_panic(expected = "cannot allocate")]
+    fn zeros_panics_with_clear_message_on_overflow() {
         // n² overflows usize: must fail cleanly, not abort.
-        assert!(ScoreGrid::try_zeros(usize::MAX).is_none());
-        // Fits arithmetic but not the address space.
-        assert!(ScoreGrid::try_zeros(u32::MAX as usize).is_none());
+        let _ = ScoreGrid::zeros(usize::MAX);
     }
 
     #[test]
     #[should_panic(expected = "cannot allocate")]
-    fn zeros_panics_with_clear_message_on_overflow() {
-        let _ = ScoreGrid::zeros(usize::MAX);
+    fn zeros_panics_with_clear_message_past_the_address_space() {
+        // n² fits the arithmetic but not the address space.
+        let _ = ScoreGrid::zeros(u32::MAX as usize);
     }
 
     #[test]

@@ -90,7 +90,7 @@
 //! let index = SimRankIndex::build(&g, &opts);
 //!
 //! // Index-backed single-source agrees with the exact dense oracle.
-//! let dense = naive_simrank(&g, &opts.with_iterations(25));
+//! let dense = naive_simrank(&g, &opts.with_iterations(25)).0;
 //! let col = index.single_source(1);
 //! for v in 0..g.node_count() {
 //!     assert!((col[v] - dense.get(1, v)).abs() < 1e-3);
@@ -443,37 +443,12 @@ impl SimRankIndex {
     /// `iterations` is the CGLS rounds used, `adds` the exact merged
     /// floating-add count, `workers` the pool width.
     pub fn build_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimRankIndex, Report) {
-        let n = g.node_count();
-        let c = opts.damping;
-        let depth = opts.conventional_iterations();
-        let tol = (opts.epsilon * (1.0 - c)).max(1e-12);
-        let inv_in = inverse_in_degrees(g);
-        let mut timer = PhaseTimer::start();
-        let mut counter = OpCounter::new();
         // Start from d = 1−C: exact wherever reverse walks disperse
         // without revisiting (chains, trees), so the initial residual is
         // already small on sparse graphs.
-        let mut d = vec![1.0 - c; n];
-        let workers = par::effective_workers(opts.threads, n);
-        let (residual, rounds) =
-            Self::solve_diagonal(g, &inv_in, c, depth, tol, workers, &mut d, &mut counter);
-        let report = Report {
-            iterations: rounds,
-            adds: counter.total(),
-            share_sums: timer.lap(),
-            peak_intermediate_bytes: solve_intermediate_bytes(n, depth, workers),
-            workers,
-            ..Default::default()
-        };
-        let index = SimRankIndex {
-            graph: g.clone(),
-            inv_in,
-            diag: d,
-            damping: c,
-            depth,
-            residual,
-        };
-        (index, report)
+        let c = opts.damping;
+        let seed_d = vec![1.0 - c; g.node_count()];
+        Self::solve(g.clone(), seed_d, c, opts.conventional_iterations(), opts)
     }
 
     /// Incrementally repairs the index after an edit batch: patches the
@@ -485,7 +460,9 @@ impl SimRankIndex {
     /// round count, and merged op count invariant across worker counts).
     /// After a small edit the old diagonal is already near the new
     /// system's solution, so the warm solve typically needs a fraction of
-    /// a cold build's rounds (`report.iterations` tells you how many).
+    /// a cold build's rounds. The returned [`Report`] says how many:
+    /// `iterations` is the CGLS rounds the repair needed (`0` for a
+    /// net-no-op batch, which skips the solve).
     ///
     /// `opts` supplies the worker count and the solve tolerance; the
     /// damping factor and series depth are pinned to this index's own
@@ -515,7 +492,8 @@ impl SimRankIndex {
     ///     EdgeDelta::Insert(7, 0),
     ///     EdgeDelta::Remove(1, 0),
     /// ];
-    /// let repaired = index.repair(&deltas, &opts).unwrap();
+    /// let (repaired, report) = index.repair(&deltas, &opts).unwrap();
+    /// assert!(report.iterations > 0);
     ///
     /// // Same answers as building fresh on the mutated graph.
     /// let fresh = SimRankIndex::build(repaired.graph(), &opts);
@@ -527,34 +505,41 @@ impl SimRankIndex {
         &self,
         deltas: &[EdgeDelta],
         opts: &SimRankOptions,
-    ) -> Result<SimRankIndex, GraphError> {
-        self.repair_with_report(deltas, opts).map(|(idx, _)| idx)
-    }
-
-    /// As [`SimRankIndex::repair`], also returning the batch summary and
-    /// the warm solve's instrumentation (`iterations` = CGLS rounds the
-    /// repair needed; `0` for net-no-op batches, which skip the solve).
-    pub fn repair_with_report(
-        &self,
-        deltas: &[EdgeDelta],
-        opts: &SimRankOptions,
     ) -> Result<(SimRankIndex, Report), GraphError> {
         let mut graph = self.graph.clone();
         let summary = graph.apply_batch(deltas)?;
         if summary.is_noop() {
             return Ok((self.clone(), Report::default()));
         }
+        // Warm start: the previous diagonal. The constraint matrix moved
+        // only where reverse walks cross the touched in-neighborhoods, so
+        // the old solution is already near the new one.
+        Ok(Self::solve(
+            graph,
+            self.diag.clone(),
+            self.damping,
+            self.depth,
+            opts,
+        ))
+    }
+
+    /// The one solve behind [`SimRankIndex::build_with_report`] and
+    /// [`SimRankIndex::repair`]: runs [`Self::solve_diagonal`] on `graph`
+    /// from the seed `d` and wraps the result as an index with its
+    /// [`Report`]. `c` and `depth` define the index; `opts` supplies only
+    /// the worker count and the tolerance `ε·(1 − C)`.
+    fn solve(
+        graph: DiGraph,
+        mut d: Vec<f64>,
+        c: f64,
+        depth: u32,
+        opts: &SimRankOptions,
+    ) -> (SimRankIndex, Report) {
         let n = graph.node_count();
-        let c = self.damping;
-        let depth = self.depth;
         let tol = (opts.epsilon * (1.0 - c)).max(1e-12);
         let inv_in = inverse_in_degrees(&graph);
         let mut timer = PhaseTimer::start();
         let mut counter = OpCounter::new();
-        // Warm start: the previous diagonal. The constraint matrix moved
-        // only where reverse walks cross the touched in-neighborhoods, so
-        // the old solution is already near the new one.
-        let mut d = self.diag.clone();
         let workers = par::effective_workers(opts.threads, n);
         let (residual, rounds) = Self::solve_diagonal(
             &graph,
@@ -582,17 +567,14 @@ impl SimRankIndex {
             depth,
             residual,
         };
-        Ok((index, report))
+        (index, report)
     }
 
-    /// The shared CGLS solve of the diagonal system `M·d = 𝟙`, seeded
-    /// with whatever `d` the caller passes in: `1 − C` for a cold
+    /// The CGLS solve of the diagonal system `M·d = 𝟙`, seeded with
+    /// whatever `d` the caller passes in: `1 − C` for a cold
     /// [`SimRankIndex::build`], the previous index's diagonal for a warm
     /// [`SimRankIndex::repair`]. Overwrites `d` with the solution and
-    /// returns `(residual, rounds)`. One definition, so the two entry
-    /// points are the same arithmetic by construction (the cold path's
-    /// bits — and its `index/*` op-count baselines — are untouched by
-    /// the extraction).
+    /// returns `(residual, rounds)`.
     #[allow(clippy::too_many_arguments)]
     fn solve_diagonal(
         g: &DiGraph,
@@ -1063,7 +1045,7 @@ mod tests {
     /// Dense oracle at depth high enough that truncation error is far
     /// below the comparison tolerance (C^26/(1−C) ≈ 4e-6 at C = 0.6).
     fn oracle(g: &DiGraph, opts: &SimRankOptions) -> crate::SimMatrix {
-        naive_simrank(g, &opts.with_iterations(25))
+        naive_simrank(g, &opts.with_iterations(25)).0
     }
 
     #[test]
@@ -1183,9 +1165,7 @@ mod tests {
             let (index, built) = SimRankIndex::build_with_report(&g, &o.with_threads(t));
             assert_eq!(built.peak_intermediate_bytes, bytes, "threads = {t}");
             let deltas = [EdgeDelta::Insert(0, 39)];
-            let (_, repaired) = index
-                .repair_with_report(&deltas, &o.with_threads(t))
-                .unwrap();
+            let (_, repaired) = index.repair(&deltas, &o.with_threads(t)).unwrap();
             assert_eq!(repaired.peak_intermediate_bytes, bytes, "threads = {t}");
         }
     }
@@ -1262,7 +1242,7 @@ mod tests {
             EdgeDelta::Insert(13, 2),
             EdgeDelta::Remove(g.edges().next().unwrap().0, g.edges().next().unwrap().1),
         ];
-        let (repaired, report) = index.repair_with_report(&deltas, &o).unwrap();
+        let (repaired, report) = index.repair(&deltas, &o).unwrap();
         let fresh = SimRankIndex::build(repaired.graph(), &o);
         assert_eq!(repaired.depth(), index.depth());
         assert_eq!(repaired.damping(), index.damping());
@@ -1288,7 +1268,7 @@ mod tests {
             .with_epsilon(1e-8);
         let index = SimRankIndex::build(&g, &o);
         let deltas = [EdgeDelta::Insert(3, 77), EdgeDelta::Remove(0, 1)];
-        let (repaired, warm) = index.repair_with_report(&deltas, &o).unwrap();
+        let (repaired, warm) = index.repair(&deltas, &o).unwrap();
         let (_, cold) = SimRankIndex::build_with_report(repaired.graph(), &o);
         assert!(
             warm.iterations <= cold.iterations,
@@ -1306,7 +1286,7 @@ mod tests {
         let index = SimRankIndex::build(&g, &o);
         // (1,0) present (insert = no-op), (0,1) absent (remove = no-op).
         let (same, report) = index
-            .repair_with_report(&[EdgeDelta::Insert(1, 0), EdgeDelta::Remove(0, 1)], &o)
+            .repair(&[EdgeDelta::Insert(1, 0), EdgeDelta::Remove(0, 1)], &o)
             .unwrap();
         assert_eq!(same, index);
         assert_eq!(report.iterations, 0);
@@ -1332,13 +1312,9 @@ mod tests {
             EdgeDelta::Insert(2, 23),
             EdgeDelta::Remove(g.edges().nth(5).unwrap().0, g.edges().nth(5).unwrap().1),
         ];
-        let (base, r1) = index
-            .repair_with_report(&deltas, &o.with_threads(1))
-            .unwrap();
+        let (base, r1) = index.repair(&deltas, &o.with_threads(1)).unwrap();
         for t in [2usize, 4, 8] {
-            let (idx, rt) = index
-                .repair_with_report(&deltas, &o.with_threads(t))
-                .unwrap();
+            let (idx, rt) = index.repair(&deltas, &o.with_threads(t)).unwrap();
             assert_eq!(idx, base, "threads = {t} diverged");
             assert_eq!(rt.iterations, r1.iterations, "threads = {t} round count");
             assert_eq!(rt.adds, r1.adds, "threads = {t} op counts");

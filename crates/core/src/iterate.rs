@@ -175,8 +175,6 @@ fn sieve_upper(grid: &mut ScoreGrid, delta: f64) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     fn bits(s: &crate::SimMatrix) -> Vec<u64> {
         s.iter_upper().map(|(_, _, v)| v.to_bits()).collect()
     }
@@ -184,8 +182,9 @@ mod tests {
     #[test]
     fn observers_see_each_iterate_bitwise_at_every_width() {
         // The `after_each` hook behind both public observers: it fires
-        // once per iteration with k = 1..=K in order, and the k-th grid is
-        // bit-identical to a fresh K = k run, at every pool width.
+        // once per iteration with k = 1..=K in order, and the k-th
+        // `&SimMatrix` it hands over is bit-identical to a fresh K = k
+        // run, at every pool width.
         use crate::dsr::{oip_dsr_simrank, oip_dsr_simrank_observe};
         use crate::oip::{oip_simrank, oip_simrank_observe};
         use crate::SimRankOptions;
@@ -195,7 +194,7 @@ mod tests {
             for threads in [1usize, 2, 4, 8] {
                 let opts = SimRankOptions::default().with_threads(threads);
                 let mut seen = Vec::new();
-                let hook = |k: u32, s: &ScoreGrid| seen.push((k, bits(&s.to_sim_matrix())));
+                let hook = |k: u32, s: &crate::SimMatrix| seen.push((k, bits(s)));
                 let (last, report) = if differential {
                     oip_dsr_simrank_observe(&g, &opts, iterations, hook)
                 } else {
@@ -204,15 +203,15 @@ mod tests {
                 assert_eq!(report.iterations, iterations);
                 let ks: Vec<u32> = seen.iter().map(|(k, _)| *k).collect();
                 assert_eq!(ks, (1..=iterations).collect::<Vec<_>>());
-                for (k, grid) in &seen {
+                for (k, got) in &seen {
                     let fresh_opts = opts.with_iterations(*k);
                     let fresh = if differential {
-                        oip_dsr_simrank(&g, &fresh_opts)
+                        oip_dsr_simrank(&g, &fresh_opts).0
                     } else {
                         oip_simrank(&g, &fresh_opts)
                     };
                     assert!(
-                        *grid == bits(&fresh),
+                        *got == bits(&fresh),
                         "differential = {differential}, k = {k}, threads = {threads}"
                     );
                 }

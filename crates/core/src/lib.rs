@@ -46,6 +46,13 @@
 //! timings, addition counts, peak intermediate memory); the plan itself
 //! carries the tree weight and `d′`.
 //!
+//! Each operation has one public form, and that form returns its
+//! [`Report`] (phase timings, addition counts, peak intermediate memory)
+//! next to its result; callers that only need the scores take `.0`. The
+//! exceptions, until the benchmark moves off them, are OIP-SR, psum-SR,
+//! the warm resweep and the index build, which still pair a bare form
+//! with a `*_with_report` twin.
+//!
 //! Results come in three representations, one producer each: every
 //! all-pairs entry point returns the packed triangle ([`SimMatrix`]),
 //! [`mtx::mtx_simrank_low_rank`] returns a low-rank factor handle that
@@ -90,7 +97,7 @@ pub mod convergence;
 pub mod dsr;
 pub mod dynamic;
 mod engine;
-pub mod grid;
+mod grid;
 pub mod index;
 pub mod instrument;
 mod iterate;
@@ -111,7 +118,6 @@ pub mod store;
 pub mod topk;
 
 pub use dynamic::DynamicSimRank;
-pub use grid::ScoreGrid;
 pub use index::SimRankIndex;
 pub use instrument::Report;
 pub use matrix::SimMatrix;

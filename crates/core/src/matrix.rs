@@ -8,8 +8,8 @@ use simrank_par::kernel;
 /// SimRank matrices are symmetric by definition, so packing halves the
 /// dominant memory cost of all-pairs computation and *enforces* symmetry of
 /// the result. This is the result container every dense all-pairs entry
-/// point returns; the sweeps themselves iterate on full-square
-/// [`ScoreGrid`](crate::grid::ScoreGrid) rows. Row reads
+/// point returns; the sweeps themselves iterate on crate-private
+/// full-square score grids. Row reads
 /// ([`SimMatrix::copy_row_into`]) walk the contiguous prefix of a row and
 /// the strided suffix with incremental index arithmetic, never
 /// recomputing triangle offsets per element.

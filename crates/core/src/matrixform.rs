@@ -115,7 +115,7 @@ mod tests {
         let g = paper_fig1a();
         let k = 6;
         let dense = iterative_form_reference(&g, 0.6, k);
-        let packed = naive_simrank(&g, &SimRankOptions::default().with_iterations(k));
+        let packed = naive_simrank(&g, &SimRankOptions::default().with_iterations(k)).0;
         for a in 0..9 {
             for b in 0..9 {
                 assert!((dense.get(a, b) - packed.get(a, b)).abs() < 1e-12);

@@ -342,7 +342,7 @@ mod tests {
         let opts = SimRankOptions::default()
             .with_damping(0.6)
             .with_iterations(15);
-        let exact = naive_simrank(&g, &opts);
+        let exact = naive_simrank(&g, &opts).0;
         let est = mc_simrank_pair(&g, 0, 2, &opts, 15, 30_000, 7);
         let want = exact.get(0, 2);
         assert!(

@@ -54,17 +54,9 @@ pub fn model_peak_bytes(n: usize, r: usize) -> usize {
 ///
 /// `rank = None` keeps the full numerical rank (exact). The result follows
 /// the *matrix form* semantics (Eq. 3) — diagonals are not pinned to 1.
-pub fn mtx_simrank(g: &DiGraph, opts: &SimRankOptions, rank: Option<usize>) -> SimMatrix {
-    mtx_simrank_with_report(g, opts, rank).0
-}
-
-/// As [`mtx_simrank`], also returning instrumentation (including the pool
-/// width in [`Report::workers`]).
-pub fn mtx_simrank_with_report(
-    g: &DiGraph,
-    opts: &SimRankOptions,
-    rank: Option<usize>,
-) -> (SimMatrix, Report) {
+/// The [`Report`] carries the instrumentation, including the pool width
+/// in [`Report::workers`].
+pub fn mtx_simrank(g: &DiGraph, opts: &SimRankOptions, rank: Option<usize>) -> (SimMatrix, Report) {
     let n = g.node_count();
     let workers = par::effective_workers(opts.threads, n);
     par::WorkerPool::scoped(workers, |pool| mtx_pooled(g, opts, rank, pool))
@@ -209,7 +201,7 @@ mod tests {
         let opts = SimRankOptions::default()
             .with_damping(0.6)
             .with_iterations(25);
-        let via_svd = mtx_simrank(&g, &opts, None);
+        let via_svd = mtx_simrank(&g, &opts, None).0;
         let reference = matrix_form_simrank(&g, 0.6, 25);
         for a in 0..9 {
             for b in 0..9 {
@@ -229,7 +221,7 @@ mod tests {
         let opts = SimRankOptions::default()
             .with_damping(0.7)
             .with_iterations(30);
-        let via_svd = mtx_simrank(&g, &opts, None);
+        let via_svd = mtx_simrank(&g, &opts, None).0;
         let reference = matrix_form_simrank(&g, 0.7, 30);
         for a in 0..25 {
             for b in 0..25 {
@@ -244,9 +236,9 @@ mod tests {
         // close to the exact answer.
         let g = gen::coauthor_graph(gen::CoauthorParams::dblp_like(40), 1);
         let opts = SimRankOptions::default().with_iterations(15);
-        let exact = mtx_simrank(&g, &opts, None);
+        let exact = mtx_simrank(&g, &opts, None).0;
         let n = g.node_count();
-        let approx = mtx_simrank(&g, &opts, Some(n * 3 / 4));
+        let approx = mtx_simrank(&g, &opts, Some(n * 3 / 4)).0;
         let mut worst = 0.0f64;
         for a in 0..n {
             for b in 0..n {
@@ -260,7 +252,7 @@ mod tests {
     fn memory_model_is_quadratic() {
         let g = paper_fig1a();
         let opts = SimRankOptions::default().with_iterations(5);
-        let (_, r) = mtx_simrank_with_report(&g, &opts, None);
+        let (_, r) = mtx_simrank(&g, &opts, None);
         assert!(r.peak_intermediate_bytes >= 3 * 9 * 9 * 8);
     }
 
@@ -274,10 +266,10 @@ mod tests {
         let opts = SimRankOptions::default()
             .with_damping(0.6)
             .with_iterations(12);
-        let (base, r1) = mtx_simrank_with_report(&g, &opts.with_threads(1), None);
+        let (base, r1) = mtx_simrank(&g, &opts.with_threads(1), None);
         assert_eq!(r1.workers, 1);
         for t in [2usize, 4, 8] {
-            let (s, rt) = mtx_simrank_with_report(&g, &opts.with_threads(t), None);
+            let (s, rt) = mtx_simrank(&g, &opts.with_threads(t), None);
             assert_eq!(base.max_abs_diff(&s), 0.0, "threads={t} diverged");
             assert_eq!(rt.workers, t.min(g.node_count()));
         }
@@ -291,10 +283,10 @@ mod tests {
         // past the factorization width must clamp instead of panicking.
         let empty = DiGraph::from_edges(0, []).unwrap();
         let opts = SimRankOptions::default().with_iterations(4);
-        assert_eq!(mtx_simrank(&empty, &opts, None).order(), 0);
-        assert_eq!(mtx_simrank(&empty, &opts, Some(1)).order(), 0);
+        assert_eq!(mtx_simrank(&empty, &opts, None).0.order(), 0);
+        assert_eq!(mtx_simrank(&empty, &opts, Some(1)).0.order(), 0);
         let single = DiGraph::from_edges(1, []).unwrap();
-        let s = mtx_simrank(&single, &opts, Some(5)); // rank > n clamps
+        let s = mtx_simrank(&single, &opts, Some(5)).0; // rank > n clamps
         assert!((s.get(0, 0) - (1.0 - opts.damping)).abs() < 1e-12);
     }
 }

@@ -15,13 +15,9 @@ use crate::options::SimRankOptions;
 use simrank_graph::DiGraph;
 use simrank_par as par;
 
-/// All-pairs SimRank by the naive double-sum iteration.
-pub fn naive_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
-    naive_simrank_with_report(g, opts).0
-}
-
-/// As [`naive_simrank`], also returning instrumentation.
-pub fn naive_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
+/// All-pairs SimRank by the naive double-sum iteration, with its
+/// instrumentation.
+pub fn naive_simrank(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
     let (grid, report) = iterate(
         g.node_count(),
         opts.threshold,
@@ -42,7 +38,7 @@ pub fn naive_resweep(g: &DiGraph, warm: &SimMatrix, opts: &SimRankOptions) -> (S
 }
 
 /// The triangular Jeh–Widom sweep, shared verbatim by the cold
-/// [`naive_simrank_with_report`] run and the warm [`naive_resweep`] oracle
+/// [`naive_simrank`] run and the warm [`naive_resweep`] oracle
 /// so the two are the same arithmetic by construction.
 struct NaiveKernel<'a> {
     g: &'a DiGraph,
@@ -140,7 +136,7 @@ mod tests {
     fn base_cases() {
         // Two isolated vertices: identity similarity.
         let g = DiGraph::from_edges(2, []).unwrap();
-        let s = naive_simrank(&g, &SimRankOptions::default().with_iterations(5));
+        let s = naive_simrank(&g, &SimRankOptions::default().with_iterations(5)).0;
         assert_eq!(s.get(0, 0), 1.0);
         assert_eq!(s.get(0, 1), 0.0);
     }
@@ -152,7 +148,7 @@ mod tests {
         let opts = SimRankOptions::default()
             .with_damping(0.6)
             .with_iterations(3);
-        let s = naive_simrank(&g, &opts);
+        let s = naive_simrank(&g, &opts).0;
         assert!((s.get(1, 2) - 0.6).abs() < 1e-12);
         assert_eq!(s.get(0, 1), 0.0);
     }
@@ -160,7 +156,7 @@ mod tests {
     #[test]
     fn scores_are_valid_similarities() {
         let g = paper_fig1a();
-        let s = naive_simrank(&g, &SimRankOptions::default().with_iterations(10));
+        let s = naive_simrank(&g, &SimRankOptions::default().with_iterations(10)).0;
         for a in 0..9 {
             assert_eq!(s.get(a, a), 1.0);
             for b in 0..9 {
@@ -175,8 +171,8 @@ mod tests {
     fn monotone_in_iterations() {
         // SimRank iterates are monotonically non-decreasing in k.
         let g = paper_fig1a();
-        let s2 = naive_simrank(&g, &SimRankOptions::default().with_iterations(2));
-        let s5 = naive_simrank(&g, &SimRankOptions::default().with_iterations(5));
+        let s2 = naive_simrank(&g, &SimRankOptions::default().with_iterations(2)).0;
+        let s5 = naive_simrank(&g, &SimRankOptions::default().with_iterations(5)).0;
         for a in 0..9 {
             for b in 0..9 {
                 assert!(s5.get(a, b) >= s2.get(a, b) - 1e-12);
@@ -187,8 +183,7 @@ mod tests {
     #[test]
     fn counts_pair_products() {
         let g = DiGraph::from_edges(3, [(0, 1), (0, 2)]).unwrap();
-        let (_, report) =
-            naive_simrank_with_report(&g, &SimRankOptions::default().with_iterations(1));
+        let (_, report) = naive_simrank(&g, &SimRankOptions::default().with_iterations(1));
         // The single unordered pair (1,2): |I|·|I| − 1 = 1·1 − 1 = 0 adds.
         assert_eq!(report.adds, 0);
         assert_eq!(report.iterations, 1);
@@ -200,7 +195,7 @@ mod tests {
         // *unordered* pair (b > a, both in-sets non-empty) — the halved
         // pair set of the triangular sweep.
         let g = paper_fig1a();
-        let (_, r) = naive_simrank_with_report(&g, &SimRankOptions::default().with_iterations(1));
+        let (_, r) = naive_simrank(&g, &SimRankOptions::default().with_iterations(1));
         let mut per_iter = 0u64;
         for a in 0..9u32 {
             for b in a + 1..9 {
@@ -212,7 +207,7 @@ mod tests {
         }
         assert_eq!(r.adds, per_iter);
         // Over several iterations the model scales linearly.
-        let (_, r3) = naive_simrank_with_report(&g, &SimRankOptions::default().with_iterations(3));
+        let (_, r3) = naive_simrank(&g, &SimRankOptions::default().with_iterations(3));
         assert_eq!(r3.adds, 3 * per_iter);
     }
 }

@@ -9,7 +9,6 @@
 //! (Proposition 5).
 
 use crate::engine::{self, Mode};
-use crate::grid::ScoreGrid;
 use crate::instrument::Report;
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
@@ -36,10 +35,12 @@ pub fn oip_simrank_observe(
     g: &DiGraph,
     opts: &SimRankOptions,
     iterations: u32,
-    observer: impl FnMut(u32, &ScoreGrid),
+    mut observer: impl FnMut(u32, &SimMatrix),
 ) -> (SimMatrix, Report) {
     let plan = SharingPlan::build(g, opts);
-    let (grid, report) = engine::run(g, &plan, opts, Mode::Conventional, iterations, observer);
+    let (grid, report) = engine::run(g, &plan, opts, Mode::Conventional, iterations, |k, s| {
+        observer(k, &s.to_sim_matrix())
+    });
     (grid.to_sim_matrix(), report)
 }
 
@@ -74,7 +75,7 @@ mod tests {
         let g = paper_fig1a();
         for k in [1u32, 3, 7] {
             let opts = SimRankOptions::default().with_iterations(k);
-            let a = naive_simrank(&g, &opts);
+            let a = naive_simrank(&g, &opts).0;
             let b = oip_simrank(&g, &opts);
             assert!(a.max_abs_diff(&b) < 1e-12, "K={k}: {}", a.max_abs_diff(&b));
         }
@@ -105,7 +106,7 @@ mod tests {
         ];
         let opts = SimRankOptions::default().with_iterations(5);
         for (i, g) in graphs.iter().enumerate() {
-            let a = naive_simrank(g, &opts);
+            let a = naive_simrank(g, &opts).0;
             let b = oip_simrank(g, &opts);
             assert!(
                 a.max_abs_diff(&b) < 1e-10,

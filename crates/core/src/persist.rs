@@ -41,10 +41,10 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
-/// Errors from the score codec.
+/// Errors from the persistence codecs (`SRM1`, `SRI1` and `SRL1`).
 #[derive(Debug)]
 pub enum PersistError {
-    /// The stream does not start with the `SRM1` magic.
+    /// The stream does not start with the magic of the format being read.
     BadMagic {
         /// The four bytes actually found.
         found: [u8; 4],
@@ -54,10 +54,10 @@ pub enum PersistError {
         /// Which part of the structure was cut short.
         context: String,
     },
-    /// Well-formed matrix followed by unexpected extra bytes.
+    /// A well-formed structure followed by unexpected extra bytes.
     TrailingBytes,
-    /// The header claims an order whose packed triangle cannot be
-    /// represented or allocated.
+    /// The header claims an order whose payload cannot be represented or
+    /// allocated.
     OrderTooLarge {
         /// The order claimed by the header.
         order: u64,
@@ -84,27 +84,30 @@ impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistError::BadMagic { found } => {
-                write!(f, "score codec error: bad magic {found:?}")
+                write!(f, "persistence codec error: bad magic {found:?}")
             }
             PersistError::Truncated { context } => {
-                write!(f, "score codec error: truncated {context}")
+                write!(f, "persistence codec error: truncated {context}")
             }
             PersistError::TrailingBytes => {
-                write!(f, "score codec error: trailing bytes after matrix")
+                write!(f, "persistence codec error: trailing bytes after payload")
             }
             PersistError::OrderTooLarge { order } => {
-                write!(f, "score codec error: order {order} too large to allocate")
+                write!(
+                    f,
+                    "persistence codec error: order {order} too large to allocate"
+                )
             }
             PersistError::SizeMismatch { expected, actual } => {
                 write!(
                     f,
-                    "score codec error: expected {expected} bytes from header, found {actual}"
+                    "persistence codec error: expected {expected} bytes from header, found {actual}"
                 )
             }
             PersistError::Malformed { context } => {
-                write!(f, "score codec error: malformed {context}")
+                write!(f, "persistence codec error: malformed {context}")
             }
-            PersistError::Io(e) => write!(f, "score I/O error: {e}"),
+            PersistError::Io(e) => write!(f, "persistence I/O error: {e}"),
         }
     }
 }

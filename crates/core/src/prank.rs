@@ -53,13 +53,9 @@ impl Default for PRankOptions {
     }
 }
 
-/// All-pairs P-Rank with OIP partial-sums sharing on both link directions.
-pub fn prank(g: &DiGraph, opts: &PRankOptions) -> SimMatrix {
-    prank_with_report(g, opts).0
-}
-
-/// As [`prank`], also returning instrumentation.
-pub fn prank_with_report(g: &DiGraph, opts: &PRankOptions) -> (SimMatrix, Report) {
+/// All-pairs P-Rank with OIP partial-sums sharing on both link directions,
+/// with its instrumentation.
+pub fn prank(g: &DiGraph, opts: &PRankOptions) -> (SimMatrix, Report) {
     assert!(
         (0.0..=1.0).contains(&opts.lambda),
         "lambda must be in [0, 1]"
@@ -115,7 +111,7 @@ mod tests {
     fn lambda_one_recovers_simrank() {
         let g = paper_fig1a();
         let base = SimRankOptions::default().with_iterations(6);
-        let pr = prank(&g, &PRankOptions { base, lambda: 1.0 });
+        let pr = prank(&g, &PRankOptions { base, lambda: 1.0 }).0;
         let sr = oip_simrank(&g, &base);
         assert!(pr.max_abs_diff(&sr) < 1e-12);
     }
@@ -124,7 +120,7 @@ mod tests {
     fn lambda_zero_is_simrank_on_reversed_graph() {
         let g = paper_fig1a();
         let base = SimRankOptions::default().with_iterations(6);
-        let pr = prank(&g, &PRankOptions { base, lambda: 0.0 });
+        let pr = prank(&g, &PRankOptions { base, lambda: 0.0 }).0;
         let sr_rev = oip_simrank(&g.reverse(), &base);
         assert!(pr.max_abs_diff(&sr_rev) < 1e-12);
     }
@@ -139,7 +135,7 @@ mod tests {
                 .with_damping(0.6),
             lambda: 0.5,
         };
-        let fast = prank(&g, &opts);
+        let fast = prank(&g, &opts).0;
         let n = g.node_count();
         for a in 0..n as u32 {
             for b in 0..n as u32 {
@@ -186,7 +182,8 @@ mod tests {
                 base: SimRankOptions::default().with_iterations(8),
                 lambda: 0.4,
             },
-        );
+        )
+        .0;
         for (a, b, v) in pr.iter_upper() {
             assert!((0.0..=1.0 + 1e-12).contains(&v), "p({a},{b}) = {v}");
         }
@@ -201,14 +198,14 @@ mod tests {
         let g = gen::gnm(40, 170, 23);
         for lambda in [0.0, 0.35, 1.0] {
             let base = SimRankOptions::default().with_iterations(5).with_threads(1);
-            let (s1, r1) = prank_with_report(&g, &PRankOptions { base, lambda });
+            let (s1, r1) = prank(&g, &PRankOptions { base, lambda });
             assert_eq!(r1.workers, 1);
             for t in [2usize, 3, 5, 8] {
                 let opts = PRankOptions {
                     base: base.with_threads(t),
                     lambda,
                 };
-                let (st, rt) = prank_with_report(&g, &opts);
+                let (st, rt) = prank(&g, &opts);
                 assert_eq!(s1.max_abs_diff(&st), 0.0, "λ={lambda} threads={t}");
                 assert_eq!(r1.adds, rt.adds, "op counts must merge exactly");
                 assert!(rt.workers >= 1 && rt.workers <= t);
@@ -228,7 +225,7 @@ mod tests {
                 .with_iterations(5)
                 .with_threshold(delta)
                 .with_threads(threads);
-            prank(&g, &PRankOptions { base, lambda: 0.5 })
+            prank(&g, &PRankOptions { base, lambda: 0.5 }).0
         };
         let s1 = at(1);
         for (a, b, v) in s1.iter_upper() {
@@ -255,9 +252,9 @@ mod tests {
         let base = SimRankOptions::default().with_iterations(4);
         let (_, r_in) = crate::oip::oip_simrank_with_report(&g, &base);
         let (_, r_out) = crate::oip::oip_simrank_with_report(&g.reverse(), &base);
-        let (_, r1) = prank_with_report(&g, &PRankOptions { base, lambda: 1.0 });
+        let (_, r1) = prank(&g, &PRankOptions { base, lambda: 1.0 });
         assert_eq!(r1.adds, r_in.adds);
-        let (_, r_half) = prank_with_report(&g, &PRankOptions { base, lambda: 0.5 });
+        let (_, r_half) = prank(&g, &PRankOptions { base, lambda: 0.5 });
         assert_eq!(r_half.adds, r_in.adds + r_out.adds);
     }
 

@@ -181,7 +181,7 @@ mod tests {
         let g = paper_fig1a();
         for k in [1u32, 2, 5, 10] {
             let opts = SimRankOptions::default().with_iterations(k);
-            let a = naive_simrank(&g, &opts);
+            let a = naive_simrank(&g, &opts).0;
             let b = psum_simrank(&g, &opts);
             assert!(
                 a.max_abs_diff(&b) < 1e-12,
@@ -196,7 +196,7 @@ mod tests {
         let g = paper_fig1a();
         for &c in &[0.2, 0.4, 0.6, 0.8, 0.95] {
             let opts = SimRankOptions::default().with_damping(c).with_iterations(6);
-            let a = naive_simrank(&g, &opts);
+            let a = naive_simrank(&g, &opts).0;
             let b = psum_simrank(&g, &opts);
             assert!(a.max_abs_diff(&b) < 1e-12, "C={c}");
         }
@@ -233,9 +233,8 @@ mod tests {
         // target set degenerates (no vertex has in-edges, or a single
         // vertex does), a `0 - 1` in `u64` would wrap to ~2^64 and poison
         // `Report::adds`. All sweeps must report exact small counts.
-        use crate::naive::naive_simrank_with_report;
         use crate::oip::oip_simrank_with_report;
-        use crate::prank::{prank_with_report, PRankOptions};
+        use crate::prank::{prank, PRankOptions};
         let opts = SimRankOptions::default().with_iterations(3);
         // Edgeless: target set is empty.
         let empty = simrank_graph::DiGraph::from_edges(4, []).unwrap();
@@ -244,11 +243,11 @@ mod tests {
         for g in [&empty, &loop_only] {
             for (name, adds) in [
                 ("psum", psum_simrank_with_report(g, &opts).1.adds),
-                ("naive", naive_simrank_with_report(g, &opts).1.adds),
+                ("naive", naive_simrank(g, &opts).1.adds),
                 ("oip", oip_simrank_with_report(g, &opts).1.adds),
                 (
                     "prank",
-                    prank_with_report(
+                    prank(
                         g,
                         &PRankOptions {
                             base: opts,

@@ -247,7 +247,7 @@ mod tests {
         let packed = psum_simrank(&g, &opts);
         let sparse = ThresholdedSparse::from_store(&packed, 0.0);
         let low_rank = crate::mtx::mtx_simrank_low_rank(&g, &opts, None);
-        let dense_mtx = crate::mtx::mtx_simrank(&g, &opts, None);
+        let dense_mtx = crate::mtx::mtx_simrank(&g, &opts, None).0;
         for u in [0 as NodeId, 7, 29] {
             let want = QueryEngine::single_source(&packed, u);
             assert_eq!(QueryEngine::single_source(&sparse, u), want);

@@ -262,7 +262,7 @@ mod tests {
         let n = g.node_count();
         let opts = SimRankOptions::default().with_iterations(12);
         for rank in [None, Some(n / 2), Some(3)] {
-            let dense = mtx::mtx_simrank(&g, &opts, rank);
+            let dense = mtx::mtx_simrank(&g, &opts, rank).0;
             let store = mtx::mtx_simrank_low_rank(&g, &opts, rank);
             assert_eq!(store.order(), n);
             for a in 0..n {
@@ -287,7 +287,7 @@ mod tests {
         let g = coauthor(40);
         let n = g.node_count();
         let opts = SimRankOptions::default().with_iterations(15);
-        let exact = mtx::mtx_simrank(&g, &opts, None);
+        let exact = mtx::mtx_simrank(&g, &opts, None).0;
         let approx = mtx::mtx_simrank_low_rank(&g, &opts, Some(n * 3 / 4));
         let worst = max_abs_diff(&approx, &exact);
         assert!(worst < 0.05, "rank-3n/4 low-rank store drifted by {worst}");
@@ -403,17 +403,17 @@ mod tests {
         let n = g.node_count();
         let opts = SimRankOptions::default().with_iterations(5);
         let runs = [
-            ("naive", crate::naive::naive_simrank(&g, &opts)),
+            ("naive", crate::naive::naive_simrank(&g, &opts).0),
             ("psum", crate::psum::psum_simrank(&g, &opts)),
             ("oip", crate::oip::oip_simrank(&g, &opts)),
-            ("oip_dsr", crate::dsr::oip_dsr_simrank(&g, &opts)),
+            ("oip_dsr", crate::dsr::oip_dsr_simrank(&g, &opts).0),
         ];
         for (name, packed) in &runs {
             let sparse = ThresholdedSparse::from_store(packed, 0.0);
             assert_eq!(sparse.nnz(), n * (n + 1) / 2, "{name}");
             assert_rows_bitwise_equal(&sparse, packed, name);
         }
-        let packed = mtx::mtx_simrank(&g, &opts, None);
+        let packed = mtx::mtx_simrank(&g, &opts, None).0;
         let low_rank = mtx::mtx_simrank_low_rank(&g, &opts, None);
         assert_rows_bitwise_equal(&low_rank, &packed, "mtx low-rank");
         let sparse = ThresholdedSparse::from_store(&low_rank, 0.0);
@@ -448,7 +448,7 @@ mod tests {
     fn empty_graph_degenerates_cleanly_in_every_backend() {
         let empty = DiGraph::from_edges(0, []).unwrap();
         let opts = SimRankOptions::default().with_iterations(3);
-        let packed = crate::naive::naive_simrank(&empty, &opts);
+        let packed = crate::naive::naive_simrank(&empty, &opts).0;
         assert_eq!(packed.order(), 0);
         let sparse = ThresholdedSparse::from_store(&packed, 0.1);
         assert_eq!(sparse.order(), 0);

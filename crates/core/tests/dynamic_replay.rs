@@ -89,7 +89,7 @@ proptest! {
         (g, script) in arb_graph_and_script(),
     ) {
         let opts = tight();
-        let warm = naive_simrank(&g, &opts);
+        let warm = naive_simrank(&g, &opts).0;
         let mut mg = g.clone();
         let summary = mg.apply_batch(&script).expect("in-range script");
         let (re, report) = dynamic::resweep_with_report(&mg, &warm, &opts);
@@ -100,7 +100,7 @@ proptest! {
             re.max_abs_diff(&oracle)
         );
         prop_assert_eq!(report.iterations, oracle_report.iterations);
-        let cold_naive = naive_simrank(&mg, &opts);
+        let cold_naive = naive_simrank(&mg, &opts).0;
         let cold_psum = psum_simrank(&mg, &opts);
         prop_assert!(
             re.max_abs_diff(&cold_naive) < 1e-8,
@@ -122,7 +122,7 @@ proptest! {
     ) {
         let opts = tight();
         let index = SimRankIndex::build(&g, &opts);
-        let repaired = index.repair(&script, &opts).expect("in-range script");
+        let (repaired, _) = index.repair(&script, &opts).expect("in-range script");
         let mut mg = g.clone();
         mg.apply_batch(&script).expect("in-range script");
         let fresh = SimRankIndex::build(&mg, &opts);
@@ -183,7 +183,7 @@ fn dynamic_delete_to_isolated_vertex_matches_cold() {
         .filter(|&(_, v)| v == victim)
         .map(|(u, v)| EdgeDelta::Remove(u, v))
         .collect();
-    let warm = naive_simrank(&g, &opts);
+    let warm = naive_simrank(&g, &opts).0;
     let mut mg = g.clone();
     mg.apply_batch(&script).expect("all victims exist");
     assert_eq!(mg.in_degree(victim), 0);
@@ -197,7 +197,7 @@ fn dynamic_delete_to_isolated_vertex_matches_cold() {
             );
         }
     }
-    assert!(re.max_abs_diff(&naive_simrank(&mg, &opts)) < 1e-8);
+    assert!(re.max_abs_diff(&naive_simrank(&mg, &opts).0) < 1e-8);
 }
 
 /// Deleting the *last* in-edge of a vertex is the boundary case where the
@@ -217,14 +217,14 @@ fn dynamic_delete_last_in_edge_matches_cold() {
         .map(|(u, v)| EdgeDelta::Remove(u, v))
         .collect();
     assert!(!script.is_empty(), "victim must have an in-edge to delete");
-    let warm = naive_simrank(&g, &opts);
+    let warm = naive_simrank(&g, &opts).0;
     let index = SimRankIndex::build(&g, &opts);
     let mut mg = g.clone();
     mg.apply_batch(&script).expect("victims exist");
     assert_eq!(mg.in_degree(victim), 0);
     let re = dynamic::resweep(&mg, &warm, &opts);
-    assert!(re.max_abs_diff(&naive_simrank(&mg, &opts)) < 1e-8);
-    let repaired = index.repair(&script, &opts).expect("valid script");
+    assert!(re.max_abs_diff(&naive_simrank(&mg, &opts).0) < 1e-8);
+    let (repaired, _) = index.repair(&script, &opts).expect("valid script");
     let fresh = SimRankIndex::build(&mg, &opts);
     for u in 0..20 {
         let (got, want) = (repaired.single_source(u), fresh.single_source(u));
@@ -254,14 +254,12 @@ fn dynamic_replay_thread_invariant_across_pool_widths() {
         .with_damping(0.6)
         .with_epsilon(1e-7)
         .with_threads(1);
-    let warm = naive_simrank(&g, &base);
+    let warm = naive_simrank(&g, &base).0;
     let mut mg = g.clone();
     mg.apply_batch(&script).expect("in-range script");
     let (s1, r1) = dynamic::resweep_with_report(&mg, &warm, &base);
     let index = SimRankIndex::build(&g, &base);
-    let (i1, ir1) = index
-        .repair_with_report(&script, &base)
-        .expect("valid script");
+    let (i1, ir1) = index.repair(&script, &base).expect("valid script");
     for t in [2usize, 4, 8] {
         let opts = base.with_threads(t);
         let (st, rt) = dynamic::resweep_with_report(&mg, &warm, &opts);
@@ -271,7 +269,7 @@ fn dynamic_replay_thread_invariant_across_pool_widths() {
             "resweep op counts diverged at threads={t}"
         );
         assert_eq!(r1.iterations, rt.iterations);
-        let (it, irt) = index.repair_with_report(&script, &opts).expect("valid");
+        let (it, irt) = index.repair(&script, &opts).expect("valid");
         assert_eq!(it, i1, "repaired index diverged at threads={t}");
         assert_eq!(
             ir1.adds, irt.adds,

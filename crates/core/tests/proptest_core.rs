@@ -7,10 +7,10 @@ use simrank_core::{
     dsr::oip_dsr_simrank,
     matrixform,
     montecarlo::Fingerprints,
-    mtx::mtx_simrank_with_report,
-    naive::{naive_simrank, naive_simrank_with_report},
+    mtx::mtx_simrank,
+    naive::naive_simrank,
     oip::{oip_simrank, oip_simrank_with_report},
-    prank::{prank_with_report, PRankOptions},
+    prank::{prank, PRankOptions},
     psum::{psum_simrank, psum_simrank_with_report},
     setops, QueryEngine, SharingPlan, SimRankOptions,
 };
@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn all_conventional_variants_agree(g in arb_graph(), k in 1u32..6, c in 0.2f64..0.9) {
         let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
-        let a = naive_simrank(&g, &opts);
+        let a = naive_simrank(&g, &opts).0;
         let b = psum_simrank(&g, &opts);
         let d = oip_simrank(&g, &opts);
         prop_assert!(a.max_abs_diff(&b) < 1e-10);
@@ -50,7 +50,7 @@ proptest! {
     #[test]
     fn cross_algorithm_equivalence_and_symmetry(g in arb_graph(), k in 1u32..7, c in 0.2f64..0.9) {
         let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
-        let by_naive = naive_simrank(&g, &opts);
+        let by_naive = naive_simrank(&g, &opts).0;
         let by_psum = psum_simrank(&g, &opts);
         let by_oip = oip_simrank(&g, &opts);
         prop_assert!(by_naive.max_abs_diff(&by_psum) < 1e-8, "psum diverges from naive");
@@ -118,11 +118,10 @@ proptest! {
     /// Proposition 7 residual bound for the differential model.
     #[test]
     fn differential_bound_holds(g in arb_graph(), c in 0.3f64..0.9) {
-        let deep =
-            oip_dsr_simrank(&g, &SimRankOptions::default().with_damping(c).with_iterations(25));
+        let opts = SimRankOptions::default().with_damping(c);
+        let deep = oip_dsr_simrank(&g, &opts.with_iterations(25)).0;
         for k in [1u32, 2, 4] {
-            let s =
-                oip_dsr_simrank(&g, &SimRankOptions::default().with_damping(c).with_iterations(k));
+            let s = oip_dsr_simrank(&g, &opts.with_iterations(k)).0;
             let err = s.max_abs_diff(&deep);
             prop_assert!(err <= convergence::differential_residual(c, k) + 1e-12);
         }
@@ -132,7 +131,7 @@ proptest! {
     #[test]
     fn dsr_matches_reference(g in arb_graph(), k in 1u32..6, c in 0.3f64..0.9) {
         let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
-        let fast = oip_dsr_simrank(&g, &opts);
+        let fast = oip_dsr_simrank(&g, &opts).0;
         let reference = matrixform::dsr_matrix_reference(&g, c, k);
         prop_assert!(fast.max_abs_diff(&reference) < 1e-10);
     }
@@ -176,8 +175,8 @@ proptest! {
         let sharded = single.with_threads(t);
         let runs = [
             (
-                naive_simrank_with_report(&g, &single),
-                naive_simrank_with_report(&g, &sharded),
+                naive_simrank(&g, &single),
+                naive_simrank(&g, &sharded),
                 "naive",
             ),
             (
@@ -209,8 +208,8 @@ proptest! {
         t in 2usize..9,
     ) {
         let base = SimRankOptions::default().with_iterations(k);
-        let (s1, r1) = prank_with_report(&g, &PRankOptions { base: base.with_threads(1), lambda });
-        let (st, rt) = prank_with_report(&g, &PRankOptions { base: base.with_threads(t), lambda });
+        let (s1, r1) = prank(&g, &PRankOptions { base: base.with_threads(1), lambda });
+        let (st, rt) = prank(&g, &PRankOptions { base: base.with_threads(t), lambda });
         prop_assert_eq!(s1.max_abs_diff(&st), 0.0, "threads={} diverged", t);
         prop_assert_eq!(r1.adds, rt.adds, "merged op counts must equal single-thread counts");
     }
@@ -296,16 +295,16 @@ proptest! {
         t in 2usize..9,
     ) {
         let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
-        let (s1, r1) = mtx_simrank_with_report(&g, &opts.with_threads(1), None);
+        let (s1, r1) = mtx_simrank(&g, &opts.with_threads(1), None);
         prop_assert_eq!(r1.workers, 1);
-        let (st, rt) = mtx_simrank_with_report(&g, &opts.with_threads(t), None);
+        let (st, rt) = mtx_simrank(&g, &opts.with_threads(t), None);
         prop_assert_eq!(s1.max_abs_diff(&st), 0.0, "threads={} diverged", t);
         prop_assert_eq!(rt.workers, t.min(g.node_count()));
         // Truncated factorizations shard the same kernels: the low-rank
         // path must be just as deterministic as the full-rank one.
         let r = (g.node_count() / 2).max(1);
-        let (t1, _) = mtx_simrank_with_report(&g, &opts.with_threads(1), Some(r));
-        let (tt, _) = mtx_simrank_with_report(&g, &opts.with_threads(t), Some(r));
+        let (t1, _) = mtx_simrank(&g, &opts.with_threads(1), Some(r));
+        let (tt, _) = mtx_simrank(&g, &opts.with_threads(t), Some(r));
         prop_assert_eq!(t1.max_abs_diff(&tt), 0.0, "rank={} threads={} diverged", r, t);
     }
 
@@ -353,7 +352,7 @@ proptest! {
             "solver failed to converge: residual {}",
             index.solver_residual()
         );
-        let dense = naive_simrank(&g, &opts.with_iterations(30));
+        let dense = naive_simrank(&g, &opts.with_iterations(30)).0;
         // Both sides truncate the same geometric tail; allow both
         // truncations plus the diagonal-solve tolerance.
         let tol = 2.0 * c.powi(31) / (1.0 - c) + 1e-3;
@@ -418,7 +417,7 @@ proptest! {
     #[test]
     fn store_low_rank_pins_densified_mtx(g in arb_graph(), k in 1u32..5, c in 0.3f64..0.8) {
         let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
-        let dense = simrank_core::mtx::mtx_simrank(&g, &opts, None);
+        let dense = simrank_core::mtx::mtx_simrank(&g, &opts, None).0;
         let lr = simrank_core::mtx::mtx_simrank_low_rank(&g, &opts, None);
         let n = g.node_count();
         prop_assert_eq!(lr.order(), n);

@@ -154,10 +154,9 @@ impl DiGraph {
     /// (the right contract for generators and ad-hoc edge lists), this
     /// strict constructor rejects them with
     /// [`GraphError::DuplicateEdge`]. It is the constructor every
-    /// *canonical* source must use — the binary persistence codecs
-    /// (`SRG1` graph files, the `SRI1` index format) always serialize the
-    /// deduplicated CSR edge list, so a duplicate on load is corruption,
-    /// not data.
+    /// *canonical* source must use — the `SRI1` index format always
+    /// serializes the deduplicated CSR edge list, so a duplicate on load
+    /// is corruption, not data.
     pub fn from_edges_strict(
         node_count: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,

@@ -1,15 +1,12 @@
-//! Graph serialization: SNAP-style edge-list text and a compact binary codec.
+//! Graph serialization: SNAP-style edge-list text.
 //!
-//! The text format matches what the paper's datasets ship as (e.g. the SNAP
+//! The format matches what the paper's datasets ship as (e.g. the SNAP
 //! `web-BerkStan.txt` download): one `src dst` pair per line, `#` comments
-//! allowed. The binary codec is a little-endian `u32` stream used by the
-//! benchmark harness to cache generated datasets between runs.
+//! allowed.
 
 use crate::digraph::DiGraph;
 use crate::types::{GraphError, NodeId};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 
 /// Serializes `g` as edge-list text (`src\tdst` per line) with a header
 /// comment carrying the vertex count.
@@ -85,66 +82,6 @@ pub fn read_edge_list<R: Read>(r: R) -> Result<DiGraph, GraphError> {
     DiGraph::from_edges(n, edges)
 }
 
-/// Magic header of the binary codec (`b"SRG1"`).
-const MAGIC: u32 = u32::from_le_bytes(*b"SRG1");
-
-/// Encodes `g` into the compact binary format:
-/// `magic | node_count | edge_count | (src, dst)*`, all little-endian `u32`.
-pub fn encode(g: &DiGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(12 + g.edge_count() * 8);
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(g.node_count() as u32);
-    buf.put_u32_le(g.edge_count() as u32);
-    for (u, v) in g.edges() {
-        buf.put_u32_le(u);
-        buf.put_u32_le(v);
-    }
-    buf.freeze()
-}
-
-/// Decodes a graph from the binary format produced by [`encode`].
-pub fn decode(mut data: &[u8]) -> Result<DiGraph, GraphError> {
-    if data.remaining() < 12 {
-        return Err(GraphError::Codec("truncated header".into()));
-    }
-    let magic = data.get_u32_le();
-    if magic != MAGIC {
-        return Err(GraphError::Codec(format!("bad magic {magic:#x}")));
-    }
-    let n = data.get_u32_le() as usize;
-    let m = data.get_u32_le() as usize;
-    if data.remaining() != m * 8 {
-        return Err(GraphError::Codec(format!(
-            "expected {} payload bytes, found {}",
-            m * 8,
-            data.remaining()
-        )));
-    }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let u = data.get_u32_le();
-        let v = data.get_u32_le();
-        edges.push((u, v));
-    }
-    // The encoder always writes a sorted duplicate-free edge list, so a
-    // repeated edge here means the payload is corrupt — reject it rather
-    // than silently collapsing (the lenient text path stays forgiving for
-    // raw SNAP downloads).
-    DiGraph::from_edges_strict(n, edges)
-}
-
-/// Writes the binary encoding to `path`.
-pub fn save_binary(g: &DiGraph, path: &Path) -> Result<(), GraphError> {
-    std::fs::write(path, encode(g))?;
-    Ok(())
-}
-
-/// Reads a binary-encoded graph from `path`.
-pub fn load_binary(path: &Path) -> Result<DiGraph, GraphError> {
-    let data = std::fs::read(path)?;
-    decode(&data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,22 +94,6 @@ mod tests {
         write_edge_list(&g, &mut buf).unwrap();
         let g2 = read_edge_list(&buf[..]).unwrap();
         assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_decode_rejects_duplicate_edges() {
-        // Hand-craft a payload with (0,1) twice: the encoder never emits
-        // duplicates, so decode must treat this as corruption.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"SRG1");
-        buf.extend_from_slice(&2u32.to_le_bytes()); // n
-        buf.extend_from_slice(&2u32.to_le_bytes()); // m
-        for _ in 0..2 {
-            buf.extend_from_slice(&0u32.to_le_bytes());
-            buf.extend_from_slice(&1u32.to_le_bytes());
-        }
-        let err = decode(&buf).unwrap_err();
-        assert_eq!(err, GraphError::DuplicateEdge { from: 0, to: 1 });
     }
 
     #[test]
@@ -207,38 +128,5 @@ mod tests {
             read_edge_list("0 1 2\n".as_bytes()),
             Err(GraphError::Parse { line: 1, .. })
         ));
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let g = paper_fig1a();
-        let bytes = encode(&g);
-        let g2 = decode(&bytes).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let g = paper_fig1a();
-        let bytes = encode(&g);
-        assert!(decode(&bytes[..4]).is_err());
-        let mut bad = bytes.to_vec();
-        bad[0] ^= 0xff;
-        assert!(matches!(decode(&bad), Err(GraphError::Codec(_))));
-        bad = bytes.to_vec();
-        bad.truncate(bytes.len() - 3);
-        assert!(matches!(decode(&bad), Err(GraphError::Codec(_))));
-    }
-
-    #[test]
-    fn binary_file_round_trip() {
-        let dir = std::env::temp_dir().join("simrank-graph-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fig1a.srg");
-        let g = paper_fig1a();
-        save_binary(&g, &path).unwrap();
-        let g2 = load_binary(&path).unwrap();
-        assert_eq!(g, g2);
-        std::fs::remove_file(&path).ok();
     }
 }

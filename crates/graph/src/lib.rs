@@ -15,7 +15,7 @@
 //!   SYN datasets), Erdős–Rényi G(n, m), preferential attachment, a
 //!   copying-model web graph, a time-ordered citation DAG, and a
 //!   community-structured co-authorship simulator.
-//! * [`io`] — SNAP-style edge-list text I/O plus a compact binary codec.
+//! * [`io`] — SNAP-style edge-list text I/O.
 //! * [`fixtures`] — the paper-citation network of the paper's Fig. 1a, used
 //!   as a pinned fixture throughout the workspace tests.
 //! * [`traversal`] — BFS/DFS/topological-sort helpers.

@@ -38,8 +38,6 @@ pub enum GraphError {
         /// Human-readable description of the problem.
         message: String,
     },
-    /// The binary codec encountered a malformed or truncated payload.
-    Codec(String),
     /// Underlying I/O failure (message-only so the error stays `Clone + Eq`).
     Io(String),
 }
@@ -62,7 +60,6 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "edge-list parse error at line {line}: {message}")
             }
-            GraphError::Codec(msg) => write!(f, "binary graph codec error: {msg}"),
             GraphError::Io(msg) => write!(f, "graph I/O error: {msg}"),
         }
     }

@@ -56,14 +56,13 @@ proptest! {
         }
     }
 
-    /// Text and binary codecs both round-trip arbitrary graphs.
+    /// The edge-list text codec round-trips arbitrary graphs.
     #[test]
     fn io_round_trips((n, edges) in edge_list(30, 150)) {
         let g = DiGraph::from_edges(n, edges).unwrap();
         let mut buf = Vec::new();
         io::write_edge_list(&g, &mut buf).unwrap();
-        prop_assert_eq!(io::read_edge_list(&buf[..]).unwrap(), g.clone());
-        prop_assert_eq!(io::decode(&io::encode(&g)).unwrap(), g);
+        prop_assert_eq!(io::read_edge_list(&buf[..]).unwrap(), g);
     }
 
     /// Generators respect their requested sizes and determinism.

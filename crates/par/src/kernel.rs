@@ -80,24 +80,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Lane-chunked sum `Σᵢ x[i]`.
-#[inline]
-pub fn sum(x: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; LANES];
-    let xc = x.chunks_exact(LANES);
-    let tail = xc.remainder();
-    for c in xc {
-        for k in 0..LANES {
-            lanes[k] += c[k];
-        }
-    }
-    let mut acc = fold_lanes(lanes);
-    for &v in tail {
-        acc += v;
-    }
-    acc
-}
-
 /// Lane-chunked sum of squares `Σᵢ x[i]²` (CGLS `γ`, Frobenius/column
 /// norms, Jacobi Gram diagonals).
 #[inline]
@@ -472,8 +454,6 @@ mod tests {
             let b = splitmix_vals(4, len);
             let scalar_dot = a.iter().zip(&b).fold(0.0, |acc, (&x, &y)| acc + x * y);
             assert_eq!(dot(&a, &b).to_bits(), scalar_dot.to_bits());
-            let scalar_sum = a.iter().fold(0.0, |acc, &x| acc + x);
-            assert_eq!(sum(&a).to_bits(), scalar_sum.to_bits());
         }
     }
 
@@ -483,11 +463,14 @@ mod tests {
             let a = splitmix_vals(5, len);
             let b = splitmix_vals(6, len);
             let idx: Vec<u32> = (0..len as u32).collect();
-            assert_eq!(gather_sum(&a, &idx).to_bits(), sum(&a).to_bits());
+            assert_eq!(
+                gather_sum(&a, &idx).to_bits(),
+                reference_reduce(&a).to_bits()
+            );
             let ab: Vec<f64> = a.iter().zip(&b).flat_map(|(&x, &y)| [x, y]).collect();
             let [sa, sb] = gather_sum_block::<2>(&ab, &idx);
-            assert_eq!(sa.to_bits(), sum(&a).to_bits());
-            assert_eq!(sb.to_bits(), sum(&b).to_bits());
+            assert_eq!(sa.to_bits(), reference_reduce(&a).to_bits());
+            assert_eq!(sb.to_bits(), reference_reduce(&b).to_bits());
         }
     }
 
@@ -572,13 +555,12 @@ mod tests {
     fn kernels_are_deterministic_call_to_call() {
         let a = splitmix_vals(13, 1000);
         let b = splitmix_vals(14, 1000);
-        let first = (dot(&a, &b), sum(&a), sq_sum(&b), max_abs_diff(&a, &b));
+        let first = (dot(&a, &b), sq_sum(&b), max_abs_diff(&a, &b));
         for _ in 0..10 {
-            let again = (dot(&a, &b), sum(&a), sq_sum(&b), max_abs_diff(&a, &b));
+            let again = (dot(&a, &b), sq_sum(&b), max_abs_diff(&a, &b));
             assert_eq!(first.0.to_bits(), again.0.to_bits());
             assert_eq!(first.1.to_bits(), again.1.to_bits());
             assert_eq!(first.2.to_bits(), again.2.to_bits());
-            assert_eq!(first.3.to_bits(), again.3.to_bits());
         }
     }
 

@@ -364,7 +364,7 @@ fn dynamic_reload_publishes_repaired_index_per_batch() {
             EdgeDelta::Remove(ru, rv),
             EdgeDelta::Insert((ru + 5) % n, (rv + 11) % n),
         ];
-        index = index.repair(&script, &opts).expect("valid script");
+        index = index.repair(&script, &opts).expect("valid script").0;
         g.apply_batch(&script).expect("valid script");
         *published.lock().unwrap() = index.clone();
         assert_eq!(client.reload().unwrap(), round + 2);

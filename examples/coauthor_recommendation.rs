@@ -45,7 +45,7 @@ fn main() {
 
     // The differential model gives the same answer 5x+ faster — verify the
     // ranking barely moves.
-    let fast = dsr::oip_dsr_simrank(g, &opts);
+    let fast = dsr::oip_dsr_simrank(g, &opts).0;
     let ids = |s: &dyn QueryEngine| -> Vec<_> {
         s.top_k(query, 30).into_iter().map(|(v, _)| v).collect()
     };

@@ -29,19 +29,19 @@ fn main() {
     let k_deep = convergence::geometric_iterations(c, 1e-8);
     let s_ref = oip::oip_simrank(&g, &opts.with_iterations(k_deep));
     let k_deep_dsr = convergence::differential_iterations(c, 1e-8);
-    let dsr_ref = dsr::oip_dsr_simrank(&g, &opts.with_iterations(k_deep_dsr));
+    let dsr_ref = dsr::oip_dsr_simrank(&g, &opts.with_iterations(k_deep_dsr)).0;
 
     println!("eps      conventional  differential  LamW est.  Log est.  bound-based K");
     for eps in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6] {
         let mut k_conv = 0u32;
         let _ = oip::oip_simrank_observe(&g, &opts, k_deep, |k, s| {
-            if k_conv == 0 && s.to_sim_matrix().max_abs_diff(&s_ref) <= eps {
+            if k_conv == 0 && s.max_abs_diff(&s_ref) <= eps {
                 k_conv = k;
             }
         });
         let mut k_dsr = 0u32;
         let _ = dsr::oip_dsr_simrank_observe(&g, &opts, k_deep_dsr, |k, s| {
-            if k_dsr == 0 && s.to_sim_matrix().max_abs_diff(&dsr_ref) <= eps {
+            if k_dsr == 0 && s.max_abs_diff(&dsr_ref) <= eps {
                 k_dsr = k;
             }
         });

@@ -54,9 +54,7 @@ fn main() {
         let (summary, report) = tracker.apply_batch(&batch).expect("in-range stream");
         let sweep_time = t.elapsed();
         let t = Instant::now();
-        let (repaired, repair_report) = index
-            .repair_with_report(&batch, &opts)
-            .expect("in-range stream");
+        let (repaired, repair_report) = index.repair(&batch, &opts).expect("in-range stream");
         let repair_time = t.elapsed();
         index = repaired;
 

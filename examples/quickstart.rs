@@ -48,7 +48,7 @@ fn main() {
     );
 
     // Differential SimRank reaches the same accuracy in far fewer rounds.
-    let (_, dsr_report) = dsr::oip_dsr_simrank_with_report(&g, &opts);
+    let (_, dsr_report) = dsr::oip_dsr_simrank(&g, &opts);
     println!(
         "differential SimRank needs {} iterations for the same ε (bound: {} ≥ residual {:.2e})",
         dsr_report.iterations,

@@ -18,7 +18,7 @@ fn conventional_variants_agree_on_all_dataset_families() {
         .with_damping(0.6)
         .with_iterations(6);
     for (i, g) in graphs.iter().enumerate() {
-        let reference = naive::naive_simrank(g, &opts);
+        let reference = naive::naive_simrank(g, &opts).0;
         let via_psum = psum::psum_simrank(g, &opts);
         let via_oip = oip::oip_simrank(g, &opts);
         assert!(
@@ -58,7 +58,7 @@ fn dsr_pipeline_matches_dense_reference() {
         let opts = SimRankOptions::default()
             .with_damping(0.7)
             .with_iterations(k);
-        let fast = dsr::oip_dsr_simrank(&g, &opts);
+        let fast = dsr::oip_dsr_simrank(&g, &opts).0;
         let reference = matrixform::dsr_matrix_reference(&g, 0.7, k);
         assert!(fast.max_abs_diff(&reference) < 1e-10, "K = {k}");
     }
@@ -71,7 +71,7 @@ fn mtx_pipeline_matches_matrix_form() {
     let opts = SimRankOptions::default()
         .with_damping(0.6)
         .with_iterations(30);
-    let via_svd = mtx::mtx_simrank(&g, &opts, None);
+    let via_svd = mtx::mtx_simrank(&g, &opts, None).0;
     let reference = matrixform::matrix_form_simrank(&g, 0.6, 30);
     for a in 0..30 {
         for b in 0..30 {
@@ -110,7 +110,7 @@ fn monte_carlo_tracks_exact() {
     let opts = SimRankOptions::default()
         .with_damping(0.6)
         .with_iterations(15);
-    let exact = naive::naive_simrank(&g, &opts);
+    let exact = naive::naive_simrank(&g, &opts).0;
     let (fp, _) = Fingerprints::sample(&g, 15, 8_000, 13, &opts);
     let mut exact_v = Vec::new();
     let mut mc_v = Vec::new();
@@ -131,10 +131,10 @@ fn prank_interpolation() {
     let g = datasets::dblp_like(datasets::DblpSnapshot::D02, 120, 17).graph;
     let base = SimRankOptions::default().with_iterations(5);
     let sr = oip::oip_simrank(&g, &base);
-    let pr_in = prank(&g, &PRankOptions { base, lambda: 1.0 });
+    let pr_in = prank(&g, &PRankOptions { base, lambda: 1.0 }).0;
     assert!(sr.max_abs_diff(&pr_in) < 1e-12);
     // On a symmetric co-authorship graph, in-links equal out-links, so any
     // λ gives the same scores.
-    let pr_half = prank(&g, &PRankOptions { base, lambda: 0.5 });
+    let pr_half = prank(&g, &PRankOptions { base, lambda: 0.5 }).0;
     assert!(sr.max_abs_diff(&pr_half) < 1e-10);
 }

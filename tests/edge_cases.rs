@@ -123,7 +123,7 @@ fn mutual_citation_is_zero() {
 fn self_loops_consistent_across_variants() {
     let g = DiGraph::from_edges(3, [(0, 0), (0, 1), (0, 2), (1, 2)]).unwrap();
     let opts = SimRankOptions::default().with_iterations(8);
-    let a = naive::naive_simrank(&g, &opts);
+    let a = naive::naive_simrank(&g, &opts).0;
     let b = psum::psum_simrank(&g, &opts);
     let c = oip::oip_simrank(&g, &opts);
     assert!(a.max_abs_diff(&b) < 1e-12);
@@ -136,7 +136,7 @@ fn degenerate_graphs() {
     let single = DiGraph::from_edges(1, []).unwrap();
     let opts = SimRankOptions::default().with_iterations(4);
     assert_eq!(oip::oip_simrank(&single, &opts).get(0, 0), 1.0);
-    assert_eq!(dsr::oip_dsr_simrank(&single, &opts).order(), 1);
+    assert_eq!(dsr::oip_dsr_simrank(&single, &opts).0.order(), 1);
     let empty = DiGraph::from_edges(0, []).unwrap();
     assert_eq!(oip::oip_simrank(&empty, &opts).order(), 0);
     assert_eq!(psum::psum_simrank(&empty, &opts).order(), 0);
@@ -175,7 +175,7 @@ fn all_prelude_entry_points_agree_on_adversarial_graphs() {
         let n = g.node_count();
         let opts = test_opts(10);
         // 1–3: the conventional trio is an exact cross-oracle.
-        let by_naive = naive_simrank(&g, &opts);
+        let by_naive = naive_simrank(&g, &opts).0;
         let by_psum = psum_simrank(&g, &opts);
         let by_oip = oip_simrank(&g, &opts);
         assert!(
@@ -197,7 +197,7 @@ fn all_prelude_entry_points_agree_on_adversarial_graphs() {
         }
         // 4: differential SimRank — exponential model, bounded and with
         // e^{-C} ≤ diagonal ≤ 1.
-        let by_dsr = oip_dsr_simrank(&g, &opts);
+        let by_dsr = oip_dsr_simrank(&g, &opts).0;
         let floor = (-opts.damping).exp() - 1e-12;
         for a in 0..n {
             let d = by_dsr.get(a, a);
@@ -215,7 +215,7 @@ fn all_prelude_entry_points_agree_on_adversarial_graphs() {
         }
         // 5: mtx-SR (matrix-form semantics, diagonal not pinned) — bounded
         // and zero wherever structure forbids similarity.
-        let by_mtx = mtx_simrank(&g, &opts, None);
+        let by_mtx = mtx_simrank(&g, &opts, None).0;
         for a in 0..n {
             for b in 0..n {
                 let v = by_mtx.get(a, b);
@@ -233,7 +233,8 @@ fn all_prelude_entry_points_agree_on_adversarial_graphs() {
                 base: opts,
                 lambda: 1.0,
             },
-        );
+        )
+        .0;
         assert!(
             by_prank.max_abs_diff(&by_oip) < 1e-10,
             "{name}: prank(λ=1) vs oip {}",
@@ -262,7 +263,9 @@ fn adversarial_graphs_are_thread_count_invariant() {
         let single = test_opts(12).with_threads(1);
         let sharded = single.with_threads(4);
         assert_eq!(
-            naive_simrank(&g, &single).max_abs_diff(&naive_simrank(&g, &sharded)),
+            naive_simrank(&g, &single)
+                .0
+                .max_abs_diff(&naive_simrank(&g, &sharded).0),
             0.0,
             "{name}: naive"
         );
@@ -277,7 +280,9 @@ fn adversarial_graphs_are_thread_count_invariant() {
             "{name}: oip"
         );
         assert_eq!(
-            dsr::oip_dsr_simrank(&g, &single).max_abs_diff(&dsr::oip_dsr_simrank(&g, &sharded)),
+            dsr::oip_dsr_simrank(&g, &single)
+                .0
+                .max_abs_diff(&dsr::oip_dsr_simrank(&g, &sharded).0),
             0.0,
             "{name}: dsr"
         );
@@ -286,7 +291,9 @@ fn adversarial_graphs_are_thread_count_invariant() {
         // dangling / isolated structures must not perturb the tournament
         // schedule's determinism.
         assert_eq!(
-            mtx_simrank(&g, &single, None).max_abs_diff(&mtx_simrank(&g, &sharded, None)),
+            mtx_simrank(&g, &single, None)
+                .0
+                .max_abs_diff(&mtx_simrank(&g, &sharded, None).0),
             0.0,
             "{name}: mtx"
         );

@@ -23,7 +23,7 @@
 
 use simrank::algo::index::SimRankIndex;
 use simrank::algo::montecarlo::Fingerprints;
-use simrank::algo::prank::{prank_with_report, PRankOptions};
+use simrank::algo::prank::{prank, PRankOptions};
 use simrank::algo::query::QueryEngine;
 use simrank::algo::{dsr, dynamic, naive, oip, psum, Report, SimMatrix, SimRankOptions};
 use simrank::graph::{fixtures, gen, DiGraph, EdgeDelta};
@@ -64,7 +64,7 @@ fn dynamic_script(g: &DiGraph) -> Vec<EdgeDelta> {
 /// The stale scores and the mutated graph of the `dynamic_resweep*/*`
 /// cases: converge on `g`, then apply the fixed edit script.
 fn resweep_input(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, DiGraph) {
-    let warm = naive::naive_simrank(g, opts);
+    let warm = naive::naive_simrank(g, opts).0;
     let mut mg = g.clone();
     mg.apply_batch(&dynamic_script(g)).expect("valid script");
     (warm, mg)
@@ -95,7 +95,7 @@ fn measured_cases() -> Vec<(String, u64)> {
     for (gname, g) in fixture_graphs() {
         out.push((
             format!("naive/{gname}"),
-            naive::naive_simrank_with_report(&g, &opts).1.adds,
+            naive::naive_simrank(&g, &opts).1.adds,
         ));
         out.push((
             format!("psum/{gname}"),
@@ -107,11 +107,11 @@ fn measured_cases() -> Vec<(String, u64)> {
         ));
         out.push((
             format!("oip_dsr/{gname}"),
-            dsr::oip_dsr_simrank_with_report(&g, &opts).1.adds,
+            dsr::oip_dsr_simrank(&g, &opts).1.adds,
         ));
         out.push((
             format!("prank/{gname}"),
-            prank_with_report(
+            prank(
                 &g,
                 &PRankOptions {
                     base: opts,
@@ -145,7 +145,7 @@ fn measured_cases() -> Vec<(String, u64)> {
         out.push((format!("dynamic_repair/{gname}"), {
             let index = SimRankIndex::build(&g, &opts);
             index
-                .repair_with_report(&dynamic_script(&g), &opts)
+                .repair(&dynamic_script(&g), &opts)
                 .expect("valid script")
                 .1
                 .adds
@@ -191,16 +191,16 @@ fn measured_digests() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (gname, g) in fixture_graphs() {
         let cases = [
-            ("naive", naive::naive_simrank(&g, &opts)),
-            ("naive_t05", naive::naive_simrank(&g, &sieved)),
+            ("naive", naive::naive_simrank(&g, &opts).0),
+            ("naive_t05", naive::naive_simrank(&g, &sieved).0),
             ("psum", psum::psum_simrank(&g, &opts)),
             ("psum_t05", psum::psum_simrank(&g, &sieved)),
             ("oip", oip::oip_simrank(&g, &opts)),
             ("oip_t05", oip::oip_simrank(&g, &sieved)),
-            ("oip_dsr", dsr::oip_dsr_simrank(&g, &opts)),
-            ("oip_dsr_t05", dsr::oip_dsr_simrank(&g, &sieved)),
-            ("prank", prank_with_report(&g, &prank_opts(opts)).0),
-            ("prank_t05", prank_with_report(&g, &prank_opts(sieved)).0),
+            ("oip_dsr", dsr::oip_dsr_simrank(&g, &opts).0),
+            ("oip_dsr_t05", dsr::oip_dsr_simrank(&g, &sieved).0),
+            ("prank", prank(&g, &prank_opts(opts)).0),
+            ("prank_t05", prank(&g, &prank_opts(sieved)).0),
             ("dynamic_resweep", resweep_case(&g, &opts).0),
             ("dynamic_resweep_psum", resweep_psum_case(&g, &opts).0),
         ];
@@ -208,7 +208,7 @@ fn measured_digests() -> Vec<(String, u64)> {
             out.push((format!("{algo}/{gname}"), score_digest(&scores)));
         }
         let index = SimRankIndex::build(&g, &opts);
-        let repaired = index
+        let (repaired, _) = index
             .repair(&dynamic_script(&g), &opts)
             .expect("valid script");
         let rows = (0..g.node_count() as u32).flat_map(|u| index.single_source(u));

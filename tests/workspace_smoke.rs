@@ -36,7 +36,7 @@ fn assert_eq2_contract(name: &str, s: &SimMatrix) {
 
 #[test]
 fn naive_entry_point() {
-    let s = naive_simrank(&fig1a(), &SimRankOptions::default().with_iterations(8));
+    let s = naive_simrank(&fig1a(), &SimRankOptions::default().with_iterations(8)).0;
     assert_eq2_contract("naive_simrank", &s);
 }
 
@@ -77,7 +77,7 @@ fn assert_matrix_form_contract(name: &str, s: &SimMatrix, c: f64) {
 
 #[test]
 fn oip_dsr_entry_point() {
-    let s = oip_dsr_simrank(&fig1a(), &SimRankOptions::default().with_iterations(8));
+    let s = oip_dsr_simrank(&fig1a(), &SimRankOptions::default().with_iterations(8)).0;
     assert_matrix_form_contract("oip_dsr_simrank", &s, 0.6);
 }
 
@@ -90,7 +90,8 @@ fn mtx_entry_point() {
             .with_damping(c)
             .with_iterations(20),
         None,
-    );
+    )
+    .0;
     assert_matrix_form_contract("mtx_simrank", &s, c);
 }
 
@@ -119,7 +120,8 @@ fn prank_entry_point() {
             base: SimRankOptions::default().with_iterations(8),
             lambda: 0.5,
         },
-    );
+    )
+    .0;
     assert_eq2_contract("prank", &s);
 }
 
