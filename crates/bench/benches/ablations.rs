@@ -39,7 +39,6 @@ fn ablation_dmst_algo(c: &mut Criterion) {
     let g = graph();
     let base = SimRankOptions::default();
     let mut group = c.benchmark_group("ablation_dmst_algo");
-    group.sample_size(10);
     group.bench_function("greedy_dag_fast_path", |b| {
         b.iter(|| SharingPlan::build(&g, &base))
     });

@@ -58,7 +58,6 @@ fn index_repair(c: &mut Criterion) {
     let index = SimRankIndex::build(&g, &opts);
     let edits = script(&g, 16);
     let mut group = c.benchmark_group("index_repair");
-    group.sample_size(10);
     group.bench_function("berkstan700_batch16", |b| {
         b.iter(|| index.repair(&edits, &opts).expect("valid script"))
     });

@@ -19,7 +19,6 @@ fn fig6a_time(c: &mut Criterion) {
         .with_damping(0.6)
         .with_iterations(5);
     let mut group = c.benchmark_group("fig6a_time");
-    group.sample_size(10);
     group.bench_function("oip_dsr", |b| b.iter(|| dsr::oip_dsr_simrank(g, &opts)));
     group.bench_function("oip_sr", |b| b.iter(|| oip::oip_simrank(g, &opts)));
     group.bench_function("psum_sr", |b| b.iter(|| psum::psum_simrank(g, &opts)));
@@ -35,7 +34,6 @@ fn fig6b_amortized(c: &mut Criterion) {
     let g = &d.graph;
     let opts = SimRankOptions::default();
     let mut group = c.benchmark_group("fig6b_amortized");
-    group.sample_size(10);
     group.bench_function("build_mst", |b| b.iter(|| SharingPlan::build(g, &opts)));
     let plan = SharingPlan::build(g, &opts);
     let one_iter = opts.with_iterations(1);
@@ -49,7 +47,6 @@ fn fig6b_amortized(c: &mut Criterion) {
 fn fig6c_density(c: &mut Criterion) {
     let opts = SimRankOptions::default().with_iterations(3);
     let mut group = c.benchmark_group("fig6c_density");
-    group.sample_size(10);
     for d in [10usize, 30, 50] {
         let g = datasets::syn(400, d, SEED).graph;
         group.bench_with_input(BenchmarkId::new("oip_sr", d), &g, |b, g| {
@@ -70,7 +67,6 @@ fn fig6d_memory_regimes(c: &mut Criterion) {
     let g = &d.graph;
     let opts = SimRankOptions::default().with_iterations(5);
     let mut group = c.benchmark_group("fig6d_memory_regimes");
-    group.sample_size(10);
     group.bench_function("mtx_sr_dense_svd", |b| {
         b.iter(|| mtx::mtx_simrank(g, &opts, None))
     });
@@ -89,7 +85,6 @@ fn fig6e_convergence(c: &mut Criterion) {
         .with_damping(0.8)
         .with_epsilon(1e-4);
     let mut group = c.benchmark_group("fig6e_convergence");
-    group.sample_size(10);
     group.bench_function("oip_sr_to_eps", |b| b.iter(|| oip::oip_simrank(&g, &opts)));
     group.bench_function("oip_dsr_to_eps", |b| {
         b.iter(|| dsr::oip_dsr_simrank(&g, &opts))

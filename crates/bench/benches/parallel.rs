@@ -3,8 +3,9 @@
 //! Sweeps the `threads` knob over every pooled surface on the largest
 //! bench fixture (the BERKSTAN-like copying graph — the densest in-set
 //! overlap, hence the heaviest per-iteration work): the OIP engine replay,
-//! the psum row-band sweep, both P-Rank direction passes, and Monte-Carlo
-//! fingerprint sampling.
+//! the psum row-band sweep, both P-Rank direction passes, Monte-Carlo
+//! fingerprint sampling, and `mtx-SR` end to end (tournament-scheduled
+//! Jacobi SVD, banded matmul, triangular densification).
 //! Results are bit-for-bit identical across the sweep by the executor's
 //! determinism contract, so any timing difference is pure scheduling: on a
 //! multi-core host the `threads = N` rows should undercut `threads = 1`
@@ -14,6 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simrank_core::montecarlo::Fingerprints;
+use simrank_core::mtx::mtx_simrank;
 use simrank_core::prank::{prank, PRankOptions};
 use simrank_core::{oip, psum, SharingPlan, SimRankOptions};
 use simrank_datasets as datasets;
@@ -39,7 +41,6 @@ fn parallel_oip(c: &mut Criterion) {
     let base = SimRankOptions::default().with_iterations(5);
     let plan = SharingPlan::build(g, &base);
     let mut group = c.benchmark_group("parallel_oip");
-    group.sample_size(10);
     for t in thread_sweep() {
         let opts = base.with_threads(t);
         group.bench_with_input(BenchmarkId::new("threads", t), &opts, |b, opts| {
@@ -55,7 +56,6 @@ fn parallel_psum(c: &mut Criterion) {
     let g = &d.graph;
     let base = SimRankOptions::default().with_iterations(5);
     let mut group = c.benchmark_group("parallel_psum");
-    group.sample_size(10);
     for t in thread_sweep() {
         let opts = base.with_threads(t);
         group.bench_with_input(BenchmarkId::new("threads", t), &opts, |b, opts| {
@@ -72,7 +72,6 @@ fn parallel_prank(c: &mut Criterion) {
     let g = &d.graph;
     let base = SimRankOptions::default().with_iterations(5);
     let mut group = c.benchmark_group("parallel_prank");
-    group.sample_size(10);
     for t in thread_sweep() {
         let opts = PRankOptions {
             base: base.with_threads(t),
@@ -90,11 +89,26 @@ fn parallel_montecarlo(c: &mut Criterion) {
     let d = datasets::berkstan_like(800, SEED);
     let g = &d.graph;
     let mut group = c.benchmark_group("parallel_montecarlo");
-    group.sample_size(10);
     for t in thread_sweep() {
         let opts = SimRankOptions::default().with_threads(t);
         group.bench_with_input(BenchmarkId::new("threads", t), &opts, |b, opts| {
             b.iter(|| Fingerprints::sample(g, 10, 400, SEED, opts))
+        });
+    }
+    group.finish();
+}
+
+/// `mtx-SR` end to end: factorize, iterate in rank space, densify the
+/// upper triangle.
+fn parallel_mtx(c: &mut Criterion) {
+    let d = datasets::berkstan_like(150, SEED);
+    let g = &d.graph;
+    let base = SimRankOptions::default().with_iterations(5);
+    let mut group = c.benchmark_group("parallel_mtx");
+    for t in thread_sweep() {
+        let opts = base.with_threads(t);
+        group.bench_with_input(BenchmarkId::new("threads", t), &opts, |b, opts| {
+            b.iter(|| mtx_simrank(g, opts, None))
         });
     }
     group.finish();
@@ -105,6 +119,7 @@ criterion_group!(
     parallel_oip,
     parallel_psum,
     parallel_prank,
-    parallel_montecarlo
+    parallel_montecarlo,
+    parallel_mtx
 );
 criterion_main!(parallel);

@@ -36,7 +36,6 @@ fn store_build(c: &mut Criterion) {
     let g = graph();
     let opts = opts();
     let mut group = c.benchmark_group("store_build");
-    group.sample_size(10);
     group.bench_function("packed", |b| {
         b.iter(|| mtx::mtx_simrank(&g, &opts, Some(RANK)))
     });

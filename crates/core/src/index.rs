@@ -281,6 +281,20 @@ fn constraint_block_dot(
     acc
 }
 
+/// The deepest useful series depth for damping `c`: the first `k` at
+/// which the level weight `ck *= c` of [`constraint_block_dot`] stops
+/// changing — `0.0` for `c ≤ 1/2`, a few subnormal ulps above (round-to-
+/// nearest never takes it to zero), so deeper levels repeat that weight.
+/// 1457 at `c = 0.6`; one step per level, saturating at `u32::MAX`.
+pub(crate) fn max_depth(c: f64) -> u32 {
+    let (mut ck, mut k) = (1.0f64, 0u32);
+    while k < u32::MAX && ck * c != ck {
+        ck *= c;
+        k += 1;
+    }
+    k
+}
+
 /// `acc[j] += x[a] · m_a[j]` for the up-to-[`WB`] constraint rows
 /// `a ∈ rows` — the `Mᵀ` scatter, walking the same levels as
 /// [`constraint_block_dot`]. All `K` levels are walked first into
@@ -354,77 +368,93 @@ fn solve_intermediate_bytes(n: usize, depth: u32, workers: usize) -> usize {
         * std::mem::size_of::<f64>()
 }
 
-/// `out[a] = ⟨m_a, x⟩` for every vertex — the matrix-free `M·x`, sharded
-/// by contiguous vertex blocks with disjoint per-vertex writes; each
-/// worker walks its block [`WB`] rows at a time. `blocks` is the fixed
-/// vertex partition and `items` a recycled index buffer, both hoisted by
-/// the caller. Returns the merged add count.
-#[allow(clippy::too_many_arguments)]
-fn apply_constraint(
-    g: &DiGraph,
-    inv_in: &[f64],
+/// The constraint matrix `M` of one diagonal solve, applied
+/// matrix-free. The fixed sweep structure is allocated once per solve:
+/// the vertex partition `blocks`, the [`TRANSPOSE_SHARDS`]-way partition
+/// `shards` with its flat `shards.len() × n` accumulator arena
+/// `partials`, and a recycled item-index buffer.
+struct Constraint<'a> {
+    g: &'a DiGraph,
+    inv_in: &'a [f64],
     c: f64,
     depth: u32,
-    pool: &mut par::WorkerPool<'_>,
-    blocks: &[std::ops::Range<usize>],
-    items: &mut Vec<usize>,
-    x: &[f64],
-    out: &mut [f64],
-) -> u64 {
-    let n = out.len();
-    // SAFETY (SlotWriter): the blocks partition `0..n`, so each element of
-    // `out` is written by exactly one item.
-    let slots = par::SlotWriter::new(out);
-    items.extend(0..blocks.len());
-    pool.sweep_drain(items, |bi, ops| {
-        let mut walk = dot_walk_buffers(n);
-        for rows in row_blocks(blocks[bi].clone()) {
-            let vals = constraint_block_dot(g, inv_in, c, depth, rows.clone(), x, &mut walk, ops);
-            for (a, v) in rows.zip(vals) {
-                unsafe { *slots.slot_mut(a) = v };
-            }
-        }
-    })
+    blocks: Vec<std::ops::Range<usize>>,
+    shards: Vec<std::ops::Range<usize>>,
+    items: Vec<usize>,
+    partials: Vec<f64>,
 }
 
-/// `out = Mᵀ·x`, matrix-free: rows scatter `x[a]·m_a`, [`WB`] at a time,
-/// into per-shard accumulators over the fixed [`TRANSPOSE_SHARDS`]-way
-/// partition (`shards`, hoisted by the caller along with the flat
-/// `shards.len() × n` accumulator arena and the recycled `items` buffer),
-/// then the shards fold in ascending index order — a summation tree that
-/// is a pure function of `n`, so the result is bit-identical at every
-/// pool width. Returns the merged add count.
-#[allow(clippy::too_many_arguments)]
-fn apply_constraint_transpose(
-    g: &DiGraph,
-    inv_in: &[f64],
-    c: f64,
-    depth: u32,
-    pool: &mut par::WorkerPool<'_>,
-    shards: &[std::ops::Range<usize>],
-    items: &mut Vec<usize>,
-    partials: &mut [f64],
-    x: &[f64],
-    out: &mut [f64],
-) -> u64 {
-    let n = out.len();
-    partials.fill(0.0);
-    // SAFETY (RowWriter): accumulator row `si` belongs to shard `si` alone.
-    let scratch = par::RowWriter::new(partials, n);
-    items.extend(0..shards.len());
-    let adds = pool.sweep_drain(items, |si, ops| {
-        let acc = unsafe { scratch.row_mut(si) };
-        let mut levels = vec![0.0f64; (depth as usize + 1) * n * WB];
-        let mut w = vec![0.0f64; n * WB];
-        for rows in row_blocks(shards[si].clone()) {
-            constraint_block_scatter(g, inv_in, c, rows, x, acc, &mut levels, &mut w, ops);
+impl<'a> Constraint<'a> {
+    fn new(g: &'a DiGraph, inv_in: &'a [f64], c: f64, depth: u32, workers: usize) -> Self {
+        let n = inv_in.len();
+        let blocks = par::blocks(n, workers);
+        let shards = par::blocks(n, TRANSPOSE_SHARDS.min(n));
+        Constraint {
+            g,
+            inv_in,
+            c,
+            depth,
+            items: Vec::with_capacity(blocks.len().max(shards.len())),
+            partials: vec![0.0f64; shards.len() * n],
+            blocks,
+            shards,
         }
-    });
-    out.fill(0.0);
-    for part in partials.chunks_exact(n) {
-        par::kernel::accumulate(out, part);
     }
-    adds
+
+    /// `out[a] = ⟨m_a, x⟩` for every vertex — `M·x`, sharded by
+    /// contiguous vertex blocks with disjoint per-vertex writes; each
+    /// worker walks its block [`WB`] rows at a time. Returns the merged
+    /// add count.
+    fn apply(&mut self, pool: &mut par::WorkerPool<'_>, x: &[f64], out: &mut [f64]) -> u64 {
+        let (g, inv_in, c, depth, blocks) = (self.g, self.inv_in, self.c, self.depth, &self.blocks);
+        let n = out.len();
+        // SAFETY (SlotWriter): the blocks partition `0..n`, so each element of
+        // `out` is written by exactly one item.
+        let slots = par::SlotWriter::new(out);
+        self.items.extend(0..blocks.len());
+        pool.sweep_drain(&mut self.items, |bi, ops| {
+            let mut walk = dot_walk_buffers(n);
+            for rows in row_blocks(blocks[bi].clone()) {
+                let vals =
+                    constraint_block_dot(g, inv_in, c, depth, rows.clone(), x, &mut walk, ops);
+                for (a, v) in rows.zip(vals) {
+                    unsafe { *slots.slot_mut(a) = v };
+                }
+            }
+        })
+    }
+
+    /// `out = Mᵀ·x`: rows scatter `x[a]·m_a`, [`WB`] at a time, into
+    /// per-shard accumulators, then the shards fold in ascending index
+    /// order — a summation tree that is a pure function of `n`, so the
+    /// result is bit-identical at every pool width. Returns the merged
+    /// add count.
+    fn apply_transpose(
+        &mut self,
+        pool: &mut par::WorkerPool<'_>,
+        x: &[f64],
+        out: &mut [f64],
+    ) -> u64 {
+        let (g, inv_in, c, depth, shards) = (self.g, self.inv_in, self.c, self.depth, &self.shards);
+        let n = out.len();
+        self.partials.fill(0.0);
+        // SAFETY (RowWriter): accumulator row `si` belongs to shard `si` alone.
+        let scratch = par::RowWriter::new(&mut self.partials, n);
+        self.items.extend(0..shards.len());
+        let adds = pool.sweep_drain(&mut self.items, |si, ops| {
+            let acc = unsafe { scratch.row_mut(si) };
+            let mut levels = vec![0.0f64; (depth as usize + 1) * n * WB];
+            let mut w = vec![0.0f64; n * WB];
+            for rows in row_blocks(shards[si].clone()) {
+                constraint_block_scatter(g, inv_in, c, rows, x, acc, &mut levels, &mut w, ops);
+            }
+        });
+        out.fill(0.0);
+        for part in self.partials.chunks_exact(n) {
+            par::kernel::accumulate(out, part);
+        }
+        adds
+    }
 }
 
 impl SimRankIndex {
@@ -433,7 +463,8 @@ impl SimRankIndex {
     /// `opts` supplies the damping factor, the worker count, and the
     /// accuracy target: the series depth is
     /// [`SimRankOptions::conventional_iterations`] (`⌈log_C ε⌉` unless an
-    /// explicit `K` is set) and the diagonal solve runs until its residual
+    /// explicit `K` is set, capped where `Cᵏ` stops shrinking in `f64`)
+    /// and the diagonal solve runs until its residual
     /// drops below `ε·(1 − C)` (or [`MAX_SOLVER_ROUNDS`]).
     pub fn build(g: &DiGraph, opts: &SimRankOptions) -> SimRankIndex {
         Self::build_with_report(g, opts).0
@@ -536,6 +567,8 @@ impl SimRankIndex {
         opts: &SimRankOptions,
     ) -> (SimRankIndex, Report) {
         let n = graph.node_count();
+        // The `SRI1` loader rejects deeper series; they add nothing.
+        let depth = depth.min(max_depth(c));
         let tol = (opts.epsilon * (1.0 - c)).max(1e-12);
         let inv_in = inverse_in_degrees(&graph);
         let mut timer = PhaseTimer::start();
@@ -591,42 +624,14 @@ impl SimRankIndex {
         let mut rounds = 0u32;
         if n > 0 {
             par::WorkerPool::scoped(workers, |pool| {
-                // Fixed sweep structure for the whole solve: the vertex
-                // partitions, the recycled item-index buffer, and the
-                // transpose scatter arena are allocated once here — the
-                // per-round `M`/`Mᵀ` applies allocate nothing.
-                let blocks = par::blocks(n, pool.workers());
-                let shards = par::blocks(n, TRANSPOSE_SHARDS.min(n));
-                let mut items: Vec<usize> = Vec::with_capacity(blocks.len().max(shards.len()));
-                let mut partials = vec![0.0f64; shards.len() * n];
+                let mut m = Constraint::new(g, inv_in, c, depth, pool.workers());
                 let mut scratch = vec![0.0f64; n];
                 // r = 𝟙 − M·d.
-                counter.add(apply_constraint(
-                    g,
-                    inv_in,
-                    c,
-                    depth,
-                    pool,
-                    &blocks,
-                    &mut items,
-                    d,
-                    &mut scratch,
-                ));
+                counter.add(m.apply(pool, d, &mut scratch));
                 let mut r: Vec<f64> = scratch.iter().map(|&v| 1.0 - v).collect();
                 // s = Mᵀ·r; p = s; γ = ‖s‖².
                 let mut s = vec![0.0f64; n];
-                counter.add(apply_constraint_transpose(
-                    g,
-                    inv_in,
-                    c,
-                    depth,
-                    pool,
-                    &shards,
-                    &mut items,
-                    &mut partials,
-                    &r,
-                    &mut s,
-                ));
+                counter.add(m.apply_transpose(pool, &r, &mut s));
                 let mut p = s.clone();
                 let mut gamma: f64 = s.iter().map(|&v| v * v).sum();
                 let mut r_inf = r.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
@@ -640,17 +645,7 @@ impl SimRankIndex {
                 // lane-chunked kernels.)
                 while rounds < MAX_SOLVER_ROUNDS && r_inf > tol && gamma > 0.0 {
                     // q = M·p; α = γ / ‖q‖².
-                    counter.add(apply_constraint(
-                        g,
-                        inv_in,
-                        c,
-                        depth,
-                        pool,
-                        &blocks,
-                        &mut items,
-                        &p,
-                        &mut scratch,
-                    ));
+                    counter.add(m.apply(pool, &p, &mut scratch));
                     let delta: f64 = scratch.iter().map(|&v| v * v).sum();
                     if delta == 0.0 {
                         break;
@@ -663,18 +658,7 @@ impl SimRankIndex {
                     par::kernel::axpy(&mut r, -alpha, &scratch);
                     counter.add(2 * n as u64);
                     // s = Mᵀ·r; β = ‖s_new‖² / ‖s_old‖²; p = s + β·p.
-                    counter.add(apply_constraint_transpose(
-                        g,
-                        inv_in,
-                        c,
-                        depth,
-                        pool,
-                        &shards,
-                        &mut items,
-                        &mut partials,
-                        &r,
-                        &mut s,
-                    ));
+                    counter.add(m.apply_transpose(pool, &r, &mut s));
                     let gamma_next: f64 = s.iter().map(|&v| v * v).sum();
                     let beta = gamma_next / gamma;
                     gamma = gamma_next;
@@ -687,17 +671,7 @@ impl SimRankIndex {
                 // to what `from_parts` recomputes when the index is loaded
                 // back, so `solver_residual` always describes the vector
                 // actually served.
-                counter.add(apply_constraint(
-                    g,
-                    inv_in,
-                    c,
-                    depth,
-                    pool,
-                    &blocks,
-                    &mut items,
-                    d,
-                    &mut scratch,
-                ));
+                counter.add(m.apply(pool, d, &mut scratch));
                 residual = scratch
                     .iter()
                     .fold(0.0f64, |acc, &v| acc.max((1.0 - v).abs()));
@@ -1318,6 +1292,15 @@ mod tests {
             assert_eq!(idx, base, "threads = {t} diverged");
             assert_eq!(rt.iterations, r1.iterations, "threads = {t} round count");
             assert_eq!(rt.adds, r1.adds, "threads = {t} op counts");
+        }
+    }
+
+    #[test]
+    fn depth_bound_is_where_the_level_weight_stops_shrinking() {
+        let weight = |c: f64, k: u32| (0..k).fold(1.0f64, |ck, _| ck * c);
+        for (c, k) in [(0.3, 619), (0.5, 1075), (0.6, 1457), (0.8, 3332)] {
+            assert_eq!(max_depth(c), k);
+            assert!(weight(c, k) * c == weight(c, k) && weight(c, k - 1) > weight(c, k));
         }
     }
 

@@ -27,18 +27,19 @@
 //! magic, truncated header or payload, trailing bytes, a header order too
 //! large to allocate, a file size that contradicts the header, and (for
 //! indexes) semantically invalid contents such as out-of-range edge
-//! endpoints, a damping factor outside `(0, 1)`, or non-finite diagonal
-//! entries — so corrupted caches fail loudly without panicking or
-//! aborting.
+//! endpoints, a damping factor outside `(0, 1)`, an underflowing series
+//! depth, or non-finite diagonal entries — so corrupted caches fail
+//! loudly without panicking or aborting.
 
-use crate::index::SimRankIndex;
+use crate::index::{max_depth, SimRankIndex};
 use crate::matrix::SimMatrix;
 use crate::store::LowRankScores;
 use simrank_graph::{DiGraph, NodeId};
 use simrank_linalg::DenseMatrix;
 use simrank_par::WorkerPool;
 use std::fmt;
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Errors from the persistence codecs (`SRM1`, `SRI1` and `SRL1`).
@@ -71,7 +72,7 @@ pub enum PersistError {
     },
     /// Structurally well-formed but semantically invalid contents: an
     /// edge endpoint outside the declared order, a damping factor outside
-    /// `(0, 1)`, or a non-finite diagonal entry.
+    /// `(0, 1)`, an underflowing series depth, or a non-finite diagonal entry.
     Malformed {
         /// What was invalid.
         context: String,
@@ -127,6 +128,38 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+/// Reads `N` bytes or fails with a [`PersistError::Truncated`] naming
+/// `context`.
+fn read_array<const N: usize, R: Read>(r: &mut R, context: &str) -> Result<[u8; N], PersistError> {
+    let mut buf = [0u8; N];
+    r.read_exact(&mut buf)
+        .map_err(|_| PersistError::Truncated {
+            context: context.into(),
+        })?;
+    Ok(buf)
+}
+
+/// `value` if `r` is exhausted, else [`PersistError::TrailingBytes`]:
+/// trailing garbage after a complete payload fails loudly.
+fn expect_end<T, R: Read>(mut r: R, value: T) -> Result<T, PersistError> {
+    let mut probe = [0u8; 1];
+    match r.read(&mut probe)? {
+        0 => Ok(value),
+        _ => Err(PersistError::TrailingBytes),
+    }
+}
+
+/// Creates `path`, runs `write` on a buffered writer over it, flushes.
+fn save_buffered(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    let mut w = BufWriter::new(File::create(path)?);
+    write(&mut w)?;
+    w.flush()?;
+    Ok(())
+}
+
 const MAGIC: [u8; 4] = *b"SRM1";
 /// Header bytes: magic + order.
 const HEADER_BYTES: u64 = 8;
@@ -153,19 +186,11 @@ pub fn write_scores<W: Write>(scores: &SimMatrix, mut w: W) -> Result<(), Persis
 
 /// Reads and validates the header, returning the order.
 fn read_header<R: Read>(r: &mut R) -> Result<usize, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|_| PersistError::Truncated {
-            context: "header".into(),
-        })?;
+    let magic: [u8; 4] = read_array(r, "header")?;
     if magic != MAGIC {
         return Err(PersistError::BadMagic { found: magic });
     }
-    let mut nb = [0u8; 4];
-    r.read_exact(&mut nb).map_err(|_| PersistError::Truncated {
-        context: "order".into(),
-    })?;
-    Ok(u32::from_le_bytes(nb) as usize)
+    Ok(u32::from_le_bytes(read_array(r, "order")?) as usize)
 }
 
 /// Reads the packed triangle for a validated order.
@@ -190,21 +215,12 @@ fn read_body<R: Read>(r: &mut R, n: usize) -> Result<SimMatrix, PersistError> {
 pub fn read_scores<R: Read>(mut r: R) -> Result<SimMatrix, PersistError> {
     let n = read_header(&mut r)?;
     let out = read_body(&mut r, n)?;
-    // Reject trailing garbage so corrupted caches fail loudly.
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(out),
-        _ => Err(PersistError::TrailingBytes),
-    }
+    expect_end(r, out)
 }
 
 /// Saves scores to `path`.
 pub fn save_scores(scores: &SimMatrix, path: &Path) -> Result<(), PersistError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    write_scores(scores, &mut w)?;
-    w.flush()?;
-    Ok(())
+    save_buffered(path, |w| write_scores(scores, w))
 }
 
 /// Loads scores from `path`.
@@ -214,9 +230,9 @@ pub fn save_scores(scores: &SimMatrix, path: &Path) -> Result<(), PersistError> 
 /// cache file is rejected without reading (or reserving memory for) the
 /// payload.
 pub fn load_scores(path: &Path) -> Result<SimMatrix, PersistError> {
-    let file = std::fs::File::open(path)?;
+    let file = File::open(path)?;
     let actual = file.metadata()?.len();
-    let mut r = std::io::BufReader::new(file);
+    let mut r = BufReader::new(file);
     let n = read_header(&mut r)?;
     let expected = entries(n as u64)
         .checked_mul(8)
@@ -231,17 +247,6 @@ pub fn load_scores(path: &Path) -> Result<SimMatrix, PersistError> {
 const INDEX_MAGIC: [u8; 4] = *b"SRI1";
 /// Index header bytes: magic + order + depth + edge count + damping.
 const INDEX_HEADER_BYTES: u64 = 28;
-
-/// Reads `N` bytes or fails with a [`PersistError::Truncated`] naming
-/// `context`.
-fn read_array<const N: usize, R: Read>(r: &mut R, context: &str) -> Result<[u8; N], PersistError> {
-    let mut buf = [0u8; N];
-    r.read_exact(&mut buf)
-        .map_err(|_| PersistError::Truncated {
-            context: context.into(),
-        })?;
-    Ok(buf)
-}
 
 /// Serializes a [`SimRankIndex`] to a writer (format `SRI1`).
 pub fn write_index<W: Write>(index: &SimRankIndex, mut w: W) -> Result<(), PersistError> {
@@ -292,6 +297,13 @@ fn read_index_header<R: Read>(r: &mut R) -> Result<(usize, u32, u64, f64), Persi
             context: format!("damping {damping} outside (0, 1)"),
         });
     }
+    // The builder never writes a deeper series; loads walk `depth` levels.
+    let bound = max_depth(damping);
+    if depth > bound {
+        return Err(PersistError::Malformed {
+            context: format!("depth {depth} exceeds {bound}, where damping {damping} underflows"),
+        });
+    }
     Ok((n, depth, m, damping))
 }
 
@@ -339,21 +351,12 @@ fn read_index_body<R: Read>(
 pub fn read_index<R: Read>(mut r: R) -> Result<SimRankIndex, PersistError> {
     let (n, depth, m, damping) = read_index_header(&mut r)?;
     let out = read_index_body(&mut r, n, depth, m, damping)?;
-    // Reject trailing garbage so corrupted caches fail loudly.
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(out),
-        _ => Err(PersistError::TrailingBytes),
-    }
+    expect_end(r, out)
 }
 
 /// Saves an index to `path`.
 pub fn save_index(index: &SimRankIndex, path: &Path) -> Result<(), PersistError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    write_index(index, &mut w)?;
-    w.flush()?;
-    Ok(())
+    save_buffered(path, |w| write_index(index, w))
 }
 
 /// Loads an index from `path`.
@@ -362,9 +365,9 @@ pub fn save_index(index: &SimRankIndex, path: &Path) -> Result<(), PersistError>
 /// *before* the edge list or diagonal is allocated, so a truncated or
 /// padded cache file is rejected without reserving payload memory.
 pub fn load_index(path: &Path) -> Result<SimRankIndex, PersistError> {
-    let file = std::fs::File::open(path)?;
+    let file = File::open(path)?;
     let actual = file.metadata()?.len();
-    let mut r = std::io::BufReader::new(file);
+    let mut r = BufReader::new(file);
     let (n, depth, m, damping) = read_index_header(&mut r)?;
     let expected = m
         .checked_mul(8)
@@ -476,21 +479,12 @@ fn read_low_rank_body<R: Read>(
 pub fn read_low_rank<R: Read>(mut r: R) -> Result<LowRankScores, PersistError> {
     let (n, rank, scale) = read_low_rank_header(&mut r)?;
     let out = read_low_rank_body(&mut r, n, rank, scale)?;
-    // Reject trailing garbage so corrupted caches fail loudly.
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(out),
-        _ => Err(PersistError::TrailingBytes),
-    }
+    expect_end(r, out)
 }
 
 /// Saves a low-rank factor handle to `path`.
 pub fn save_low_rank(store: &LowRankScores, path: &Path) -> Result<(), PersistError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    write_low_rank(store, &mut w)?;
-    w.flush()?;
-    Ok(())
+    save_buffered(path, |w| write_low_rank(store, w))
 }
 
 /// Loads a low-rank factor handle from `path`.
@@ -499,9 +493,9 @@ pub fn save_low_rank(store: &LowRankScores, path: &Path) -> Result<(), PersistEr
 /// *before* the factors are allocated, so a truncated or padded cache
 /// file is rejected without reserving payload memory.
 pub fn load_low_rank(path: &Path) -> Result<LowRankScores, PersistError> {
-    let file = std::fs::File::open(path)?;
+    let file = File::open(path)?;
     let actual = file.metadata()?.len();
-    let mut r = std::io::BufReader::new(file);
+    let mut r = BufReader::new(file);
     let (n, rank, scale) = read_low_rank_header(&mut r)?;
     let expected = (n as u64)
         .checked_mul(rank as u64)
@@ -786,6 +780,13 @@ mod tests {
             read_index(&buf[..]),
             Err(PersistError::Malformed { context }) if context.contains("diagonal")
         ));
+        // A depth past the level where Cᵏ stops shrinking: rejected from
+        // the header, before any level is walked.
+        let buf = raw_index(2, u32::MAX, &[(0, 1)], 0.6, &[0.4, 0.4]);
+        assert!(matches!(
+            read_index(&buf[..]),
+            Err(PersistError::Malformed { context }) if context.contains("depth")
+        ));
         // Edge count beyond n² — rejected before any allocation.
         let mut buf = raw_index(2, 3, &[], 0.6, &[]);
         buf[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -830,6 +831,22 @@ mod tests {
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
+    }
+
+    #[test]
+    fn index_at_the_depth_bound_round_trips() {
+        // A K past the bound is clamped to it, so the index loads again.
+        let opts = SimRankOptions::default().with_iterations(u32::MAX);
+        let index = SimRankIndex::build(&paper_fig1a(), &opts);
+        assert_eq!(index.depth(), 1457);
+        let mut buf = Vec::new();
+        write_index(&index, &mut buf).unwrap();
+        assert_eq!(read_index(&buf[..]).unwrap(), index);
+        buf[8..12].copy_from_slice(&1458u32.to_le_bytes());
+        assert!(matches!(
+            read_index(&buf[..]),
+            Err(PersistError::Malformed { .. })
+        ));
     }
 
     #[test]

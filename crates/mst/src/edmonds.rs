@@ -1,4 +1,4 @@
-//! Chu–Liu/Edmonds minimum arborescence and the DAG fast path.
+//! Chu–Liu/Edmonds minimum arborescence.
 
 // Per-vertex scans with explicit indices mirror the algorithm's statement;
 // iterator forms hide the root/self-loop exclusions.
@@ -183,37 +183,6 @@ fn solve(n: usize, root: usize, edges: Vec<WorkEdge>) -> Option<Vec<usize>> {
     Some(chosen)
 }
 
-/// Fast path for DAG-shaped cost graphs: per-vertex greedy selection of the
-/// cheapest incoming edge (first-wins on ties), which is optimal when the
-/// edge relation is acyclic — exactly the case for `DMST-Reduce`'s graph,
-/// whose edges only go forward along the (in-degree, id) total order.
-///
-/// Returns `None` if a non-root vertex has no incoming edge or if the greedy
-/// selection closes a cycle (i.e. the input was not actually a DAG).
-pub fn dag_arborescence(n: usize, edges: &[Edge], root: usize) -> Option<Arborescence> {
-    assert!(root < n, "root {root} out of range for {n} vertices");
-    let mut best: Vec<Option<usize>> = vec![None; n];
-    for (i, e) in edges.iter().enumerate() {
-        if e.to == root || e.from == e.to {
-            continue;
-        }
-        match best[e.to] {
-            None => best[e.to] = Some(i),
-            Some(j) if e.weight < edges[j].weight => best[e.to] = Some(i),
-            _ => {}
-        }
-    }
-    let mut chosen = Vec::with_capacity(n.saturating_sub(1));
-    for v in 0..n {
-        if v == root {
-            continue;
-        }
-        chosen.push(best[v]?);
-    }
-    let arb = Arborescence::from_chosen_edges(n, root, edges, &chosen);
-    arb.is_acyclic().then_some(arb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,7 +240,6 @@ mod tests {
     fn unreachable_vertex_is_none() {
         let edges = vec![e(0, 1, 1)];
         assert!(edmonds(3, &edges, 0).is_none());
-        assert!(dag_arborescence(3, &edges, 0).is_none());
     }
 
     #[test]
@@ -286,35 +254,6 @@ mod tests {
         let edges = vec![e(0, 2, 7), e(1, 2, 7), e(0, 1, 1)];
         let arb = edmonds(3, &edges, 0).unwrap();
         assert_eq!(arb.parent(2), Some(0), "earliest minimal edge must win");
-        let dag = dag_arborescence(3, &edges, 0).unwrap();
-        assert_eq!(dag.parent(2), Some(0));
-    }
-
-    #[test]
-    fn dag_fast_path_matches_edmonds_on_dags() {
-        // A layered DAG: edges only go from lower to higher ids.
-        let edges = vec![
-            e(0, 1, 3),
-            e(0, 2, 2),
-            e(1, 3, 4),
-            e(2, 3, 1),
-            e(1, 4, 2),
-            e(2, 4, 5),
-            e(3, 4, 1),
-        ];
-        let a = edmonds(5, &edges, 0).unwrap();
-        let b = dag_arborescence(5, &edges, 0).unwrap();
-        assert_eq!(a.total_weight, b.total_weight);
-        assert_eq!(a.parents(), b.parents());
-    }
-
-    #[test]
-    fn dag_fast_path_rejects_cycles() {
-        let edges = vec![e(1, 2, 1), e(2, 1, 1), e(0, 1, 100)];
-        // Greedy picks 2->1 (weight 1 < 100) and 1->2, closing a cycle.
-        assert!(dag_arborescence(3, &edges, 0).is_none());
-        // Edmonds still solves it.
-        assert!(edmonds(3, &edges, 0).is_some());
     }
 
     #[test]

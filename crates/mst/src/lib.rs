@@ -6,23 +6,22 @@
 //! citing Gabow–Galil–Spencer–Tarjan \[7\]. This crate provides:
 //!
 //! * [`edmonds`] — the classic Chu–Liu/Edmonds algorithm for minimum
-//!   arborescences on arbitrary digraphs (O(V·E) contraction version),
-//!   which is the general-purpose substrate;
-//! * [`dag_arborescence`] — the fast path for the cost graphs that
-//!   `DMST-Reduce` actually produces: edges there only go from smaller to
-//!   larger in-neighbor sets under a strict total order, so the graph is a
-//!   DAG and per-vertex greedy minimum-incoming-edge selection is already
-//!   optimal;
+//!   arborescences on arbitrary digraphs (O(V·E) contraction version).
+//!   The cost graphs `DMST-Reduce` produces only have forward edges under
+//!   a strict total order, so they are DAGs and the planner's own
+//!   cheapest-incoming greedy (`SharingPlan::solve_greedy` in
+//!   `simrank_core`) is already optimal; Edmonds is the oracle its tests
+//!   check that greedy against;
 //! * [`Arborescence`] — the result tree, with the chain decomposition
 //!   (`chains`) that reproduces the paper's Fig. 2d "partial sums order"
 //!   and the child/subtree views the OIP-SR scheduler needs.
 //!
-//! Both algorithms break weight ties deterministically in favor of the
-//! earliest edge in input order, which is what lets the workspace tests pin
+//! Edmonds breaks weight ties deterministically in favor of the earliest
+//! edge in input order, which is what lets the workspace tests pin
 //! the paper's worked example (Fig. 2b–2d) exactly.
 
 mod arborescence;
 mod edmonds;
 
 pub use arborescence::Arborescence;
-pub use edmonds::{dag_arborescence, edmonds, Edge};
+pub use edmonds::{edmonds, Edge};

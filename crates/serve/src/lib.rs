@@ -22,8 +22,7 @@
 //!   cached and uncached responses are bit-for-bit identical).
 //! * [`client`] — a blocking typed client over one persistent
 //!   connection.
-//! * [`workload`] — Zipf-skewed query traces and a closed-loop replay
-//!   harness reporting p50/p99 latency and throughput.
+//! * [`workload`] — deterministic Zipf-skewed query traces.
 //!
 //! # Example
 //!
@@ -51,4 +50,4 @@ pub use cache::RowCache;
 pub use client::{Client, ClientError, Ranking};
 pub use protocol::{Request, Response, ResponseBody, ServerStats};
 pub use server::{serve, EngineSource, ServerConfig, ServerHandle};
-pub use workload::{replay, QueryOp, ReplayReport, SplitMix64, ZipfWorkload};
+pub use workload::{SplitMix64, ZipfWorkload};

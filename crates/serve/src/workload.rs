@@ -1,16 +1,11 @@
-//! Zipf-skewed query workloads and a closed-loop replay harness.
+//! Zipf-skewed query workloads.
 //!
 //! Real similarity-serving traffic is heavily skewed — a few hot
 //! vertices take most queries — which is exactly the regime an LRU row
 //! cache targets. [`ZipfWorkload`] samples sources from
-//! `P(rank r) ∝ 1 / r^s` over a deterministic rank permutation, and
-//! [`replay`] drives a server with one closed loop (send, wait, repeat),
-//! reporting p50/p99 latency and end-to-end throughput.
+//! `P(rank r) ∝ 1 / r^s` over a deterministic rank permutation.
 
-use crate::client::{Client, ClientError};
 use simrank_graph::NodeId;
-use std::net::ToSocketAddrs;
-use std::time::Instant;
 
 /// SplitMix64: tiny deterministic PRNG for workload sampling (workload
 /// generation must be reproducible across runs and platforms).
@@ -95,77 +90,6 @@ impl ZipfWorkload {
     }
 }
 
-/// One operation of a replay mix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryOp {
-    /// Fetch the full row for the sampled source.
-    SingleSource,
-    /// Fetch a top-k ranking for the sampled source.
-    TopK {
-        /// Ranking length.
-        k: u32,
-    },
-}
-
-/// What a closed-loop replay measured.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplayReport {
-    /// Queries issued.
-    pub queries: usize,
-    /// Median per-query latency.
-    pub p50_ns: u128,
-    /// 99th-percentile per-query latency.
-    pub p99_ns: u128,
-    /// End-to-end queries per second (closed loop: one in flight).
-    pub throughput_qps: f64,
-}
-
-/// Replays `trace` against the server at `addr`, alternating through
-/// `mix` (query `i` uses `mix[i % mix.len()]`), and reports latency
-/// percentiles plus throughput.
-///
-/// # Panics
-///
-/// Panics when `trace` or `mix` is empty.
-pub fn replay<A: ToSocketAddrs>(
-    addr: A,
-    trace: &[NodeId],
-    mix: &[QueryOp],
-) -> Result<ReplayReport, ClientError> {
-    assert!(!trace.is_empty(), "empty query trace");
-    assert!(!mix.is_empty(), "empty op mix");
-    let mut client = Client::connect(addr)?;
-    let mut latencies: Vec<u128> = Vec::with_capacity(trace.len());
-    let start = Instant::now();
-    for (i, &u) in trace.iter().enumerate() {
-        let sent = Instant::now();
-        match mix[i % mix.len()] {
-            QueryOp::SingleSource => {
-                client.single_source(u)?;
-            }
-            QueryOp::TopK { k } => {
-                client.top_k(u, k)?;
-            }
-        }
-        latencies.push(sent.elapsed().as_nanos());
-    }
-    let wall = start.elapsed();
-    latencies.sort_unstable();
-    Ok(ReplayReport {
-        queries: trace.len(),
-        p50_ns: percentile(&latencies, 50),
-        p99_ns: percentile(&latencies, 99),
-        throughput_qps: trace.len() as f64 / wall.as_secs_f64().max(1e-9),
-    })
-}
-
-/// The `p`-th percentile (nearest-rank) of sorted latencies.
-fn percentile(sorted: &[u128], p: usize) -> u128 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (p * sorted.len()).div_ceil(100);
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,14 +154,5 @@ mod tests {
         let w = ZipfWorkload::new(30, 0.8, 5);
         assert_eq!(w.trace(500, 6), w.trace(500, 6));
         assert_ne!(w.trace(500, 6), w.trace(500, 7), "seed must matter");
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let v: Vec<u128> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50), 50);
-        assert_eq!(percentile(&v, 99), 99);
-        assert_eq!(percentile(&[7], 50), 7);
-        assert_eq!(percentile(&[7], 99), 7);
     }
 }

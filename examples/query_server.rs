@@ -9,7 +9,7 @@
 use simrank::algo::index::SimRankIndex;
 use simrank::algo::query::QueryEngine;
 use simrank::algo::{persist, SimRankOptions};
-use simrank::serve::{serve, Client, EngineSource, QueryOp, ServerConfig, ZipfWorkload};
+use simrank::serve::{serve, Client, EngineSource, ServerConfig, ZipfWorkload};
 
 fn main() {
     // An index over a Berkeley/Stanford-web-shaped graph, the serving
@@ -60,24 +60,19 @@ fn main() {
     let new_generation = client.reload().expect("reload from persisted index");
     println!("reloaded from disk -> generation {new_generation}");
 
-    // Closed-loop Zipf(1.0) replay: the skewed mix the row cache targets.
+    // Zipf(1.0) reads, the skewed mix the row cache targets: full rows,
+    // with every fourth read a top-10 ranking.
     let workload = ZipfWorkload::new(n, 1.0, 7);
     let trace = workload.trace(2000, 9);
-    let mix = [
-        QueryOp::SingleSource,
-        QueryOp::SingleSource,
-        QueryOp::SingleSource,
-        QueryOp::TopK { k: 10 },
-    ];
-    let report = simrank::serve::replay(server.addr(), &trace, &mix).expect("replay");
+    for (i, &u) in trace.iter().enumerate() {
+        if i % 4 == 3 {
+            client.top_k(u, 10).expect("top_k");
+        } else {
+            client.single_source(u).expect("single_source");
+        }
+    }
     let (_, stats) = client.stats().expect("stats");
-    println!(
-        "replayed {} queries: p50 {:.1} µs, p99 {:.1} µs, {:.0} q/s",
-        report.queries,
-        report.p50_ns as f64 / 1e3,
-        report.p99_ns as f64 / 1e3,
-        report.throughput_qps
-    );
+    println!("sent {} Zipf-skewed reads", trace.len());
     println!(
         "cache: {} hits / {} misses ({} rows resident); served {} requests across {} reloads",
         stats.cache_hits, stats.cache_misses, stats.cached_rows, stats.served, stats.reloads
