@@ -315,7 +315,7 @@ impl Kernel for OipKernel<'_> {
                 // once per sweep, so state `wi` is this item's alone.
                 let state = unsafe { slots.slot_mut(wi) };
                 for &seg in &pass.shares[wi] {
-                    pass.run_segment(cur, &writer, &pass.plan.segments[seg], state, counter);
+                    pass.replay_segment(cur, &writer, &pass.plan.segments[seg], state, counter);
                 }
                 // Blocks never straddle a pass: the next pass walks
                 // another plan.
@@ -330,7 +330,7 @@ impl Pass<'_> {
     /// Replays one self-contained schedule segment (a root subtree)
     /// against a private buffer pool, staging finished sources into the
     /// worker's block and walking it whenever it fills.
-    fn run_segment(
+    fn replay_segment(
         &self,
         cur: &ScoreGrid,
         writer: &par::RowWriter<'_>,

@@ -281,14 +281,20 @@ fn constraint_block_dot(
     acc
 }
 
+/// The hard ceiling on an index's series depth, whatever the damping.
+/// Past it `Cᵏ < 2⁻⁵³` for every `C ≤ 0.99`, so deeper levels sit below
+/// the rounding of a unit score; it also bounds [`max_depth`]'s loop, so
+/// checking an untrusted `SRI1` header takes constant time.
+pub(crate) const MAX_INDEX_DEPTH: u32 = 1 << 12;
+
 /// The deepest useful series depth for damping `c`: the first `k` at
 /// which the level weight `ck *= c` of [`constraint_block_dot`] stops
 /// changing — `0.0` for `c ≤ 1/2`, a few subnormal ulps above (round-to-
-/// nearest never takes it to zero), so deeper levels repeat that weight.
-/// 1457 at `c = 0.6`; one step per level, saturating at `u32::MAX`.
+/// nearest never takes it to zero), so deeper levels repeat that weight —
+/// capped at [`MAX_INDEX_DEPTH`]. 1457 at `c = 0.6`.
 pub(crate) fn max_depth(c: f64) -> u32 {
     let (mut ck, mut k) = (1.0f64, 0u32);
-    while k < u32::MAX && ck * c != ck {
+    while k < MAX_INDEX_DEPTH && ck * c != ck {
         ck *= c;
         k += 1;
     }
@@ -463,7 +469,8 @@ impl SimRankIndex {
     /// `opts` supplies the damping factor, the worker count, and the
     /// accuracy target: the series depth is
     /// [`SimRankOptions::conventional_iterations`] (`⌈log_C ε⌉` unless an
-    /// explicit `K` is set, capped where `Cᵏ` stops shrinking in `f64`)
+    /// explicit `K` is set, capped where `Cᵏ` stops shrinking in `f64`
+    /// and at 4096)
     /// and the diagonal solve runs until its residual
     /// drops below `ε·(1 − C)` (or [`MAX_SOLVER_ROUNDS`]).
     pub fn build(g: &DiGraph, opts: &SimRankOptions) -> SimRankIndex {
@@ -1301,6 +1308,11 @@ mod tests {
         for (c, k) in [(0.3, 619), (0.5, 1075), (0.6, 1457), (0.8, 3332)] {
             assert_eq!(max_depth(c), k);
             assert!(weight(c, k) * c == weight(c, k) && weight(c, k - 1) > weight(c, k));
+        }
+        // Damping near 1 would take billions of levels to stop shrinking;
+        // the cap keeps both the bound and the work to find it fixed.
+        for c in [0.9999, 1.0 - 1e-9] {
+            assert_eq!(max_depth(c), MAX_INDEX_DEPTH);
         }
     }
 

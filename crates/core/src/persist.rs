@@ -301,7 +301,7 @@ fn read_index_header<R: Read>(r: &mut R) -> Result<(usize, u32, u64, f64), Persi
     let bound = max_depth(damping);
     if depth > bound {
         return Err(PersistError::Malformed {
-            context: format!("depth {depth} exceeds {bound}, where damping {damping} underflows"),
+            context: format!("depth {depth} exceeds the bound {bound} for damping {damping}"),
         });
     }
     Ok((n, depth, m, damping))
@@ -512,6 +512,7 @@ pub fn load_low_rank(path: &Path) -> Result<LowRankScores, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::MAX_INDEX_DEPTH;
     use crate::oip::oip_simrank;
     use crate::options::SimRankOptions;
     use crate::query::QueryEngine;
@@ -781,12 +782,19 @@ mod tests {
             Err(PersistError::Malformed { context }) if context.contains("diagonal")
         ));
         // A depth past the level where Cᵏ stops shrinking: rejected from
-        // the header, before any level is walked.
-        let buf = raw_index(2, u32::MAX, &[(0, 1)], 0.6, &[0.4, 0.4]);
-        assert!(matches!(
-            read_index(&buf[..]),
-            Err(PersistError::Malformed { context }) if context.contains("depth")
-        ));
+        // the header, before any level is walked. Near C = 1 the weight
+        // shrinks for billions of levels, and the fixed cap decides.
+        for (c, depth) in [
+            (0.6, u32::MAX),
+            (1.0 - 1e-9, u32::MAX),
+            (1.0 - 1e-9, MAX_INDEX_DEPTH + 1),
+        ] {
+            let buf = raw_index(2, depth, &[(0, 1)], c, &[0.4, 0.4]);
+            assert!(
+                matches!(read_index(&buf[..]), Err(PersistError::Malformed { context }) if context.contains("depth")),
+                "depth {depth} at damping {c} accepted"
+            );
+        }
         // Edge count beyond n² — rejected before any allocation.
         let mut buf = raw_index(2, 3, &[], 0.6, &[]);
         buf[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -847,6 +855,14 @@ mod tests {
             read_index(&buf[..]),
             Err(PersistError::Malformed { .. })
         ));
+        // At C = 0.95 the weight still shrinks past the cap, so the cap is
+        // the bound, and the build clamps to it too.
+        let opts = opts.with_damping(0.95);
+        let index = SimRankIndex::build(&paper_fig1a(), &opts);
+        assert_eq!(index.depth(), MAX_INDEX_DEPTH);
+        let mut buf = Vec::new();
+        write_index(&index, &mut buf).unwrap();
+        assert_eq!(read_index(&buf[..]).unwrap(), index);
     }
 
     #[test]
