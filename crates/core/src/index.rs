@@ -281,10 +281,9 @@ fn constraint_block_dot(
     acc
 }
 
-/// The hard ceiling on an index's series depth, whatever the damping.
-/// Past it `Cᵏ < 2⁻⁵³` for every `C ≤ 0.99`, so deeper levels sit below
-/// the rounding of a unit score; it also bounds [`max_depth`]'s loop, so
-/// checking an untrusted `SRI1` header takes constant time.
+/// The series depth ceiling for any damping (`Cᵏ < 2⁻⁵³` past it for
+/// `C ≤ 0.99`); it bounds [`max_depth`]'s loop, so an `SRI1` header check
+/// takes constant time.
 pub(crate) const MAX_INDEX_DEPTH: u32 = 1 << 12;
 
 /// The deepest useful series depth for damping `c`: the first `k` at
@@ -469,8 +468,7 @@ impl SimRankIndex {
     /// `opts` supplies the damping factor, the worker count, and the
     /// accuracy target: the series depth is
     /// [`SimRankOptions::conventional_iterations`] (`⌈log_C ε⌉` unless an
-    /// explicit `K` is set, capped where `Cᵏ` stops shrinking in `f64`
-    /// and at 4096)
+    /// explicit `K` is set, capped at 4096 and where `Cᵏ` stops shrinking)
     /// and the diagonal solve runs until its residual
     /// drops below `ε·(1 − C)` (or [`MAX_SOLVER_ROUNDS`]).
     pub fn build(g: &DiGraph, opts: &SimRankOptions) -> SimRankIndex {
@@ -1309,11 +1307,10 @@ mod tests {
             assert_eq!(max_depth(c), k);
             assert!(weight(c, k) * c == weight(c, k) && weight(c, k - 1) > weight(c, k));
         }
-        // Damping near 1 would take billions of levels to stop shrinking;
-        // the cap keeps both the bound and the work to find it fixed.
-        for c in [0.9999, 1.0 - 1e-9] {
-            assert_eq!(max_depth(c), MAX_INDEX_DEPTH);
-        }
+        // Near C = 1 the weight shrinks for billions of levels; the cap binds.
+        assert!([0.9999, 1.0 - 1e-9]
+            .iter()
+            .all(|&c| max_depth(c) == MAX_INDEX_DEPTH));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub enum PersistError {
     },
     /// Structurally well-formed but semantically invalid contents: an
     /// edge endpoint outside the declared order, a damping factor outside
-    /// `(0, 1)`, an underflowing series depth, or a non-finite diagonal entry.
+    /// `(0, 1)`, a series depth past its bound, or a non-finite diagonal entry.
     Malformed {
         /// What was invalid.
         context: String,
@@ -83,33 +83,18 @@ pub enum PersistError {
 
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::BadMagic { found } => {
-                write!(f, "persistence codec error: bad magic {found:?}")
-            }
-            PersistError::Truncated { context } => {
-                write!(f, "persistence codec error: truncated {context}")
-            }
-            PersistError::TrailingBytes => {
-                write!(f, "persistence codec error: trailing bytes after payload")
-            }
-            PersistError::OrderTooLarge { order } => {
-                write!(
-                    f,
-                    "persistence codec error: order {order} too large to allocate"
-                )
-            }
+        let detail = match self {
+            PersistError::BadMagic { found } => format!("bad magic {found:?}"),
+            PersistError::Truncated { context } => format!("truncated {context}"),
+            PersistError::TrailingBytes => "trailing bytes after payload".into(),
+            PersistError::OrderTooLarge { order } => format!("order {order} too large to allocate"),
             PersistError::SizeMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "persistence codec error: expected {expected} bytes from header, found {actual}"
-                )
+                format!("expected {expected} bytes from header, found {actual}")
             }
-            PersistError::Malformed { context } => {
-                write!(f, "persistence codec error: malformed {context}")
-            }
-            PersistError::Io(e) => write!(f, "persistence I/O error: {e}"),
-        }
+            PersistError::Malformed { context } => format!("malformed {context}"),
+            PersistError::Io(e) => return write!(f, "persistence I/O error: {e}"),
+        };
+        write!(f, "persistence codec error: {detail}")
     }
 }
 
@@ -149,6 +134,27 @@ fn expect_end<T, R: Read>(mut r: R, value: T) -> Result<T, PersistError> {
     }
 }
 
+/// Fails unless `file` holds exactly the `expected` bytes its header
+/// implies; `None` (a length past `u64`) is an order too large.
+fn check_len(file: &File, expected: Option<u64>, order: usize) -> Result<(), PersistError> {
+    let expected = expected.ok_or(PersistError::OrderTooLarge {
+        order: order as u64,
+    })?;
+    let actual = file.metadata()?.len();
+    if actual != expected {
+        return Err(PersistError::SizeMismatch { expected, actual });
+    }
+    Ok(())
+}
+
+/// Writes `magic` and the order `n`, which start every header.
+fn write_magic_order<W: Write>(w: &mut W, magic: [u8; 4], n: usize) -> Result<(), PersistError> {
+    let order = u32::try_from(n).map_err(|_| PersistError::OrderTooLarge { order: n as u64 })?;
+    w.write_all(&magic)?;
+    w.write_all(&order.to_le_bytes())?;
+    Ok(())
+}
+
 /// Creates `path`, runs `write` on a buffered writer over it, flushes.
 fn save_buffered(
     path: &Path,
@@ -171,12 +177,7 @@ fn entries(n: u64) -> u64 {
 
 /// Serializes `scores` to a writer.
 pub fn write_scores<W: Write>(scores: &SimMatrix, mut w: W) -> Result<(), PersistError> {
-    let n = scores.order();
-    if n > u32::MAX as usize {
-        return Err(PersistError::OrderTooLarge { order: n as u64 });
-    }
-    w.write_all(&MAGIC)?;
-    w.write_all(&(n as u32).to_le_bytes())?;
+    write_magic_order(&mut w, MAGIC, scores.order())?;
     // Stream the packed triangle in row order (a ≤ b ⇒ stored once).
     for (_, _, v) in scores.iter_upper() {
         w.write_all(&v.to_le_bytes())?;
@@ -230,17 +231,12 @@ pub fn save_scores(scores: &SimMatrix, path: &Path) -> Result<(), PersistError> 
 /// cache file is rejected without reading (or reserving memory for) the
 /// payload.
 pub fn load_scores(path: &Path) -> Result<SimMatrix, PersistError> {
-    let file = File::open(path)?;
-    let actual = file.metadata()?.len();
-    let mut r = BufReader::new(file);
+    let mut r = BufReader::new(File::open(path)?);
     let n = read_header(&mut r)?;
     let expected = entries(n as u64)
         .checked_mul(8)
-        .and_then(|b| b.checked_add(HEADER_BYTES))
-        .ok_or(PersistError::OrderTooLarge { order: n as u64 })?;
-    if actual != expected {
-        return Err(PersistError::SizeMismatch { expected, actual });
-    }
+        .and_then(|b| b.checked_add(HEADER_BYTES));
+    check_len(r.get_ref(), expected, n)?;
     read_body(&mut r, n)
 }
 
@@ -251,12 +247,7 @@ const INDEX_HEADER_BYTES: u64 = 28;
 /// Serializes a [`SimRankIndex`] to a writer (format `SRI1`).
 pub fn write_index<W: Write>(index: &SimRankIndex, mut w: W) -> Result<(), PersistError> {
     let g = index.graph();
-    let n = g.node_count();
-    if n > u32::MAX as usize {
-        return Err(PersistError::OrderTooLarge { order: n as u64 });
-    }
-    w.write_all(&INDEX_MAGIC)?;
-    w.write_all(&(n as u32).to_le_bytes())?;
+    write_magic_order(&mut w, INDEX_MAGIC, g.node_count())?;
     w.write_all(&index.depth().to_le_bytes())?;
     w.write_all(&(g.edge_count() as u64).to_le_bytes())?;
     w.write_all(&index.damping().to_le_bytes())?;
@@ -365,19 +356,14 @@ pub fn save_index(index: &SimRankIndex, path: &Path) -> Result<(), PersistError>
 /// *before* the edge list or diagonal is allocated, so a truncated or
 /// padded cache file is rejected without reserving payload memory.
 pub fn load_index(path: &Path) -> Result<SimRankIndex, PersistError> {
-    let file = File::open(path)?;
-    let actual = file.metadata()?.len();
-    let mut r = BufReader::new(file);
+    let mut r = BufReader::new(File::open(path)?);
     let (n, depth, m, damping) = read_index_header(&mut r)?;
     let expected = m
         .checked_mul(8)
         .and_then(|edges| (n as u64).checked_mul(8).map(|diag| (edges, diag)))
         .and_then(|(edges, diag)| edges.checked_add(diag))
-        .and_then(|payload| payload.checked_add(INDEX_HEADER_BYTES))
-        .ok_or(PersistError::OrderTooLarge { order: n as u64 })?;
-    if actual != expected {
-        return Err(PersistError::SizeMismatch { expected, actual });
-    }
+        .and_then(|payload| payload.checked_add(INDEX_HEADER_BYTES));
+    check_len(r.get_ref(), expected, n)?;
     read_index_body(&mut r, n, depth, m, damping)
 }
 
@@ -389,13 +375,11 @@ const LOW_RANK_HEADER_BYTES: u64 = 20;
 /// `SRL1`). Only the defining factors `U` and `Ms` are stored; the cached
 /// `U·Ms` product is rebuilt deterministically on read.
 pub fn write_low_rank<W: Write>(store: &LowRankScores, mut w: W) -> Result<(), PersistError> {
-    let n = store.order();
-    let r = store.rank();
-    if n > u32::MAX as usize || r > u32::MAX as usize {
+    let (n, r) = (store.order(), store.rank());
+    if r > u32::MAX as usize {
         return Err(PersistError::OrderTooLarge { order: n as u64 });
     }
-    w.write_all(&LOW_RANK_MAGIC)?;
-    w.write_all(&(n as u32).to_le_bytes())?;
+    write_magic_order(&mut w, LOW_RANK_MAGIC, n)?;
     w.write_all(&(r as u32).to_le_bytes())?;
     w.write_all(&store.scale().to_le_bytes())?;
     for &v in store.factor_u().as_slice() {
@@ -493,19 +477,14 @@ pub fn save_low_rank(store: &LowRankScores, path: &Path) -> Result<(), PersistEr
 /// *before* the factors are allocated, so a truncated or padded cache
 /// file is rejected without reserving payload memory.
 pub fn load_low_rank(path: &Path) -> Result<LowRankScores, PersistError> {
-    let file = File::open(path)?;
-    let actual = file.metadata()?.len();
-    let mut r = BufReader::new(file);
+    let mut r = BufReader::new(File::open(path)?);
     let (n, rank, scale) = read_low_rank_header(&mut r)?;
     let expected = (n as u64)
         .checked_mul(rank as u64)
         .and_then(|u_cells| (rank as u64).checked_mul(rank as u64).map(|m| u_cells + m))
         .and_then(|cells| cells.checked_mul(8))
-        .and_then(|payload| payload.checked_add(LOW_RANK_HEADER_BYTES))
-        .ok_or(PersistError::OrderTooLarge { order: n as u64 })?;
-    if actual != expected {
-        return Err(PersistError::SizeMismatch { expected, actual });
-    }
+        .and_then(|payload| payload.checked_add(LOW_RANK_HEADER_BYTES));
+    check_len(r.get_ref(), expected, n)?;
     read_low_rank_body(&mut r, n, rank, scale)
 }
 
@@ -843,26 +822,22 @@ mod tests {
 
     #[test]
     fn index_at_the_depth_bound_round_trips() {
-        // A K past the bound is clamped to it, so the index loads again.
-        let opts = SimRankOptions::default().with_iterations(u32::MAX);
-        let index = SimRankIndex::build(&paper_fig1a(), &opts);
-        assert_eq!(index.depth(), 1457);
-        let mut buf = Vec::new();
-        write_index(&index, &mut buf).unwrap();
-        assert_eq!(read_index(&buf[..]).unwrap(), index);
-        buf[8..12].copy_from_slice(&1458u32.to_le_bytes());
-        assert!(matches!(
-            read_index(&buf[..]),
-            Err(PersistError::Malformed { .. })
-        ));
-        // At C = 0.95 the weight still shrinks past the cap, so the cap is
-        // the bound, and the build clamps to it too.
-        let opts = opts.with_damping(0.95);
-        let index = SimRankIndex::build(&paper_fig1a(), &opts);
-        assert_eq!(index.depth(), MAX_INDEX_DEPTH);
-        let mut buf = Vec::new();
-        write_index(&index, &mut buf).unwrap();
-        assert_eq!(read_index(&buf[..]).unwrap(), index);
+        // A K past the bound clamps to it (the cap, at C = 0.95) and loads.
+        for (c, bound) in [(0.6, 1457), (0.95, MAX_INDEX_DEPTH)] {
+            let opts = SimRankOptions::default()
+                .with_damping(c)
+                .with_iterations(u32::MAX);
+            let index = SimRankIndex::build(&paper_fig1a(), &opts);
+            assert_eq!(index.depth(), bound);
+            let mut buf = Vec::new();
+            write_index(&index, &mut buf).unwrap();
+            assert_eq!(read_index(&buf[..]).unwrap(), index);
+            buf[8..12].copy_from_slice(&(bound + 1).to_le_bytes());
+            assert!(matches!(
+                read_index(&buf[..]),
+                Err(PersistError::Malformed { .. })
+            ));
+        }
     }
 
     #[test]
