@@ -3,8 +3,7 @@
 //! Compares the three score representations (packed, low-rank,
 //! thresholded) on the operations the query layer actually issues:
 //! backend construction from one `mtx-SR` run, point lookups (`get`),
-//! whole-row extraction (`QueryEngine::single_source`), top-k ranking,
-//! and the `SRL1` low-rank codec.
+//! whole-row extraction (`QueryEngine::single_source`) and top-k ranking.
 //! The graph is kept moderate (an SVD runs inside the build benchmarks)
 //! and results land in `BENCH_store.json` via the vendored criterion's
 //! `BENCH_JSON_DIR` hook, so the CI bench-smoke job archives them with
@@ -12,8 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simrank_core::query::QueryEngine;
-use simrank_core::store::{LowRankScores, ThresholdedSparse};
-use simrank_core::{mtx, persist, SimRankOptions};
+use simrank_core::store::ThresholdedSparse;
+use simrank_core::{mtx, SimRankOptions};
 use simrank_datasets as datasets;
 
 const SEED: u64 = datasets::DEFAULT_SEED;
@@ -81,24 +80,5 @@ fn store_query(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `SRL1` persistence codec: serialize and parse-validate-rebuild.
-fn store_codec(c: &mut Criterion) {
-    let lr: LowRankScores = mtx::mtx_simrank_low_rank(&graph(), &opts(), Some(RANK));
-    let mut encoded = Vec::new();
-    persist::write_low_rank(&lr, &mut encoded).expect("encode factors");
-    let mut group = c.benchmark_group("store_codec");
-    group.bench_function("write_srl1", |b| {
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(encoded.len());
-            persist::write_low_rank(&lr, &mut buf).expect("encode factors");
-            buf
-        })
-    });
-    group.bench_function("read_srl1", |b| {
-        b.iter(|| persist::read_low_rank(&encoded[..]).expect("decode factors"))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, store_build, store_query, store_codec);
+criterion_group!(benches, store_build, store_query);
 criterion_main!(benches);

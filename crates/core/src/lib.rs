@@ -58,8 +58,7 @@
 //! [`mtx::mtx_simrank_low_rank`] returns a low-rank factor handle that
 //! never densifies (`O(n·r + r²)` resident), and
 //! [`store::ThresholdedSparse::from_store`] prunes any query engine into a
-//! thresholded upper-triangle CSR. Low-rank factors persist as the `SRL1`
-//! format ([`persist::save_low_rank`]).
+//! thresholded upper-triangle CSR.
 //!
 //! Graphs are not frozen: [`dynamic`] maintains converged results under
 //! edge streams. `DiGraph::apply_batch` patches the CSR adjacency in

@@ -26,24 +26,15 @@ fn tri(i: usize) -> usize {
 
 impl SimMatrix {
     /// All-zeros matrix. Panics (with a clear message, not an allocator
-    /// abort) when the triangle cannot be allocated — the fallible form
-    /// is [`SimMatrix::try_zeros`].
+    /// abort) when the packed triangle overflows `usize` or cannot be
+    /// allocated.
     pub fn zeros(n: usize) -> Self {
-        Self::try_zeros(n).unwrap_or_else(|| {
-            panic!("cannot allocate an order-{n} packed score triangle (n(n+1)/2 doubles)")
-        })
-    }
-
-    /// Fallible all-zeros constructor: `None` when the packed triangle
-    /// would overflow `usize` or the allocator refuses it. The persistence
-    /// codec uses this so a corrupt header claiming a gigantic order
-    /// surfaces as a typed error instead of an allocation abort.
-    pub fn try_zeros(n: usize) -> Option<Self> {
-        let len = n.checked_mul(n.checked_add(1)?)? / 2;
         let mut data = Vec::new();
-        data.try_reserve_exact(len).ok()?;
-        data.resize(len, 0.0);
-        Some(SimMatrix { n, data })
+        match n.checked_add(1).and_then(|m| m.checked_mul(n)) {
+            Some(twice) if data.try_reserve_exact(twice / 2).is_ok() => data.resize(twice / 2, 0.0),
+            _ => panic!("cannot allocate an order-{n} packed score triangle (n(n+1)/2 doubles)"),
+        }
+        SimMatrix { n, data }
     }
 
     /// Identity matrix — the SimRank iteration seed `S₀`.
@@ -286,12 +277,16 @@ mod tests {
     }
 
     #[test]
-    fn try_zeros_rejects_absurd_orders() {
-        assert!(SimMatrix::try_zeros(3).is_some());
-        assert_eq!(SimMatrix::try_zeros(0).unwrap().order(), 0);
+    #[should_panic(expected = "cannot allocate")]
+    fn zeros_panics_with_clear_message_on_overflow() {
         // tri(n) overflows usize: must fail cleanly, not abort.
-        assert!(SimMatrix::try_zeros(usize::MAX).is_none());
-        // Fits arithmetic but not the address space (u32::MAX order ≈ 64 EiB).
-        assert!(SimMatrix::try_zeros(u32::MAX as usize).is_none());
+        let _ = SimMatrix::zeros(usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot allocate")]
+    fn zeros_panics_with_clear_message_past_the_address_space() {
+        // Fits the arithmetic but not the address space (u32::MAX order ≈ 64 EiB).
+        let _ = SimMatrix::zeros(u32::MAX as usize);
     }
 }

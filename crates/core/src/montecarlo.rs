@@ -30,6 +30,10 @@ use simrank_par as par;
 
 /// Estimates `s(a, b)` from `samples` coupled backward walks of length at
 /// most `walk_len`.
+///
+/// # Panics
+///
+/// If `samples` is zero (the estimate would be `0/0`).
 pub fn mc_simrank_pair(
     g: &DiGraph,
     a: NodeId,
@@ -39,6 +43,7 @@ pub fn mc_simrank_pair(
     samples: u32,
     seed: u64,
 ) -> f64 {
+    assert!(samples > 0, "samples must be at least 1, got {samples}");
     if a == b {
         return 1.0;
     }
@@ -119,7 +124,8 @@ impl Fingerprints {
     ///
     /// # Panics
     ///
-    /// If `opts.damping` is outside `(0, 1)`.
+    /// If `opts.damping` is outside `(0, 1)`, or if `rounds` is zero
+    /// (every estimate would be `0/0`).
     pub fn sample(
         g: &DiGraph,
         walk_len: u32,
@@ -132,12 +138,13 @@ impl Fingerprints {
             damping > 0.0 && damping < 1.0,
             "damping must lie in (0, 1), got {damping}"
         );
+        assert!(rounds > 0, "rounds must be at least 1, got {rounds}");
         let n = g.node_count();
         let wl = walk_len as usize;
         let stride = rounds as usize * wl;
         let mut walks = vec![NONE; n * stride];
-        // 0 until a pool actually runs: degenerate inputs (no nodes, no
-        // rounds, or zero-length walks) never route through the executor.
+        // 0 until a pool actually runs: degenerate inputs (no nodes or
+        // zero-length walks) never route through the executor.
         let mut workers = 0;
         let mut steps = 0u64;
         if stride > 0 && n > 0 {
@@ -443,6 +450,19 @@ mod tests {
             ..Default::default()
         };
         let _ = Fingerprints::sample(&g, 4, 10, 1, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "rounds must be at least 1, got 0")]
+    fn sampling_rejects_zero_rounds() {
+        let _ = sample(&paper_fig1a(), 4, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "samples must be at least 1, got 0")]
+    fn pair_estimate_rejects_zero_samples() {
+        let g = paper_fig1a();
+        let _ = mc_simrank_pair(&g, 0, 2, &SimRankOptions::default(), 5, 0, 1);
     }
 
     #[test]

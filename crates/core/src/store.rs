@@ -49,12 +49,9 @@ pub struct LowRankScores {
 impl LowRankScores {
     /// Assembles a store from its factors, computing the cached
     /// `gm = U·Ms` product on the pool. `scale` must lie in `(0, 1)`;
-    /// `u` must be `n × r` and `ms` `r × r`.
-    ///
-    /// The product is bit-for-bit identical at every pool width, so an
-    /// `SRL1` round trip (which rebuilds on a 1-wide pool) reproduces the
-    /// original store `PartialEq`-exactly.
-    pub fn from_parts(
+    /// `u` must be `n × r` and `ms` `r × r`. The product is bit-for-bit
+    /// identical at every pool width.
+    pub(crate) fn from_parts(
         scale: f64,
         u: DenseMatrix,
         ms: DenseMatrix,
@@ -83,21 +80,6 @@ impl LowRankScores {
     /// Truncation rank `r` of the factors.
     pub fn rank(&self) -> usize {
         self.ms.rows()
-    }
-
-    /// The `1 − C` output scale.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// The truncated left singular vectors `U` (`n × r`).
-    pub fn factor_u(&self) -> &DenseMatrix {
-        &self.u
-    }
-
-    /// The symmetrized rank-space mixing matrix `Ms` (`r × r`).
-    pub fn mixing(&self) -> &DenseMatrix {
-        &self.ms
     }
 
     /// Matrix order `n`.

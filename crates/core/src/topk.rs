@@ -75,8 +75,8 @@ fn rank_prefix(mut candidates: Vec<(NodeId, f64)>, k: usize) -> Vec<(NodeId, f64
 }
 
 /// The full ranking of all other vertices by similarity to `query`,
-/// descending, ties broken by ascending vertex id; NaN scores (possible
-/// only via a corrupted score file) rank last instead of panicking.
+/// descending, ties broken by ascending vertex id; NaN scores rank last
+/// instead of panicking.
 /// `scores[v] = s(query, v)` is one single-source row; the query vertex
 /// is excluded when it lies inside the slice.
 pub fn rank_scores(scores: &[f64], query: NodeId) -> Vec<(NodeId, f64)> {
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn nan_ranks_last_instead_of_panicking() {
-        // A corrupted score file can hand the ranking NaN (and -0.0):
+        // A caller's score row can hand the ranking NaN (and -0.0):
         // regression for the old `partial_cmp().expect(..)` panic.
         let mut m = SimMatrix::identity(6);
         m.set(0, 1, f64::NAN);

@@ -412,8 +412,7 @@ proptest! {
 
     /// Oracle test for the low-rank score store: serving straight from the
     /// `mtx-SR` factors (`get`, whole rows, top-k) reproduces the densified
-    /// packed triangle bit-for-bit at full rank, and a persisted `SRL1`
-    /// handle round-trips to an identical store.
+    /// packed triangle bit-for-bit at full rank.
     #[test]
     fn store_low_rank_pins_densified_mtx(g in arb_graph(), k in 1u32..5, c in 0.3f64..0.8) {
         let opts = SimRankOptions::default().with_damping(c).with_iterations(k);
@@ -443,10 +442,6 @@ proptest! {
         for (lo, hi, v) in dense.iter_upper() {
             prop_assert!((trunc.get(lo, hi) - v).abs() < 1.0, "s({},{})", lo, hi);
         }
-        // SRL1 round trip is exact.
-        let mut buf = Vec::new();
-        simrank_core::persist::write_low_rank(&lr, &mut buf).unwrap();
-        prop_assert_eq!(&simrank_core::persist::read_low_rank(&buf[..]).unwrap(), &lr);
     }
 
     /// Oracle test for the thresholded-sparse store: at θ = 0 it reproduces

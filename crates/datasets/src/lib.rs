@@ -113,33 +113,10 @@ pub fn dblp_like(snapshot: DblpSnapshot, scale_div: usize, seed: u64) -> Dataset
 /// degree `d`, generated by the in-set copying model whose overlap knob is
 /// matched to the share ratios GTGraph R-MAT exhibits at the paper's 300K
 /// scale. Downscaled R-MAT itself loses that structure: its low-degree
-/// in-sets stop colliding on the same hubs (see [`syn_rmat`]).
+/// in-sets stop colliding on the same hubs (see [`gen::rmat`]).
 pub fn syn(nodes: usize, avg_degree: usize, seed: u64) -> Dataset {
     let g = gen::overlap_graph(gen::OverlapParams::syn(nodes, avg_degree), seed);
     Dataset::new(format!("SYN n={nodes} d={avg_degree}"), g)
-}
-
-/// SYN via plain GTGraph-style R-MAT — the structural null model kept for
-/// ablations: at laptop scale its in-sets barely overlap, so it bounds the
-/// no-sharing regime (`d′ ≈ d`).
-pub fn syn_rmat(nodes: usize, avg_degree: usize, seed: u64) -> Dataset {
-    let edges = nodes * avg_degree;
-    let g = gen::rmat(gen::RmatParams::gtgraph_default(nodes, edges), seed);
-    Dataset::new(format!("SYN-rmat n={nodes} d={avg_degree}"), g)
-}
-
-/// The full Fig. 5 dataset roster at a given scale divisor (default
-/// experiments use `scale_div = 64` for BERKSTAN/PATENT and `8` for DBLP,
-/// keeping all-pairs SimRank laptop-sized).
-pub fn figure5_roster(seed: u64) -> Vec<Dataset> {
-    let mut v = vec![
-        berkstan_like(685_230 / 256, seed),  // ≈ 2.7K vertices
-        patent_like(3_774_768 / 1024, seed), // ≈ 3.7K vertices
-    ];
-    for snap in DblpSnapshot::ALL {
-        v.push(dblp_like(snap, 8, seed));
-    }
-    v
 }
 
 #[cfg(test)]
@@ -208,11 +185,19 @@ mod tests {
 
     #[test]
     fn roster_is_deterministic() {
-        let a = figure5_roster(DEFAULT_SEED);
-        let b = figure5_roster(DEFAULT_SEED);
+        // The Fig. 5 roster: BERKSTAN, PATENT and the 4 DBLP snapshots.
+        let roster = |seed| {
+            let mut v = vec![
+                berkstan_like(685_230 / 256, seed),
+                patent_like(3_774_768 / 1024, seed),
+            ];
+            v.extend(DblpSnapshot::ALL.map(|snap| dblp_like(snap, 8, seed)));
+            v
+        };
+        let (a, b) = (roster(DEFAULT_SEED), roster(DEFAULT_SEED));
+        assert_eq!(a.len(), 6);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.graph, y.graph);
         }
-        assert_eq!(a.len(), 6); // BERKSTAN, PATENT, 4 DBLP snapshots
     }
 }

@@ -60,9 +60,9 @@ pub fn top_k_overlap<I: PartialEq + Copy>(a: &[I], b: &[I]) -> f64 {
 fn average_ranks(x: &[f64]) -> Vec<f64> {
     let n = x.len();
     let mut order: Vec<usize> = (0..n).collect();
-    // Total order: a NaN smuggled in by a corrupted score file sorts to
-    // one end instead of panicking the evaluation (matching the ranking
-    // layer's `topk` robustness contract).
+    // Total order: a NaN in a caller's scores sorts to one end instead of
+    // panicking the evaluation (matching the ranking layer's `topk`
+    // robustness contract).
     order.sort_by(|&i, &j| x[i].total_cmp(&x[j]));
     let mut ranks = vec![0.0; n];
     let mut i = 0;

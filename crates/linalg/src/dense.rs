@@ -247,21 +247,11 @@ impl DenseMatrix {
         kernel::scale(&mut self.data, alpha);
     }
 
-    /// Max (Chebyshev) norm — the paper's `‖·‖max` in Proposition 7.
-    pub fn max_norm(&self) -> f64 {
-        kernel::max_abs(&self.data)
-    }
-
     /// Entry-wise max absolute difference; the convergence criterion used by
     /// the paper's accuracy arguments.
     pub fn max_abs_diff(&self, other: &DenseMatrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         kernel::max_abs_diff(&self.data, &other.data)
-    }
-
-    /// Frobenius norm (lane-chunked sum of squares).
-    pub fn fro_norm(&self) -> f64 {
-        kernel::sq_sum(&self.data).sqrt()
     }
 
     /// Whether `|self - selfᵀ| ≤ tol` entry-wise (square matrices only).
@@ -346,13 +336,6 @@ mod tests {
         // (0, 3) of a 2 × 2 matrix would overwrite (1, 1).
         let mut a = DenseMatrix::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         a.set(0, 3, 9.0);
-    }
-
-    #[test]
-    fn norms() {
-        let a = DenseMatrix::from_rows(2, 2, &[3.0, -4.0, 0.0, 0.0]);
-        assert_eq!(a.max_norm(), 4.0);
-        assert!((a.fro_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Everything the matrix-form SimRank derivations of the paper touch,
 //! implemented from scratch:
 //!
-//! * [`DenseMatrix`] — row-major `f64` matrices with the product/transpose/
-//!   norm operations used by the reference iteration
+//! * [`DenseMatrix`] — row-major `f64` matrices with the product and
+//!   transpose operations used by the reference iteration
 //!   `S = C·Q·S·Qᵀ + (1−C)·Iₙ` (paper Eq. 3) and the differential SimRank
 //!   `Ŝ` accumulation (Eq. 15);
 //! * [`CsrMatrix`] — compressed sparse row matrices, including the backward
@@ -13,10 +13,7 @@
 //!   than `O(n³)`;
 //! * [`svd`] — one-sided Jacobi singular value decomposition, the engine of
 //!   the `mtx-SR` baseline (Li et al., EDBT'10) that the paper compares
-//!   against;
-//! * [`kron`] — Kronecker-product and `vec(·)` helpers mirroring the
-//!   error-bound proof of the paper's Proposition 7 (used by tests to check
-//!   the bound machinery itself).
+//!   against.
 //!
 //! The heavy kernels take the caller's worker pool (`simrank_par`) and
 //! have no other form: [`DenseMatrix::matmul`] and
@@ -32,7 +29,6 @@
 
 mod csr;
 mod dense;
-pub mod kron;
 pub mod svd;
 
 pub use csr::CsrMatrix;

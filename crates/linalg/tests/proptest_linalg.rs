@@ -1,7 +1,7 @@
 //! Property tests for the matrix substrate.
 
 use proptest::prelude::*;
-use simrank_linalg::{kron, CsrMatrix, DenseMatrix, Svd};
+use simrank_linalg::{CsrMatrix, DenseMatrix, Svd};
 use simrank_par::WorkerPool;
 
 /// Strategy: a small dense matrix with entries in [-2, 2].
@@ -89,31 +89,5 @@ proptest! {
         // max-norm ≤ spectral norm = σ_{r+1}; allow slack for the norm gap.
         let dropped = svd.sigma.get(r).copied().unwrap_or(0.0);
         prop_assert!(err <= dropped + 1e-8, "err {err} vs dropped σ {dropped}");
-    }
-
-    /// vec/unvec round-trips and the Kronecker identity holds.
-    #[test]
-    fn kron_vec_identity(a in dense(3, 3), x in dense(3, 3), b in dense(3, 3)) {
-        let v = kron::vec_mat(&x);
-        prop_assert_eq!(kron::unvec(&v, 3, 3), x.clone());
-        let (axb, bt) = WorkerPool::scoped(1, |pool| {
-            (a.matmul(&x, pool).matmul(&b, pool), b.transpose(pool))
-        });
-        let lhs = kron::vec_mat(&axb);
-        let k = kron::kronecker(&bt, &a);
-        let rhs: Vec<f64> = (0..9)
-            .map(|i| (0..9).map(|j| k.get(i, j) * v[j]).sum())
-            .collect();
-        for (l, r) in lhs.iter().zip(&rhs) {
-            prop_assert!((l - r).abs() < 1e-10);
-        }
-    }
-
-    /// ‖A ⊗ B‖₁ = ‖A‖₁ · ‖B‖₁.
-    #[test]
-    fn kron_one_norm_multiplicative(a in dense(2, 2), b in dense(2, 2)) {
-        let lhs = kron::one_norm(&kron::kronecker(&a, &b));
-        let rhs = kron::one_norm(&a) * kron::one_norm(&b);
-        prop_assert!((lhs - rhs).abs() < 1e-10);
     }
 }
