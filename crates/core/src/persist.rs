@@ -101,12 +101,15 @@ impl From<std::io::Error> for PersistError {
 }
 
 /// Reads `N` bytes or fails with a [`PersistError::Truncated`] naming
-/// `context`.
-fn read_array<const N: usize, R: Read>(r: &mut R, context: &str) -> Result<[u8; N], PersistError> {
+/// `context`, which is formatted only on failure.
+fn read_array<const N: usize, R: Read>(
+    r: &mut R,
+    context: impl fmt::Display,
+) -> Result<[u8; N], PersistError> {
     let mut buf = [0u8; N];
     r.read_exact(&mut buf)
         .map_err(|_| PersistError::Truncated {
-            context: context.into(),
+            context: context.to_string(),
         })?;
     Ok(buf)
 }
@@ -187,13 +190,13 @@ fn read_index_body<R: Read>(
 ) -> Result<SimRankIndex, PersistError> {
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     for e in 0..m {
-        let from = u32::from_le_bytes(read_array(r, &format!("edge {e} source"))?);
-        let to = u32::from_le_bytes(read_array(r, &format!("edge {e} target"))?);
+        let from = u32::from_le_bytes(read_array(r, format_args!("edge {e} source"))?);
+        let to = u32::from_le_bytes(read_array(r, format_args!("edge {e} target"))?);
         edges.push((from, to));
     }
     let mut diag: Vec<f64> = Vec::new();
     for v in 0..n {
-        let d = f64::from_le_bytes(read_array(r, &format!("diagonal entry {v}"))?);
+        let d = f64::from_le_bytes(read_array(r, format_args!("diagonal entry {v}"))?);
         if !d.is_finite() {
             return Err(PersistError::Malformed {
                 context: format!("non-finite diagonal entry {d} at vertex {v}"),
@@ -300,6 +303,32 @@ mod tests {
             );
             assert_eq!(back.top_k(u, 4), index.top_k(u, 4));
         }
+    }
+
+    #[test]
+    fn loaded_residual_matches_the_solve_at_every_width() {
+        // A loaded index computes its residual on the first call, streaming
+        // the rows the solve stored: the same bits as the solve's own, which
+        // are themselves the same at every pool width.
+        let g = simrank_graph::gen::copying_web_graph(
+            simrank_graph::gen::CopyingParams::berkstan_like(60),
+            3,
+        );
+        let opts = SimRankOptions::default()
+            .with_damping(0.6)
+            .with_epsilon(1e-4);
+        let bits = [1usize, 2, 4, 8].map(|t| {
+            let index = SimRankIndex::build(&g, &opts.with_threads(t));
+            let mut buf = Vec::new();
+            write_index(&index, &mut buf).unwrap();
+            let back = read_index(&buf[..]).unwrap();
+            assert_eq!(back, index, "threads = {t}");
+            let bits = index.solver_residual().to_bits();
+            assert_eq!(back.solver_residual().to_bits(), bits, "threads = {t}");
+            bits
+        });
+        assert!(bits.iter().all(|&b| b == bits[0]), "{bits:?}");
+        assert!(f64::from_bits(bits[0]) <= 1e-4 * (1.0 - 0.6) + 1e-12);
     }
 
     #[test]

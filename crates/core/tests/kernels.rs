@@ -47,29 +47,6 @@ fn reference_reduce(terms: &[f64]) -> f64 {
     acc
 }
 
-/// Checks every column of `weighted_sq_dot_block::<B>` against the lane
-/// reference of its `h·h·x` terms, at every row count up to
-/// `2·LANES + 1` (the sequential tail, the first chunk, a chunk plus
-/// tail) and at the full length. Column `k` of the block is `a` rotated
-/// by `k` rows, weighted by `x`.
-fn check_weighted_block<const B: usize>(a: &[f64], x: &[f64]) {
-    let full = a.len();
-    let h: Vec<f64> = (0..full * B).map(|i| a[(i / B + i % B) % full]).collect();
-    for rows in (0..=full.min(2 * LANES + 1)).chain([full]) {
-        let got = kernel::weighted_sq_dot_block::<B>(&h[..rows * B], &x[..rows]);
-        for (k, lane) in got.iter().enumerate() {
-            let terms: Vec<f64> = (0..rows)
-                .map(|j| h[j * B + k] * h[j * B + k] * x[j])
-                .collect();
-            assert_eq!(
-                lane.to_bits(),
-                reference_reduce(&terms).to_bits(),
-                "B={B} rows={rows} lane={k}"
-            );
-        }
-    }
-}
-
 /// Two equal-length value vectors plus an index list into them.
 fn vecs_and_indices() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<u32>)> {
     (1usize..120).prop_flat_map(|len| {
@@ -104,9 +81,12 @@ proptest! {
             kernel::gather_sum(&a, &idx).to_bits(),
             reference_reduce(&gs_terms).to_bits()
         );
-        check_weighted_block::<8>(&a, &b);
-        check_weighted_block::<3>(&a, &b);
-        check_weighted_block::<1>(&a, &b);
+        let gd_vals: Vec<f64> = idx.iter().map(|&j| b[j as usize]).collect();
+        let gd_terms: Vec<f64> = gd_vals.iter().zip(&idx).map(|(&v, &j)| v * a[j as usize]).collect();
+        prop_assert_eq!(
+            kernel::gather_dot(&gd_vals, &idx, &a).to_bits(),
+            reference_reduce(&gd_terms).to_bits()
+        );
     }
 
     /// Contract 1 for the blocked gather: every lane of
@@ -197,9 +177,10 @@ proptest! {
             kernel::gather_sum(&a, &idx).to_bits(),
             kernel::gather_sum(&a, &idx).to_bits()
         );
+        let k = idx.len().min(b.len());
         prop_assert_eq!(
-            kernel::weighted_sq_dot_block::<1>(&a, &b)[0].to_bits(),
-            kernel::weighted_sq_dot_block::<1>(&a, &b)[0].to_bits()
+            kernel::gather_dot(&b[..k], &idx[..k], &a).to_bits(),
+            kernel::gather_dot(&b[..k], &idx[..k], &a).to_bits()
         );
         prop_assert_eq!(
             kernel::max_abs_diff(&a, &b).to_bits(),

@@ -168,49 +168,33 @@ pub fn gather_sum_block<const B: usize>(x: &[f64], idx: &[u32]) -> [f64; B] {
     acc
 }
 
-/// Blocked weighted square dot over the columns of a row-major `rows × B`
-/// block `h`: lane `k` of the result is `Σⱼ h[j·B + k]²·x[j]` — one level
-/// of `B` of the index engine's constraint rows at once. Each term is the
-/// product `(h·h)·x`, summed in the [`LANES`]-chunked order with the
-/// pairwise lane fold and the sequential tail, so every lane is
-/// bit-for-bit the lane-chunked reduction of its own column's terms.
-/// Zero entries of `h` contribute an exact `±0.0` term, which never
-/// perturbs a lane (this is why the kernel can run dense over `h` while
-/// the caller counts `nnz` separately).
+/// Lane-chunked sparse dot `Σᵢ vals[i]·x[idx[i]]`, summed in [`dot`]'s
+/// association order over its terms — one stored row of the index
+/// engine's constraint matrix against a dense vector.
 ///
 /// # Panics
 ///
-/// Panics when `h.len() != x.len() · B`.
+/// Panics when `vals.len() != idx.len()`, or (via slice indexing) when
+/// any index is out of bounds for `x`.
 #[inline]
-pub fn weighted_sq_dot_block<const B: usize>(h: &[f64], x: &[f64]) -> [f64; B] {
+pub fn gather_dot(vals: &[f64], idx: &[u32], x: &[f64]) -> f64 {
     assert_eq!(
-        h.len(),
-        x.len() * B,
-        "weighted_sq_dot_block needs one B-wide row of h per entry of x"
+        vals.len(),
+        idx.len(),
+        "gather_dot needs one value per index"
     );
-    let hc = h.chunks_exact(LANES * B);
-    let xc = x.chunks_exact(LANES);
-    let (th, tx) = (hc.remainder(), xc.remainder());
-    let mut acc = [0.0f64; B];
-    if x.len() >= LANES {
-        let mut lanes = [[0.0f64; B]; LANES];
-        for (ch, cx) in hc.zip(xc) {
-            for ((lane, hr), &xv) in lanes.iter_mut().zip(ch.chunks_exact(B)).zip(cx) {
-                for (l, &hv) in lane.iter_mut().zip(hr) {
-                    *l += hv * hv * xv;
-                }
-            }
-        }
-        for (k, a) in acc.iter_mut().enumerate() {
-            *a = fold_lanes(std::array::from_fn(|i| lanes[i][k]));
+    let mut lanes = [0.0f64; LANES];
+    let vc = vals.chunks_exact(LANES);
+    let ic = idx.chunks_exact(LANES);
+    let (tv, ti) = (vc.remainder(), ic.remainder());
+    for (cv, ci) in vc.zip(ic) {
+        for k in 0..LANES {
+            lanes[k] += cv[k] * x[ci[k] as usize];
         }
     }
-    // Below LANES the chunked prefix is empty and its fold is `+0.0` —
-    // exactly the zero `acc` starts from.
-    for (hr, &xv) in th.chunks_exact(B).zip(tx) {
-        for (a, &hv) in acc.iter_mut().zip(hr) {
-            *a += hv * hv * xv;
-        }
+    let mut acc = fold_lanes(lanes);
+    for (&v, &j) in tv.iter().zip(ti) {
+        acc += v * x[j as usize];
     }
     acc
 }
@@ -468,38 +452,11 @@ mod tests {
                 reference_reduce(&a).to_bits()
             );
             let ab: Vec<f64> = a.iter().zip(&b).flat_map(|(&x, &y)| [x, y]).collect();
+            assert_eq!(gather_dot(&a, &idx, &b).to_bits(), dot(&a, &b).to_bits());
             let [sa, sb] = gather_sum_block::<2>(&ab, &idx);
             assert_eq!(sa.to_bits(), reference_reduce(&a).to_bits());
             assert_eq!(sb.to_bits(), reference_reduce(&b).to_bits());
         }
-    }
-
-    #[test]
-    fn weighted_sq_dot_ignores_zero_weights_exactly() {
-        // Two columns: `h` and a copy of it with some entries zeroed.
-        let h = splitmix_vals(7, 40);
-        let x = splitmix_vals(8, 40);
-        let mut zeroed = h.clone();
-        for k in [3usize, 11, 25] {
-            zeroed[k] = 0.0;
-        }
-        let block: Vec<f64> = h.iter().zip(&zeroed).flat_map(|(&a, &b)| [a, b]).collect();
-        let [full, sparse] = weighted_sq_dot_block::<2>(&block, &x);
-        // Zeroing an entry contributes ±0.0, which never changes a lane:
-        // the sparse column equals the reduction that skips those terms.
-        let terms: Vec<f64> = (0..40)
-            .map(|j| {
-                if zeroed[j] == 0.0 {
-                    0.0
-                } else {
-                    h[j] * h[j] * x[j]
-                }
-            })
-            .collect();
-        assert_eq!(sparse.to_bits(), reference_reduce(&terms).to_bits());
-        let [alone] = weighted_sq_dot_block::<1>(&zeroed, &x);
-        assert_eq!(alone.to_bits(), sparse.to_bits());
-        assert_ne!(full.to_bits(), sparse.to_bits());
     }
 
     #[test]
