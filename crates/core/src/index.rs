@@ -249,9 +249,9 @@ fn walk_buffers(n: usize) -> [Vec<f64>; 4] {
 /// Each row keeps its exact nonzeros. Lane `s` is bit-for-bit row
 /// `rows.start + s` built alone (the lanes past a partial block are never
 /// seeded and come back empty), and the op bill is exactly the sum of the
-/// rows' bills: per level, the step's `m` gathers plus one add per nonzero
-/// `hₖᵃ[j]`. This is the single definition of the row arithmetic — the
-/// solve and the residual of a loaded index both run it.
+/// rows' bills: per level, the step's `m = |E|` gathers plus one add per
+/// nonzero `hₖᵃ[j]`. This is the single definition of the row arithmetic —
+/// the solve and the residual of a loaded index both run it.
 fn constraint_rows(
     g: &DiGraph,
     inv_in: &[f64],
@@ -461,7 +461,11 @@ impl SimRankIndex {
 
     /// As [`SimRankIndex::build`], also returning instrumentation:
     /// `iterations` is the CGLS rounds used, `adds` the exact merged
-    /// floating-add count, `workers` the pool width.
+    /// floating-add count, `workers` the pool width. The adds are the row
+    /// build (per row and level, `m` walk gathers plus one per nonzero
+    /// walk entry), one per stored entry of `M` for every `M·x` and for
+    /// every `Mᵀ·x` row of nonzero weight, and `3n` per CGLS round for
+    /// the vector updates.
     pub fn build_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimRankIndex, Report) {
         // Start from d = 1−C: exact wherever reverse walks disperse
         // without revisiting (chains, trees), so the initial residual is
