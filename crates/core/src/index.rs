@@ -929,6 +929,68 @@ mod tests {
         }
     }
 
+    /// For every row graph, depth and pool width: stores `M` with
+    /// [`RowMatrix::build`], hands `f` the scalar rows (and the merged
+    /// scalar bill), the probe `x` (with zeros) and the stored matrix, and
+    /// checks the build's merged bill against the scalar one.
+    fn with_stored_rows(
+        mut f: impl FnMut(&[Vec<(NodeId, f64)>], &[f64], &mut par::WorkerPool<'_>, &mut RowMatrix),
+    ) {
+        for g in row_graphs() {
+            let (n, inv_in) = (g.node_count(), inverse_in_degrees(&g));
+            let x: Vec<f64> = (0..n).map(|j| (j % 3) as f64 * (j as f64).sin()).collect();
+            for (depth, workers) in [(1u32, 1usize), (6, 1), (6, 2), (6, 4)] {
+                let mut want_ops = OpCounter::new();
+                let rows: Vec<_> = (0..n)
+                    .map(|a| constraint_row(&g, &inv_in, 0.6, depth, a, &mut want_ops))
+                    .collect();
+                par::WorkerPool::scoped(workers, |pool| {
+                    let mut ops = OpCounter::new();
+                    let mut m = RowMatrix::build(pool, &g, &inv_in, 0.6, depth, &mut ops);
+                    assert_eq!(ops.total(), want_ops.total(), "n={n} K={depth} w={workers}");
+                    f(&rows, &x, pool, &mut m);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_row_dot_matches_scalar_rows_bit_for_bit() {
+        with_stored_rows(|rows, x, pool, m| {
+            let mut got = vec![0.0f64; x.len()];
+            let ops = m.apply(pool, x, &mut got);
+            for (a, row) in rows.iter().enumerate() {
+                let (cols, vals): (Vec<NodeId>, Vec<f64>) = row.iter().copied().unzip();
+                let want = par::kernel::gather_dot(&vals, &cols, x);
+                assert_eq!(got[a].to_bits(), want.to_bits(), "row {a} of {}", x.len());
+            }
+            assert_eq!(ops, rows.iter().map(|r| r.len() as u64).sum::<u64>());
+        });
+    }
+
+    #[test]
+    fn blocked_row_scatter_matches_scalar_rows_bit_for_bit() {
+        with_stored_rows(|rows, x, pool, m| {
+            let n = x.len();
+            let (mut want, mut want_ops) = (vec![0.0f64; n], 0u64);
+            // The fixed shard tree: per-shard partials, folded in shard order.
+            for shard in par::blocks(n, TRANSPOSE_SHARDS.min(n)) {
+                let mut part = vec![0.0f64; n];
+                for a in shard.filter(|&a| x[a] != 0.0) {
+                    for &(j, v) in &rows[a] {
+                        part[j as usize] += x[a] * v;
+                    }
+                    want_ops += rows[a].len() as u64;
+                }
+                par::kernel::accumulate(&mut want, &part);
+            }
+            let mut got = vec![0.0f64; n];
+            assert_eq!(m.apply_transpose(pool, x, &mut got), want_ops);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n={n}");
+        });
+    }
+
     #[test]
     fn diagonal_matches_the_dense_fixed_point() {
         // d_a = 1 − C·(Q S Qᵀ)_aa, with S the naive dense fixed point: the
