@@ -63,8 +63,8 @@ use crate::grid::ScoreGrid;
 use crate::instrument::Report;
 use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::options::SimRankOptions;
-use crate::plan::{EdgeOp, SharingPlan, Step};
-use simrank_graph::DiGraph;
+use crate::plan::{SharingPlan, Step};
+use simrank_graph::{DiGraph, NodeId};
 use simrank_par::{self as par, OpCounter};
 
 /// Which recurrence the engine iterates.
@@ -144,22 +144,27 @@ pub(crate) fn run(
 /// cache line per staged partial-sum row.
 const B: usize = 8;
 
+/// Entries per strip of a fused row update: a strip of the destination
+/// stays in L1 while every row of the update streams past it.
+const STRIP: usize = 512;
+
 /// One OIP replay over one graph: the plan, its segments balanced across
 /// the pool, and the scale `factor/(d_u·d_w)` of every emitted pair.
 struct Pass<'a> {
-    g: &'a DiGraph,
     plan: &'a SharingPlan,
     factor: f64,
     /// Whether the pair set includes `w = u` (differential mode; the
     /// conventional diagonal is pinned by the driver instead).
     diagonal: bool,
-    /// In-degree of each plan target, as `f64`.
+    /// Whether the pass assigns its pairs (the first pass) rather than
+    /// accumulating onto an earlier pass's.
+    assign: bool,
+    /// In-degree of each walk-program node's target, as `f64`.
     in_deg: Vec<f64>,
-    /// The distinct target in-degrees, ascending (targets are sorted by
-    /// in-degree, so this is the run-length compression of `in_deg`).
+    /// The distinct target in-degrees, ascending.
     degrees: Vec<f64>,
-    /// Index into `degrees` of each plan target's in-degree.
-    degree_class: Vec<u32>,
+    /// Index into `degrees` of each walk-program node's in-degree.
+    class: Vec<u32>,
     /// Segment indices per worker.
     shares: Vec<Vec<usize>>,
 }
@@ -185,9 +190,9 @@ struct SourceBlock {
     coef: Vec<f64>,
     /// Number of staged lanes.
     len: usize,
-    /// Target index of each lane's source.
+    /// Walk-program position of each lane's source.
     src: [usize; B],
-    /// Each lane's threshold: only targets `w ≥ lo[k]` are written.
+    /// Each lane's threshold: only targets `w ≥ lo[k]` are counted.
     lo: [usize; B],
 }
 
@@ -217,31 +222,31 @@ impl<'a> OipKernel<'a> {
         let workers = par::effective_workers(opts.threads, max_segments.unwrap_or(0));
         let passes: Vec<Pass<'a>> = passes
             .iter()
-            .map(|&(g, plan, factor)| {
+            .enumerate()
+            .map(|(i, &(g, plan, factor))| {
                 let seg_weights: Vec<usize> = plan.segments.iter().map(|s| s.len()).collect();
-                let in_deg: Vec<f64> = plan
-                    .targets
+                // Targets are sorted by in-degree, so deduplicating theirs
+                // leaves the distinct degrees ascending.
+                let mut degrees: Vec<usize> =
+                    plan.targets.iter().map(|&v| g.in_degree(v)).collect();
+                degrees.dedup();
+                let (in_deg, class) = plan
+                    .outer
                     .iter()
-                    .map(|&v| g.in_degree(v) as f64)
-                    .collect();
-                let mut degrees: Vec<f64> = Vec::new();
-                let degree_class = in_deg
-                    .iter()
-                    .map(|&d| {
-                        if degrees.last() != Some(&d) {
-                            degrees.push(d);
-                        }
-                        degrees.len() as u32 - 1
+                    .map(|step| {
+                        let d = g.in_degree(step.w);
+                        let c = degrees.binary_search(&d).expect("a target's degree");
+                        (d as f64, c as u32)
                     })
-                    .collect();
+                    .unzip();
                 Pass {
-                    g,
                     plan,
                     factor,
                     diagonal: mode == Mode::Differential,
+                    assign: i == 0,
                     in_deg,
-                    degrees,
-                    degree_class,
+                    degrees: degrees.iter().map(|&d| d as f64).collect(),
+                    class,
                     shares: par::balance(&seg_weights, workers),
                 }
             })
@@ -295,6 +300,12 @@ impl Kernel for OipKernel<'_> {
         self.mode == Mode::Conventional
     }
 
+    /// A lone pass assigns; P-Rank's second pass accumulates onto pairs
+    /// its first pass may not have assigned.
+    fn assigns(&self) -> bool {
+        self.passes.len() == 1
+    }
+
     fn sweep(
         &mut self,
         pool: &mut par::WorkerPool<'_>,
@@ -338,61 +349,50 @@ impl Pass<'_> {
         state: &mut WorkerState,
         counter: &mut OpCounter,
     ) {
-        let (g, plan) = (self.g, self.plan);
+        let plan = self.plan;
         let n = cur.order();
         let pool = state.pool.as_mut_slice();
         for step in &plan.schedule[segment.clone()] {
-            match *step {
-                Step::Scratch { t, slot } => {
-                    let buf = &mut pool[slot as usize];
-                    buf.fill(0.0);
-                    let ins = g.in_neighbors(plan.targets[t as usize]);
-                    for &x in ins {
-                        cur.add_row_into(x as usize, buf);
-                    }
-                    counter.add(((ins.len() as u64).saturating_sub(1)) * n as u64);
-                }
+            let (node, slot, parent_slot) = match *step {
+                Step::Scratch { node, slot } | Step::InPlace { node, slot } => (node, slot, None),
                 Step::CopyUpdate {
-                    t,
+                    node,
                     parent_slot,
                     slot,
-                } => {
-                    // Split-borrow the two distinct slots.
-                    let (src, dst) = borrow_two(pool, parent_slot as usize, slot as usize);
-                    dst.copy_from_slice(src);
-                    apply_update(cur, &plan.ops[t as usize], dst, counter, n);
-                }
-                Step::InPlace { t, slot } => {
-                    apply_update(
-                        cur,
-                        &plan.ops[t as usize],
-                        &mut pool[slot as usize],
-                        counter,
-                        n,
-                    );
-                }
-                Step::Emit { t, slot } => {
-                    let u = plan.targets[t as usize] as usize;
+                } => (node, slot, Some(parent_slot)),
+                Step::Emit { node, slot } => {
                     let block = &mut state.block;
                     let k = block.len;
-                    for (x, &v) in pool[slot as usize].iter().enumerate() {
-                        block.stage[x * B + k] = v;
+                    for (row, &v) in block.stage.chunks_exact_mut(B).zip(&pool[slot as usize]) {
+                        row[k] = v;
                     }
-                    block.src[k] = t as usize;
-                    // Triangular pair set: only targets `w ≥ lo` are
-                    // written (the driver mirrors the lower triangle).
+                    block.src[k] = node as usize;
+                    // Triangular pair set: only targets `w ≥ lo` count
+                    // (the driver mirrors the lower triangle).
+                    let u = plan.outer[node as usize].w as usize;
                     block.lo[k] = if self.diagonal { u } else { u + 1 };
                     block.len += 1;
                     if block.len == B {
                         self.walk_block(block, writer, counter);
                     }
+                    continue;
                 }
-            }
+            };
+            let op = &plan.outer[node as usize].op;
+            let (base, y) = match parent_slot {
+                Some(p) => {
+                    let (src, dst) = borrow_two(pool, p as usize, slot as usize);
+                    (Some(src), dst)
+                }
+                None => (None, pool[slot as usize].as_mut_slice()),
+            };
+            update_rows(cur, y, base, op.update, plan.sub(op), plan.add(op));
+            counter.add(op.cost() as u64 * n as u64);
         }
     }
 
     /// The outer pass (procedure `OP`) for every staged source at once:
-    /// adds `factor/(d_u·d_w)·OuterPartial` into `row_u[w]` for every
+    /// writes `factor/(d_u·d_w)·OuterPartial` into `row_u[w]` for every
     /// lane's source `u` and every target `w ≥ lo_u`, then empties the
     /// block.
     fn walk_block(
@@ -404,7 +404,7 @@ impl Pass<'_> {
         if block.len == 0 {
             return;
         }
-        let (g, plan) = (self.g, self.plan);
+        let plan = self.plan;
         let (stage, lo) = (&block.stage, block.lo);
         // The pair scale with the same expression as per pair, once per
         // distinct target in-degree (not a reciprocal: that changes bits).
@@ -413,9 +413,9 @@ impl Pass<'_> {
                 block.coef[c * B + k] = self.factor / (self.in_deg[block.src[k]] * d);
             }
         }
-        let rows: [&mut [f64]; B] = std::array::from_fn(|k| {
+        let mut rows: [&mut [f64]; B] = std::array::from_fn(|k| {
             if k < block.len {
-                let u = plan.targets[block.src[k]] as usize;
+                let u = plan.outer[block.src[k]].w as usize;
                 // SAFETY: each target is emitted exactly once per pass,
                 // this worker owns the segment that emitted it, and the
                 // lanes hold distinct sources, so row `u` is this
@@ -425,6 +425,7 @@ impl Pass<'_> {
                 &mut []
             }
         });
+        let rows = &mut rows[..block.len];
         // Preorder walk sharing OuterPartial lanes (Proposition 4), pruned
         // to the subtrees that still hold a target some lane needs (see
         // the module header for why every lane stays bit-exact).
@@ -432,40 +433,39 @@ impl Pass<'_> {
         let outer = &plan.outer;
         let mut i = 0;
         while i < outer.len() {
-            let step = outer[i];
+            let step = &outer[i];
             let subtree_max = step.subtree_max as usize;
             if subtree_max < lo_min {
                 i = step.subtree_end as usize;
                 continue;
             }
-            let (t, d) = (step.t as usize, step.depth as usize);
-            let (val, cost): ([f64; B], usize) = match &plan.ops[t] {
-                EdgeOp::Scratch => {
-                    let ins = g.in_neighbors(plan.targets[t]);
-                    (
-                        par::kernel::gather_sum_block(stage, ins),
-                        ins.len().saturating_sub(1),
-                    )
-                }
-                EdgeOp::Update { sub, add } => {
-                    let parent = &block.outer[(d - 1) * B..d * B];
-                    let s = par::kernel::gather_sum_block::<B>(stage, sub);
-                    let a = par::kernel::gather_sum_block::<B>(stage, add);
-                    (
-                        std::array::from_fn(|k| parent[k] - s[k] + a[k]),
-                        sub.len() + add.len(),
-                    )
-                }
+            let d = step.depth as usize;
+            let a = par::kernel::gather_sum_block::<B>(stage, plan.add(&step.op));
+            let val: [f64; B] = if step.op.update {
+                let parent = &block.outer[(d - 1) * B..d * B];
+                let s = par::kernel::gather_sum_block::<B>(stage, plan.sub(&step.op));
+                std::array::from_fn(|k| parent[k] - s[k] + a[k])
+            } else {
+                a
             };
             block.outer[d * B..(d + 1) * B].copy_from_slice(&val);
             // Count only the lanes whose own pruned walk visits this node.
             let visits = lo.iter().filter(|&&l| l <= subtree_max).count();
-            counter.add((visits * cost) as u64);
-            let w = plan.targets[t] as usize;
-            let coef = &block.coef[self.degree_class[t] as usize * B..][..B];
-            for k in 0..B {
-                if w >= lo[k] {
-                    rows[k][w] += coef[k] * val[k];
+            counter.add((visits * step.op.cost()) as u64);
+            // Every filled lane writes, with no branch: a lane with
+            // `w < lo_k` lands on row `u_k`'s diagonal or strictly-lower
+            // entries, which the driver's pin and mirror overwrite.
+            let (w, coef) = (
+                step.w as usize,
+                &block.coef[self.class[i] as usize * B..][..B],
+            );
+            if self.assign {
+                for (k, row) in rows.iter_mut().enumerate() {
+                    row[w] = coef[k] * val[k];
+                }
+            } else {
+                for (k, row) in rows.iter_mut().enumerate() {
+                    row[w] += coef[k] * val[k];
                 }
             }
             i += 1;
@@ -475,19 +475,30 @@ impl Pass<'_> {
     }
 }
 
-/// Applies a Proposition 3 update to a partial-sum buffer.
-#[inline]
-fn apply_update(cur: &ScoreGrid, op: &EdgeOp, buf: &mut [f64], counter: &mut OpCounter, n: usize) {
-    match op {
-        EdgeOp::Scratch => unreachable!("schedule maps Scratch ops to Scratch steps"),
-        EdgeOp::Update { sub, add } => {
-            for &x in sub.iter() {
-                cur.sub_row_from(x as usize, buf);
-            }
-            for &x in add.iter() {
-                cur.add_row_into(x as usize, buf);
-            }
-            counter.add((sub.len() + add.len()) as u64 * n as u64);
+/// Sets `y = ((y₀ − s₁) − s₂ …) + a₁ + …` over the `cur` rows of `sub`
+/// and `add`, one [`STRIP`] of `y` at a time, in the per-entry order of a
+/// copy followed by whole-row subtracts and adds. `y₀` is `base` when
+/// given, `y` itself for an update in place, and zero for a scratch sum.
+fn update_rows(
+    cur: &ScoreGrid,
+    y: &mut [f64],
+    base: Option<&[f64]>,
+    update: bool,
+    sub: &[NodeId],
+    add: &[NodeId],
+) {
+    for (i, ys) in y.chunks_mut(STRIP).enumerate() {
+        let r = i * STRIP..i * STRIP + ys.len();
+        match base {
+            Some(src) => ys.copy_from_slice(&src[r.clone()]),
+            None if !update => ys.fill(0.0),
+            None => {}
+        }
+        for &x in sub {
+            par::kernel::subtract(ys, &cur.row(x as usize)[r.clone()]);
+        }
+        for &x in add {
+            par::kernel::accumulate(ys, &cur.row(x as usize)[r.clone()]);
         }
     }
 }

@@ -95,12 +95,6 @@ impl ScoreGrid {
         kernel::accumulate(out, self.row(x));
     }
 
-    /// `out[y] -= self[x][y]` for all y.
-    #[inline]
-    pub fn sub_row_from(&self, x: usize, out: &mut [f64]) {
-        kernel::subtract(out, self.row(x));
-    }
-
     /// Raw backing storage (row-major); used by the parallel executor's
     /// disjoint-row writer.
     pub(crate) fn data_mut(&mut self) -> &mut [f64] {
@@ -185,8 +179,6 @@ mod tests {
         let mut buf = vec![1.0; 3];
         g.add_row_into(1, &mut buf);
         assert_eq!(buf, vec![1.5, 1.0, 1.25]);
-        g.sub_row_from(1, &mut buf);
-        assert_eq!(buf, vec![1.0, 1.0, 1.0]);
     }
 
     /// An order-`n` grid whose every entry is distinct, with an upper

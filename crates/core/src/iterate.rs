@@ -12,11 +12,16 @@
 //!
 //! Each sweep runs the same steps in the same order:
 //!
-//! 1. `next.clear_upper()` zeroes the pairs `b ≥ a`; the strictly-lower
-//!    entries keep stale values until step 5 overwrites them, and nothing
-//!    reads them before that;
+//! 1. `next.clear_upper()` zeroes the pairs `b ≥ a`. A kernel that
+//!    [`Kernel::assigns`] skips this once each grid has been cleared: it
+//!    overwrites every pair it owns and never touches the others, so only
+//!    the start grid, which is `next` at sweep 2, holds entries to clear.
+//!    The strictly-lower entries keep stale values until step 5 overwrites
+//!    them, and nothing reads them before that;
 //! 2. the kernel writes the pairs `b > a` of `next` (and `b = a` when it
-//!    does not pin the diagonal) from the full rows of `cur`;
+//!    does not pin the diagonal) from the full rows of `cur`. It may also
+//!    write the diagonal of a pinned kernel and strictly-lower entries;
+//!    steps 4 and 5 overwrite both;
 //! 3. the threshold sieve (when `threshold` is set) zeroes every
 //!    upper-triangle score below `δ`, as Lizorkin et al. define it on the
 //!    finished score;
@@ -73,11 +78,20 @@ pub(crate) trait Kernel {
         true
     }
 
-    /// Writes the upper triangle of `next` (zeroed by the driver) from the
-    /// full rows of `cur`, draining the sweep items it pushes onto the
-    /// (empty) `items` queue, and returns the merged add count. It never
-    /// reads or writes `next`'s strictly-lower entries, which hold stale
-    /// values until the mirror pass.
+    /// Whether each sweep assigns (`=`, not `+=`) every upper pair it
+    /// writes, and the same pairs every sweep. The driver then clears
+    /// `next` only until each grid has been written once.
+    fn assigns(&self) -> bool {
+        false
+    }
+
+    /// Writes the upper triangle of `next` from the full rows of `cur`,
+    /// draining the sweep items it pushes onto the (empty) `items` queue,
+    /// and returns the merged add count. The driver zeroes the upper
+    /// triangle first unless the kernel [`Kernel::assigns`]. The kernel
+    /// never reads `next`'s diagonal or strictly-lower entries; it may
+    /// write the strictly-lower ones, and the diagonal when the driver
+    /// pins it, since the mirror pass and the pin overwrite both.
     fn sweep(
         &mut self,
         pool: &mut WorkerPool<'_>,
@@ -130,7 +144,9 @@ pub(crate) fn iterate(
     let mut iterations = 0u32;
     WorkerPool::scoped(workers, |pool| {
         while iterations < cap {
-            next.clear_upper();
+            if iterations == 1 || !kernel.assigns() {
+                next.clear_upper();
+            }
             counter.add(kernel.sweep(pool, &mut items, &cur, &mut next));
             if let Some(delta) = threshold {
                 sieve_upper(&mut next, delta);

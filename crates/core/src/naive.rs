@@ -85,6 +85,10 @@ impl Kernel for NaiveKernel<'_> {
         self.workers
     }
 
+    fn assigns(&self) -> bool {
+        true
+    }
+
     /// Writes `next(a, b)` for every `b > a` with both in-sets non-empty.
     fn sweep(
         &mut self,

@@ -31,62 +31,80 @@ use simrank_mst::Arborescence;
 use simrank_par as par;
 use std::time::{Duration, Instant};
 
-/// How a target's partial sum is obtained from its tree parent's.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EdgeOp {
-    /// Sum the rows of `I(target)` from scratch (`|I| − 1` additions per
-    /// output entry).
-    Scratch,
-    /// Proposition 3: subtract the `sub` rows from and add the `add` rows to
-    /// the parent's partial sum (`|sub| + |add|` operations per entry).
-    Update {
-        /// `I(parent) ∖ I(target)` — rows to subtract.
-        sub: Box<[NodeId]>,
-        /// `I(target) ∖ I(parent)` — rows to add.
-        add: Box<[NodeId]>,
-    },
+/// How a target's partial sum is obtained: a range of
+/// [`SharingPlan::lists`] split in two. `lists[start..split]` holds the
+/// rows to subtract, `lists[split..end]` the rows to add.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EdgeOp {
+    /// Proposition 3 when set: subtract `I(parent) ∖ I(target)` from the
+    /// parent's partial sum and add `I(target) ∖ I(parent)` (`|sub| + |add|`
+    /// operations per entry). Otherwise a scratch sum from zero: the sub
+    /// range is empty and the add range is all of `I(target)` (`|I| − 1`
+    /// additions per entry).
+    pub update: bool,
+    /// Start of the sub range.
+    pub start: u32,
+    /// End of the sub range, start of the add range.
+    pub split: u32,
+    /// End of the add range.
+    pub end: u32,
 }
 
-/// One step of the replayable inner-partial-sums schedule. `t` indexes
-/// [`SharingPlan::targets`]; `slot` indexes the buffer pool.
+impl EdgeOp {
+    /// Additions per output entry.
+    pub fn cost(&self) -> usize {
+        if self.update {
+            (self.end - self.start) as usize
+        } else {
+            (self.end - self.split).saturating_sub(1) as usize
+        }
+    }
+}
+
+/// One step of the replayable inner-partial-sums schedule. `node` indexes
+/// [`SharingPlan::outer`], which holds the target and its op; `slot`
+/// indexes the buffer pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// Fill `slot` with target `t`'s partial sum from scratch.
+    /// Fill `slot` with the node's partial sum from scratch.
     Scratch {
-        /// Target index.
-        t: u32,
+        /// Walk-program position.
+        node: u32,
         /// Destination buffer slot.
         slot: u32,
     },
-    /// Copy the parent's buffer into `slot`, then apply `t`'s update op.
+    /// Copy the parent's buffer into `slot`, then apply the node's op.
     CopyUpdate {
-        /// Target index.
-        t: u32,
+        /// Walk-program position.
+        node: u32,
         /// Slot holding the parent's partial sum.
         parent_slot: u32,
         /// Destination buffer slot.
         slot: u32,
     },
-    /// Apply `t`'s update op in place — `slot` currently holds the parent's
-    /// partial sum and afterwards holds `t`'s (the paper's chain walk).
+    /// Apply the node's op in place — `slot` currently holds the parent's
+    /// partial sum and afterwards holds the node's (the paper's chain
+    /// walk).
     InPlace {
-        /// Target index.
-        t: u32,
+        /// Walk-program position.
+        node: u32,
         /// Buffer slot being transformed.
         slot: u32,
     },
-    /// `slot` now holds `Partial_{I(targets[t])}(·)`: run the outer pass for
-    /// source `targets[t]`.
+    /// `slot` now holds `Partial_{I(w)}(·)` for the node's target `w`: run
+    /// the outer pass for source `w`.
     Emit {
-        /// Target index.
-        t: u32,
+        /// Walk-program position.
+        node: u32,
         /// Buffer slot with the finished partial sum.
         slot: u32,
     },
 }
 
-/// One node of the outer pass's program (procedure `OP`): the sharing
-/// tree in preorder, with what the **triangular** walk needs to prune it.
+/// One node of the sharing tree's walk program: the tree in preorder,
+/// with each node's op and what the **triangular** outer pass (procedure
+/// `OP`) needs to prune it. The outer pass reads the program and the
+/// node's index lists front to back.
 ///
 /// SimRank is symmetric, so when emitting source `u` the outer walk only
 /// needs targets `w > u` (the strictly-upper pairs; the differential mode
@@ -101,6 +119,8 @@ pub enum Step {
 pub struct OuterStep {
     /// Target index into [`SharingPlan::targets`] (tree node `t + 1`).
     pub t: u32,
+    /// The target vertex `targets[t]`.
+    pub w: NodeId,
     /// Depth below the root `∅` (root children are at depth 0). In
     /// preorder a node's tree parent is the last node visited at
     /// `depth − 1`, so the walk keeps one `OuterPartial` per depth level.
@@ -110,6 +130,8 @@ pub struct OuterStep {
     pub subtree_end: u32,
     /// The largest target *vertex id* anywhere in this node's subtree.
     pub subtree_max: NodeId,
+    /// How the node's partial sum is obtained from its parent's.
+    pub op: EdgeOp,
 }
 
 /// The precomputed sharing plan for a graph.
@@ -121,12 +143,12 @@ pub struct SharingPlan {
     pub targets: Vec<NodeId>,
     /// The minimum spanning arborescence over `1 + targets.len()` nodes.
     pub arb: Arborescence,
-    /// Per-target op (indexed like `targets`).
-    pub ops: Vec<EdgeOp>,
-    /// The outer pass's program: every tree node in preorder (parents
-    /// before children), with the depth and subtree extents the
+    /// The walk program: every tree node in preorder (parents before
+    /// children), with its op and the depth and subtree extents the
     /// triangular walk prunes by (see [`OuterStep`]).
     pub outer: Vec<OuterStep>,
+    /// Every op's index lists, back to back in walk-program order.
+    pub lists: Vec<NodeId>,
     /// The inner-partial-sums schedule.
     pub schedule: Vec<Step>,
     /// Contiguous, independently replayable ranges of [`Self::schedule`],
@@ -173,51 +195,31 @@ impl SharingPlan {
         arb: Arborescence,
         start: Instant,
     ) -> SharingPlan {
-        let t = targets.len();
-
-        // --- Per-target ops from the chosen tree edges. ---
-        let mut ops = Vec::with_capacity(t);
-        for (i, &v) in targets.iter().enumerate() {
-            let node = i + 1;
-            let parent = arb.parent(node).expect("non-root node has a parent");
-            let op = if parent == 0 {
-                EdgeOp::Scratch
-            } else {
-                let pv = targets[parent - 1];
-                let ins_p = g.in_neighbors(pv);
-                let ins_v = g.in_neighbors(v);
-                let sym = setops::symmetric_difference_size(ins_p, ins_v);
-                let scratch = ins_v.len().saturating_sub(1);
-                // Eq. 7: update from the parent only when that is strictly
-                // cheaper than summing from scratch.
-                if sym < scratch {
-                    let (sub, add) = setops::difference_lists(ins_p, ins_v);
-                    EdgeOp::Update {
-                        sub: sub.into(),
-                        add: add.into(),
-                    }
-                } else {
-                    EdgeOp::Scratch
-                }
-            };
-            ops.push(op);
-        }
-
-        let outer = Self::outer_program(&arb, &targets);
-        let (schedule, slots) = Self::build_schedule(&arb, &ops);
-        let segments = Self::root_segments(&arb, &schedule);
+        let (outer, lists) = Self::walk_program(g, &arb, &targets);
+        let (schedule, slots) = Self::build_schedule(&arb, &outer);
+        let segments = Self::root_segments(&outer, &schedule);
         let tree_weight = arb.total_weight;
         SharingPlan {
             targets,
             arb,
-            ops,
             outer,
+            lists,
             schedule,
             segments,
             slots,
             tree_weight,
             build_time: start.elapsed(),
         }
+    }
+
+    /// The rows `op` subtracts.
+    pub fn sub(&self, op: &EdgeOp) -> &[NodeId] {
+        &self.lists[op.start as usize..op.split as usize]
+    }
+
+    /// The rows `op` adds.
+    pub fn add(&self, op: &EdgeOp) -> &[NodeId] {
+        &self.lists[op.split as usize..op.end as usize]
     }
 
     /// Effective per-target transition cost `d′` (Proposition 5's
@@ -333,14 +335,16 @@ impl SharingPlan {
     /// next, so each subtree occupies a contiguous step range; slot ids are
     /// recycled *between* segments but never shared concurrently within
     /// one, which is what makes per-worker buffer pools sound.
-    fn root_segments(arb: &Arborescence, schedule: &[Step]) -> Vec<std::ops::Range<usize>> {
+    fn root_segments(outer: &[OuterStep], schedule: &[Step]) -> Vec<std::ops::Range<usize>> {
         let mut starts = Vec::new();
         for (i, step) in schedule.iter().enumerate() {
-            let t = match *step {
-                Step::Scratch { t, .. } | Step::CopyUpdate { t, .. } | Step::InPlace { t, .. } => t,
+            let node = match *step {
+                Step::Scratch { node, .. }
+                | Step::CopyUpdate { node, .. }
+                | Step::InPlace { node, .. } => node,
                 Step::Emit { .. } => continue,
             };
-            if arb.parent(t as usize + 1) == Some(0) {
+            if outer[node as usize].depth == 0 {
                 starts.push(i);
             }
         }
@@ -352,21 +356,53 @@ impl SharingPlan {
         segments
     }
 
-    /// Builds the [`OuterStep`] program: a preorder over tree nodes,
-    /// parents before children, with each node's depth, subtree extent (a
-    /// node's subtree is exactly the contiguous run of strictly deeper
-    /// nodes that follows it) and per-subtree max target id (a
-    /// reverse-preorder max-fold, children before parents).
-    fn outer_program(arb: &Arborescence, targets: &[NodeId]) -> Vec<OuterStep> {
+    /// Builds the [`OuterStep`] program and its index lists: a preorder
+    /// over tree nodes, parents before children, with each node's depth,
+    /// subtree extent (a node's subtree is exactly the contiguous run of
+    /// strictly deeper nodes that follows it), per-subtree max target id (a
+    /// reverse-preorder max-fold, children before parents) and op.
+    fn walk_program(
+        g: &DiGraph,
+        arb: &Arborescence,
+        targets: &[NodeId],
+    ) -> (Vec<OuterStep>, Vec<NodeId>) {
         let children = arb.children();
         let mut outer: Vec<OuterStep> = Vec::with_capacity(arb.len() - 1);
+        let mut lists: Vec<NodeId> = Vec::new();
         let mut stack: Vec<(usize, u32)> = children[0].iter().rev().map(|&c| (c, 0)).collect();
         while let Some((v, depth)) = stack.pop() {
+            let w = targets[v - 1];
+            let ins = g.in_neighbors(w);
+            let start = lists.len() as u32;
+            let parent = arb.parent(v).expect("non-root node has a parent");
+            // Eq. 7: update from the parent only when that is strictly
+            // cheaper than summing from scratch.
+            let update = parent != 0 && {
+                let ins_p = g.in_neighbors(targets[parent - 1]);
+                setops::symmetric_difference_size(ins_p, ins) < ins.len().saturating_sub(1)
+            };
+            let split = if update {
+                let (sub, add) = setops::difference_lists(g.in_neighbors(targets[parent - 1]), ins);
+                lists.extend(sub);
+                let split = lists.len() as u32;
+                lists.extend(add);
+                split
+            } else {
+                lists.extend_from_slice(ins);
+                start
+            };
             outer.push(OuterStep {
                 t: v as u32 - 1,
+                w,
                 depth,
                 subtree_end: 0,
-                subtree_max: targets[v - 1],
+                subtree_max: w,
+                op: EdgeOp {
+                    update,
+                    start,
+                    split,
+                    end: lists.len() as u32,
+                },
             });
             stack.extend(children[v].iter().rev().map(|&c| (c, depth + 1)));
         }
@@ -390,13 +426,18 @@ impl SharingPlan {
                 j = outer[j].subtree_end as usize;
             }
         }
-        outer
+        (outer, lists)
     }
 
     /// Builds the buffer schedule: smallest subtrees first, largest subtree
     /// inherits the parent's buffer in place. Returns `(steps, slot_count)`.
-    fn build_schedule(arb: &Arborescence, ops: &[EdgeOp]) -> (Vec<Step>, usize) {
+    fn build_schedule(arb: &Arborescence, outer: &[OuterStep]) -> (Vec<Step>, usize) {
         let n_nodes = arb.len();
+        // Walk-program position of each tree node.
+        let mut pos = vec![0u32; n_nodes];
+        for (p, step) in outer.iter().enumerate() {
+            pos[step.t as usize + 1] = p as u32;
+        }
         let mut children = arb.children();
         let sizes = arb.subtree_sizes();
         for ch in children.iter_mut() {
@@ -406,8 +447,6 @@ impl SharingPlan {
         let mut slot_of = vec![u32::MAX; n_nodes];
         let mut free: Vec<u32> = Vec::new();
         let mut next_slot: u32 = 0;
-        let mut peak: u32 = 0;
-        let mut live: u32 = 0;
 
         enum Frame {
             /// Compute `node`'s partial (allocating or inheriting a slot),
@@ -443,28 +482,24 @@ impl SharingPlan {
                     let slot = if inplace {
                         parent_slot
                     } else {
-                        let s = free.pop().unwrap_or_else(|| {
-                            let s = next_slot;
+                        free.pop().unwrap_or_else(|| {
                             next_slot += 1;
-                            s
-                        });
-                        live += 1;
-                        peak = peak.max(live);
-                        s
+                            next_slot - 1
+                        })
                     };
                     slot_of[node] = slot;
-                    let t = (node - 1) as u32;
-                    let step = match (&ops[node - 1], inplace) {
-                        (EdgeOp::Scratch, _) => Step::Scratch { t, slot },
-                        (EdgeOp::Update { .. }, true) => Step::InPlace { t, slot },
-                        (EdgeOp::Update { .. }, false) => Step::CopyUpdate {
-                            t,
+                    let p = pos[node];
+                    let step = match (outer[p as usize].op.update, inplace) {
+                        (false, _) => Step::Scratch { node: p, slot },
+                        (true, true) => Step::InPlace { node: p, slot },
+                        (true, false) => Step::CopyUpdate {
+                            node: p,
                             parent_slot,
                             slot,
                         },
                     };
                     steps.push(step);
-                    steps.push(Step::Emit { t, slot });
+                    steps.push(Step::Emit { node: p, slot });
                     stack.push(Frame::Children { node, idx: 0 });
                 }
                 Frame::Children { node, idx } => {
@@ -492,10 +527,7 @@ impl SharingPlan {
                         });
                     }
                 }
-                Frame::Release { node } => {
-                    free.push(slot_of[node]);
-                    live -= 1;
-                }
+                Frame::Release { node } => free.push(slot_of[node]),
             }
         }
         (steps, next_slot as usize)
@@ -593,38 +625,32 @@ mod tests {
         assert_eq!(plan.arb.parent(4), Some(1));
     }
 
+    /// Target `t`'s op as `(update, sub, add)`.
+    fn op_of(plan: &SharingPlan, t: u32) -> (bool, &[NodeId], &[NodeId]) {
+        let op = &plan
+            .outer
+            .iter()
+            .find(|s| s.t == t)
+            .expect("a node per target")
+            .op;
+        (op.update, plan.sub(op), plan.add(op))
+    }
+
     #[test]
     fn fig3a_partitions_as_ops() {
         let plan = default_plan();
-        // I(c) = I(a) ∪ {d}: op Update { sub: [], add: [d] }.
-        match &plan.ops[3] {
-            EdgeOp::Update { sub, add } => {
-                assert!(sub.is_empty());
-                assert_eq!(add.as_ref(), &[fig1a::D]);
-            }
-            op => panic!("I(c) should share with I(a), got {op:?}"),
+        // I(c) = I(a) ∪ {d}: an update with sub [] and add [d].
+        assert_eq!(op_of(&plan, 3), (true, &[][..], &[fig1a::D][..]));
+        // I(b) = (I(e) ∖ ∅) with {e, i} added.
+        assert_eq!(op_of(&plan, 4), (true, &[][..], &[fig1a::E, fig1a::I][..]));
+        // I(d) = I(b) ∖ {g} ∪ {a}: the paper's Fig. 3a row for I(d).
+        assert_eq!(op_of(&plan, 5), (true, &[fig1a::G][..], &[fig1a::A][..]));
+        // Root children sum all of their in-neighbors from scratch.
+        let g = paper_fig1a();
+        for t in 0..3 {
+            let ins = g.in_neighbors(plan.targets[t as usize]);
+            assert_eq!(op_of(&plan, t), (false, &[][..], ins));
         }
-        // I(b) = (I(e) ∖ ∅) with {e, i} added: Update { sub: [], add: [e, i] }.
-        match &plan.ops[4] {
-            EdgeOp::Update { sub, add } => {
-                assert!(sub.is_empty());
-                assert_eq!(add.as_ref(), &[fig1a::E, fig1a::I]);
-            }
-            op => panic!("I(b) should share with I(e), got {op:?}"),
-        }
-        // I(d) = I(b) ∖ {g} ∪ {a}: Update { sub: [g], add: [a] } — the
-        // paper's Fig. 3a row for I(d).
-        match &plan.ops[5] {
-            EdgeOp::Update { sub, add } => {
-                assert_eq!(sub.as_ref(), &[fig1a::G]);
-                assert_eq!(add.as_ref(), &[fig1a::A]);
-            }
-            op => panic!("I(d) should share with I(b), got {op:?}"),
-        }
-        // Root children compute from scratch.
-        assert_eq!(plan.ops[0], EdgeOp::Scratch);
-        assert_eq!(plan.ops[1], EdgeOp::Scratch);
-        assert_eq!(plan.ops[2], EdgeOp::Scratch);
     }
 
     #[test]
@@ -709,10 +735,10 @@ mod tests {
         let mut emitted = vec![0u32; plan.targets.len()];
         for step in &plan.schedule {
             match *step {
-                Step::Scratch { t, .. } | Step::InPlace { t, .. } | Step::CopyUpdate { t, .. } => {
-                    computed[t as usize] += 1
-                }
-                Step::Emit { t, .. } => emitted[t as usize] += 1,
+                Step::Scratch { node, .. }
+                | Step::InPlace { node, .. }
+                | Step::CopyUpdate { node, .. } => computed[node as usize] += 1,
+                Step::Emit { node, .. } => emitted[node as usize] += 1,
             }
         }
         assert!(computed.iter().all(|&c| c == 1));
@@ -727,30 +753,31 @@ mod tests {
         let plan = default_plan();
         let slots = plan.slots;
         let mut holder: Vec<Option<u32>> = vec![None; slots]; // target in slot
-        let parent_of = |t: u32| plan.arb.parent(t as usize + 1).unwrap();
+        let t_of = |node: u32| plan.outer[node as usize].t;
+        let parent_of = |node: u32| plan.arb.parent(t_of(node) as usize + 1).unwrap();
         for step in &plan.schedule {
             match *step {
-                Step::Scratch { t, slot } => holder[slot as usize] = Some(t),
+                Step::Scratch { node, slot } => holder[slot as usize] = Some(t_of(node)),
                 Step::CopyUpdate {
-                    t,
+                    node,
                     parent_slot,
                     slot,
                 } => {
-                    let p = parent_of(t);
+                    let p = parent_of(node);
                     assert_eq!(
                         holder[parent_slot as usize],
                         Some(p as u32 - 1),
                         "parent slot must hold the tree parent's partial"
                     );
-                    holder[slot as usize] = Some(t);
+                    holder[slot as usize] = Some(t_of(node));
                 }
-                Step::InPlace { t, slot } => {
-                    let p = parent_of(t);
+                Step::InPlace { node, slot } => {
+                    let p = parent_of(node);
                     assert_eq!(holder[slot as usize], Some(p as u32 - 1));
-                    holder[slot as usize] = Some(t);
+                    holder[slot as usize] = Some(t_of(node));
                 }
-                Step::Emit { t, slot } => {
-                    assert_eq!(holder[slot as usize], Some(t));
+                Step::Emit { node, slot } => {
+                    assert_eq!(holder[slot as usize], Some(t_of(node)));
                 }
             }
         }
@@ -791,8 +818,8 @@ mod tests {
     fn assert_same_plan(a: &SharingPlan, b: &SharingPlan, label: &str) {
         assert_eq!(a.targets, b.targets, "{label}: targets");
         assert_eq!(a.arb, b.arb, "{label}: arb");
-        assert_eq!(a.ops, b.ops, "{label}: ops");
         assert_eq!(a.outer, b.outer, "{label}: outer");
+        assert_eq!(a.lists, b.lists, "{label}: lists");
         assert_eq!(a.schedule, b.schedule, "{label}: schedule");
         assert_eq!(a.segments, b.segments, "{label}: segments");
         assert_eq!(a.slots, b.slots, "{label}: slots");
@@ -945,14 +972,14 @@ mod tests {
                 let mut local: Vec<u32> = Vec::new();
                 for step in &plan.schedule[seg.clone()] {
                     match *step {
-                        Step::Scratch { t, slot } => {
+                        Step::Scratch { node, slot } => {
                             if local.len() <= slot as usize {
                                 local.resize(slot as usize + 1, u32::MAX);
                             }
-                            local[slot as usize] = t;
+                            local[slot as usize] = node;
                         }
                         Step::CopyUpdate {
-                            t,
+                            node,
                             parent_slot,
                             slot,
                         } => {
@@ -964,13 +991,13 @@ mod tests {
                             if local.len() <= slot as usize {
                                 local.resize(slot as usize + 1, u32::MAX);
                             }
-                            local[slot as usize] = t;
+                            local[slot as usize] = node;
                         }
-                        Step::InPlace { t, slot } => {
+                        Step::InPlace { node, slot } => {
                             assert_ne!(local[slot as usize], u32::MAX);
-                            local[slot as usize] = t;
+                            local[slot as usize] = node;
                         }
-                        Step::Emit { t, slot } => assert_eq!(local[slot as usize], t),
+                        Step::Emit { node, slot } => assert_eq!(local[slot as usize], node),
                     }
                 }
             }

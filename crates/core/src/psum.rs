@@ -120,6 +120,11 @@ impl Kernel for PsumKernel<'_> {
         self.workers
     }
 
+    /// Writes `next(a, b)` for every `b > a` with both in-sets non-empty.
+    fn assigns(&self) -> bool {
+        true
+    }
+
     fn sweep(
         &mut self,
         pool: &mut par::WorkerPool<'_>,

@@ -319,7 +319,7 @@ proptest! {
         let pt = SharingPlan::build(&g, &base.with_threads(t));
         prop_assert_eq!(&p1.targets, &pt.targets);
         prop_assert_eq!(&p1.arb, &pt.arb);
-        prop_assert_eq!(&p1.ops, &pt.ops);
+        prop_assert_eq!(&p1.lists, &pt.lists);
         prop_assert_eq!(&p1.outer, &pt.outer);
         prop_assert_eq!(&p1.schedule, &pt.schedule);
         prop_assert_eq!(&p1.segments, &pt.segments);
