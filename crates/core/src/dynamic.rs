@@ -366,6 +366,26 @@ mod tests {
     }
 
     #[test]
+    fn a_vertex_losing_its_last_in_edge_ends_with_a_zero_row() {
+        // psum never writes the row of a vertex with no in-edges, so the
+        // driver must clear the warm start's old row before sweep 2 lands
+        // on that grid: s(a, w) = 0 for every w ≠ a after an odd or an even
+        // number of sweeps.
+        let mut g = paper_fig1a();
+        let warm = naive_simrank(&g, &tight()).0;
+        for &x in paper_fig1a().in_neighbors(0) {
+            assert_eq!(g.remove_edge(x, 0), Ok(true));
+        }
+        for (sweeps, threads) in [(3, 1), (4, 1), (3, 2), (4, 4), (3, 8), (4, 8)] {
+            let opts = tight().with_iterations(sweeps).with_threads(threads);
+            let (scores, report) = resweep_with_report(&g, &warm, &opts);
+            assert_eq!(report.iterations, sweeps);
+            let row: Vec<f64> = (1..9).map(|w| scores.get(0, w)).collect();
+            assert_eq!(row, [0.0; 8], "{sweeps} sweeps at width {threads}");
+        }
+    }
+
+    #[test]
     fn tolerance_floor_holds() {
         assert_eq!(resweep_tolerance(0.6, 1e-3), 1e-3 * 0.4);
         assert_eq!(resweep_tolerance(0.999_999, 1e-300), 1e-12);

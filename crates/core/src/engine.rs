@@ -9,24 +9,29 @@
 //!
 //! * **inner pass** — replay the schedule, maintaining
 //!   `Partial_{I(u)}(y) = Σ_{x∈I(u)} s_k(x, y)` buffers via Proposition 3
-//!   updates along tree edges;
+//!   updates along tree edges. A step's copy (or zero fill), subtracts and
+//!   adds run as one pass over the buffer, strip by strip, and each entry
+//!   keeps the order `((y₀ − s₁) − s₂ …) + a₁ + …` of whole-row updates;
 //! * **outer pass** (procedure `OP`) — walk the same tree in preorder
 //!   maintaining `OuterPartial^{I(u)}_{I(w)}` values via Proposition 4
-//!   updates, adding `factor/(d_u·d_w)·OuterPartial` into `s_{k+1}(u, w)`
-//!   — **only for the triangular pair set** `w ≥ u` (SimRank is
-//!   symmetric, so the strictly-lower pairs are redundant arithmetic).
+//!   updates, writing `factor/(d_u·d_w)·OuterPartial` into `s_{k+1}(u, w)`
+//!   — **for the triangular pair set** `w ≥ u` (SimRank is symmetric, so
+//!   the strictly-lower pairs are redundant arithmetic).
 //!
 //! # The blocked outer pass
 //!
 //! One walk serves a block of up to `B` sources. Each worker copies every
 //! finished source buffer into a transposed `n × B` staging block
-//! (`stage[x·B + k]`), and walks [`SharingPlan::outer`] once the block is
-//! full and once more at the end of its share of each pass (blocks never
-//! straddle a pass). Every tree node's `OuterPartial` is then a contiguous
-//! `B`-vector — `parent − Σsub + Σadd` over `B`-wide staged rows — kept in
-//! a stack indexed by depth, because in preorder a node's parent is the
-//! last node visited one level up. The walk prunes a subtree when its
-//! largest target id falls below the smallest threshold in the block.
+//! (`stage[x·B + k]`), and walks the plan's program
+//! ([`SharingPlan::outer`]) once the block is full and once more at the end
+//! of its share of each pass (blocks never straddle a pass). The program
+//! holds each node's target, op and prune extent, and its index lists sit
+//! back to back in [`SharingPlan::lists`], so the walk reads both front to
+//! back. Every tree node's `OuterPartial` is a contiguous `B`-vector —
+//! `parent − Σsub + Σadd` over `B`-wide staged rows — kept in a stack
+//! indexed by depth, because in preorder a node's parent is the last node
+//! visited one level up. The walk prunes a subtree when its largest target
+//! id falls below the smallest threshold in the block.
 //!
 //! The block changes how work is grouped, never what a lane computes:
 //!
@@ -37,15 +42,20 @@
 //!   for each distinct in-degree instead of once per pair;
 //! * a computed node's parent is always computed too (its subtree holds a
 //!   larger-or-equal maximum), so every lane's values match an unpruned
-//!   walk; lane `k` writes `row_u[w]` only where `w ≥ lo_k`;
+//!   walk;
+//! * every filled lane writes `row_u[w]` at every visited node, with no
+//!   branch. Where `w < lo_k` that lands on `u`'s diagonal or strictly-lower
+//!   entries, which the driver's pin and mirror overwrite;
 //! * adds are counted only for the lanes whose own pruned walk would
 //!   visit the node, so the op count equals a walk per source.
 //!
 //! Which sources share a block depends on the pool width; no lane's bits
-//! or count do.
+//! or count do. The first pass assigns its pairs, so a lone pass writes
+//! every pair it owns each sweep and the driver need not clear the grid
+//! ([`Kernel::assigns`]); P-Rank's second pass adds onto the first.
 //!
 //! The [`crate::iterate`] driver runs the iteration around [`OipKernel`]:
-//! sieve, diagonal pin, mirror and swap.
+//! clear, sieve, diagonal pin, mirror and swap.
 //!
 //! # Parallel replay
 //!
@@ -63,8 +73,8 @@ use crate::grid::ScoreGrid;
 use crate::instrument::Report;
 use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::options::SimRankOptions;
-use crate::plan::{SharingPlan, Step};
-use simrank_graph::{DiGraph, NodeId};
+use crate::plan::{EdgeOp, SharingPlan, Step};
+use simrank_graph::DiGraph;
 use simrank_par::{self as par, OpCounter};
 
 /// Which recurrence the engine iterates.
@@ -159,8 +169,6 @@ struct Pass<'a> {
     /// Whether the pass assigns its pairs (the first pass) rather than
     /// accumulating onto an earlier pass's.
     assign: bool,
-    /// In-degree of each walk-program node's target, as `f64`.
-    in_deg: Vec<f64>,
     /// The distinct target in-degrees, ascending.
     degrees: Vec<f64>,
     /// Index into `degrees` of each walk-program node's in-degree.
@@ -230,23 +238,18 @@ impl<'a> OipKernel<'a> {
                 let mut degrees: Vec<usize> =
                     plan.targets.iter().map(|&v| g.in_degree(v)).collect();
                 degrees.dedup();
-                let (in_deg, class) = plan
-                    .outer
-                    .iter()
-                    .map(|step| {
-                        let d = g.in_degree(step.w);
-                        let c = degrees.binary_search(&d).expect("a target's degree");
-                        (d as f64, c as u32)
-                    })
-                    .unzip();
+                let class = plan.outer.iter().map(|step| {
+                    degrees
+                        .binary_search(&g.in_degree(step.w))
+                        .expect("a target's degree") as u32
+                });
                 Pass {
                     plan,
                     factor,
                     diagonal: mode == Mode::Differential,
                     assign: i == 0,
-                    in_deg,
+                    class: class.collect(),
                     degrees: degrees.iter().map(|&d| d as f64).collect(),
-                    class,
                     shares: par::balance(&seg_weights, workers),
                 }
             })
@@ -353,41 +356,30 @@ impl Pass<'_> {
         let n = cur.order();
         let pool = state.pool.as_mut_slice();
         for step in &plan.schedule[segment.clone()] {
-            let (node, slot, parent_slot) = match *step {
-                Step::Scratch { node, slot } | Step::InPlace { node, slot } => (node, slot, None),
-                Step::CopyUpdate {
-                    node,
-                    parent_slot,
-                    slot,
-                } => (node, slot, Some(parent_slot)),
-                Step::Emit { node, slot } => {
-                    let block = &mut state.block;
-                    let k = block.len;
-                    for (row, &v) in block.stage.chunks_exact_mut(B).zip(&pool[slot as usize]) {
-                        row[k] = v;
-                    }
-                    block.src[k] = node as usize;
-                    // Triangular pair set: only targets `w ≥ lo` count
-                    // (the driver mirrors the lower triangle).
-                    let u = plan.outer[node as usize].w as usize;
-                    block.lo[k] = if self.diagonal { u } else { u + 1 };
-                    block.len += 1;
-                    if block.len == B {
-                        self.walk_block(block, writer, counter);
-                    }
-                    continue;
-                }
+            let Step { node, from, slot } = *step;
+            let (base, y) = if from == slot {
+                (None, pool[slot as usize].as_mut_slice())
+            } else {
+                let (src, dst) = borrow_two(pool, from as usize, slot as usize);
+                (Some(src), dst)
             };
-            let op = &plan.outer[node as usize].op;
-            let (base, y) = match parent_slot {
-                Some(p) => {
-                    let (src, dst) = borrow_two(pool, p as usize, slot as usize);
-                    (Some(src), dst)
-                }
-                None => (None, pool[slot as usize].as_mut_slice()),
-            };
-            update_rows(cur, y, base, op.update, plan.sub(op), plan.add(op));
-            counter.add(op.cost() as u64 * n as u64);
+            let step = &plan.outer[node as usize];
+            update_rows(cur, y, base, &step.op, plan);
+            counter.add(step.op.cost() as u64 * n as u64);
+            // Stage the finished partial sum as the block's next lane.
+            let block = &mut state.block;
+            let k = block.len;
+            for (row, &v) in block.stage.chunks_exact_mut(B).zip(&*y) {
+                row[k] = v;
+            }
+            block.src[k] = node as usize;
+            // Triangular pair set: only targets `w ≥ lo` count (the
+            // driver mirrors the lower triangle).
+            block.lo[k] = step.w as usize + usize::from(!self.diagonal);
+            block.len += 1;
+            if block.len == B {
+                self.walk_block(block, writer, counter);
+            }
         }
     }
 
@@ -410,7 +402,8 @@ impl Pass<'_> {
         // distinct target in-degree (not a reciprocal: that changes bits).
         for (c, &d) in self.degrees.iter().enumerate() {
             for k in 0..block.len {
-                block.coef[c * B + k] = self.factor / (self.in_deg[block.src[k]] * d);
+                let d_u = self.degrees[self.class[block.src[k]] as usize];
+                block.coef[c * B + k] = self.factor / (d_u * d);
             }
         }
         let mut rows: [&mut [f64]; B] = std::array::from_fn(|k| {
@@ -455,10 +448,8 @@ impl Pass<'_> {
             // Every filled lane writes, with no branch: a lane with
             // `w < lo_k` lands on row `u_k`'s diagonal or strictly-lower
             // entries, which the driver's pin and mirror overwrite.
-            let (w, coef) = (
-                step.w as usize,
-                &block.coef[self.class[i] as usize * B..][..B],
-            );
+            let w = step.w as usize;
+            let coef = &block.coef[self.class[i] as usize * B..][..B];
             if self.assign {
                 for (k, row) in rows.iter_mut().enumerate() {
                     row[w] = coef[k] * val[k];
@@ -475,29 +466,29 @@ impl Pass<'_> {
     }
 }
 
-/// Sets `y = ((y₀ − s₁) − s₂ …) + a₁ + …` over the `cur` rows of `sub`
-/// and `add`, one [`STRIP`] of `y` at a time, in the per-entry order of a
-/// copy followed by whole-row subtracts and adds. `y₀` is `base` when
-/// given, `y` itself for an update in place, and zero for a scratch sum.
+/// Sets `y = ((y₀ − s₁) − s₂ …) + a₁ + …` over the `cur` rows `op`
+/// subtracts and adds, one [`STRIP`] of `y` at a time, in the per-entry
+/// order of a copy followed by whole-row subtracts and adds. `y₀` is
+/// `base` when given, `y` itself for an update in place, and zero for a
+/// scratch sum.
 fn update_rows(
     cur: &ScoreGrid,
     y: &mut [f64],
     base: Option<&[f64]>,
-    update: bool,
-    sub: &[NodeId],
-    add: &[NodeId],
+    op: &EdgeOp,
+    plan: &SharingPlan,
 ) {
     for (i, ys) in y.chunks_mut(STRIP).enumerate() {
         let r = i * STRIP..i * STRIP + ys.len();
         match base {
             Some(src) => ys.copy_from_slice(&src[r.clone()]),
-            None if !update => ys.fill(0.0),
+            None if !op.update => ys.fill(0.0),
             None => {}
         }
-        for &x in sub {
+        for &x in plan.sub(op) {
             par::kernel::subtract(ys, &cur.row(x as usize)[r.clone()]);
         }
-        for &x in add {
+        for &x in plan.add(op) {
             par::kernel::accumulate(ys, &cur.row(x as usize)[r.clone()]);
         }
     }

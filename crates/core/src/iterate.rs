@@ -12,16 +12,14 @@
 //!
 //! Each sweep runs the same steps in the same order:
 //!
-//! 1. `next.clear_upper()` zeroes the pairs `b ≥ a`. A kernel that
-//!    [`Kernel::assigns`] skips this once each grid has been cleared: it
-//!    overwrites every pair it owns and never touches the others, so only
-//!    the start grid, which is `next` at sweep 2, holds entries to clear.
-//!    The strictly-lower entries keep stale values until step 5 overwrites
-//!    them, and nothing reads them before that;
+//! 1. `next.clear_upper()` zeroes the pairs `b ≥ a`, except that a kernel
+//!    which [`Kernel::assigns`] overwrites every pair it owns and no other,
+//!    so only the start grid (`next` at sweep 2) needs it. Strictly-lower
+//!    entries stay stale until step 5, and nothing reads them before;
 //! 2. the kernel writes the pairs `b > a` of `next` (and `b = a` when it
 //!    does not pin the diagonal) from the full rows of `cur`. It may also
-//!    write the diagonal of a pinned kernel and strictly-lower entries;
-//!    steps 4 and 5 overwrite both;
+//!    write a pinned diagonal and strictly-lower entries: steps 4 and 5
+//!    overwrite both;
 //! 3. the threshold sieve (when `threshold` is set) zeroes every
 //!    upper-triangle score below `δ`, as Lizorkin et al. define it on the
 //!    finished score;
@@ -78,20 +76,17 @@ pub(crate) trait Kernel {
         true
     }
 
-    /// Whether each sweep assigns (`=`, not `+=`) every upper pair it
-    /// writes, and the same pairs every sweep. The driver then clears
-    /// `next` only until each grid has been written once.
+    /// Whether each sweep assigns (`=`, not `+=`) the same upper pairs, so
+    /// the driver clears `next` only until each grid has been written once.
     fn assigns(&self) -> bool {
         false
     }
 
     /// Writes the upper triangle of `next` from the full rows of `cur`,
     /// draining the sweep items it pushes onto the (empty) `items` queue,
-    /// and returns the merged add count. The driver zeroes the upper
-    /// triangle first unless the kernel [`Kernel::assigns`]. The kernel
-    /// never reads `next`'s diagonal or strictly-lower entries; it may
-    /// write the strictly-lower ones, and the diagonal when the driver
-    /// pins it, since the mirror pass and the pin overwrite both.
+    /// and returns the merged add count. It never reads `next`'s
+    /// strictly-lower entries or a pinned diagonal, and may write them:
+    /// the mirror pass and the pin overwrite both.
     fn sweep(
         &mut self,
         pool: &mut WorkerPool<'_>,
@@ -191,8 +186,67 @@ fn sieve_upper(grid: &mut ScoreGrid, delta: f64) {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
     fn bits(s: &crate::SimMatrix) -> Vec<u64> {
         s.iter_upper().map(|(_, _, v)| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_kernel_hands_on_a_bit_symmetric_pinned_square() {
+        // Every grid `after_each` sees is exactly symmetric over the full
+        // square, pinned where the kernel pins, and zero in the rows of
+        // vertices no pass reaches (the differential diagonal included).
+        // A stray lower or diagonal write that survives the mirror or the
+        // pin breaks the first two; a skipped clear of the identity start
+        // breaks the third. Vertex 0 has out-edges only, 9 in-edges only,
+        // and 10 none.
+        use crate::engine::{Mode, OipKernel};
+        use crate::{naive::NaiveKernel, plan::SharingPlan, psum::PsumKernel};
+        let g = simrank_graph::gen::gnm(10, 40, 5);
+        let edges = g.edges().filter(|&(u, v)| v != 0 && u != 9);
+        let g = simrank_graph::DiGraph::from_edges(11, edges.collect::<Vec<_>>()).unwrap();
+        let rev = g.reverse();
+        for threads in [1usize, 2, 4, 8] {
+            let opts = crate::SimRankOptions::default().with_threads(threads);
+            let (plan, rev_plan) = (
+                SharingPlan::build(&g, &opts),
+                SharingPlan::build(&rev, &opts),
+            );
+            let both = [(&g, &plan, 0.3), (&rev, &rev_plan, 0.3)];
+            let oip = |passes: &[_], mode| Box::new(OipKernel::new(11, passes, &opts, mode));
+            let kernels: [(&str, Box<dyn Kernel>); 5] = [
+                ("naive", Box::new(NaiveKernel::new(&g, &opts))),
+                ("psum", Box::new(PsumKernel::new(&g, &opts))),
+                ("oip", oip(&both[..1], Mode::Conventional)),
+                ("oip-dsr", oip(&[(&g, &plan, 1.0)], Mode::Differential)),
+                ("prank", oip(&both, Mode::Conventional)),
+            ];
+            for (name, mut kernel) in kernels {
+                let pins = kernel.pins_diagonal();
+                let cut_off = |a| g.in_degree(a) == 0 && (name != "prank" || g.out_degree(a) == 0);
+                let check = |k, s: &ScoreGrid| {
+                    let ok = (0..11).all(|a| {
+                        (0..11).all(|b| {
+                            let v = s.get(a, b);
+                            let pinned = a == b && pins;
+                            v.to_bits() == s.get(b, a).to_bits()
+                                && (!pinned || v == 1.0)
+                                && (pinned || !cut_off(a as u32) || v == 0.0)
+                        })
+                    });
+                    assert!(ok, "{name}: sweep {k} at width {threads}");
+                };
+                iterate(
+                    11,
+                    None,
+                    kernel.as_mut(),
+                    Start::Identity,
+                    Stop::Fixed(5),
+                    check,
+                );
+            }
+        }
     }
 
     #[test]

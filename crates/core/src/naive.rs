@@ -40,7 +40,7 @@ pub fn naive_resweep(g: &DiGraph, warm: &SimMatrix, opts: &SimRankOptions) -> (S
 /// The triangular Jeh–Widom sweep, shared verbatim by the cold
 /// [`naive_simrank`] run and the warm [`naive_resweep`] oracle
 /// so the two are the same arithmetic by construction.
-struct NaiveKernel<'a> {
+pub(crate) struct NaiveKernel<'a> {
     g: &'a DiGraph,
     c: f64,
     workers: usize,
@@ -49,7 +49,7 @@ struct NaiveKernel<'a> {
 }
 
 impl<'a> NaiveKernel<'a> {
-    fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
+    pub(crate) fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
         let workers = par::effective_workers(opts.threads, g.node_count());
         NaiveKernel {
             g,

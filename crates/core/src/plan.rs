@@ -61,44 +61,19 @@ impl EdgeOp {
     }
 }
 
-/// One step of the replayable inner-partial-sums schedule. `node` indexes
-/// [`SharingPlan::outer`], which holds the target and its op; `slot`
-/// indexes the buffer pool.
+/// One step of the replayable inner-partial-sums schedule: it leaves
+/// `Partial_{I(w)}(·)` for the target `w` of walk-program node `node` in
+/// buffer `slot`, ready for the outer pass. A scratch op sums from zero.
+/// An update starts from the parent's partial sum in slot `from`: a copy
+/// when `from ≠ slot`, in place otherwise (the paper's chain walk).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step {
-    /// Fill `slot` with the node's partial sum from scratch.
-    Scratch {
-        /// Walk-program position.
-        node: u32,
-        /// Destination buffer slot.
-        slot: u32,
-    },
-    /// Copy the parent's buffer into `slot`, then apply the node's op.
-    CopyUpdate {
-        /// Walk-program position.
-        node: u32,
-        /// Slot holding the parent's partial sum.
-        parent_slot: u32,
-        /// Destination buffer slot.
-        slot: u32,
-    },
-    /// Apply the node's op in place — `slot` currently holds the parent's
-    /// partial sum and afterwards holds the node's (the paper's chain
-    /// walk).
-    InPlace {
-        /// Walk-program position.
-        node: u32,
-        /// Buffer slot being transformed.
-        slot: u32,
-    },
-    /// `slot` now holds `Partial_{I(w)}(·)` for the node's target `w`: run
-    /// the outer pass for source `w`.
-    Emit {
-        /// Walk-program position.
-        node: u32,
-        /// Buffer slot with the finished partial sum.
-        slot: u32,
-    },
+pub struct Step {
+    /// Position in [`SharingPlan::outer`], which holds the target and op.
+    pub node: u32,
+    /// Slot holding the parent's partial sum; `slot` for a scratch op.
+    pub from: u32,
+    /// Destination buffer slot.
+    pub slot: u32,
 }
 
 /// One node of the sharing tree's walk program: the tree in preorder,
@@ -338,13 +313,7 @@ impl SharingPlan {
     fn root_segments(outer: &[OuterStep], schedule: &[Step]) -> Vec<std::ops::Range<usize>> {
         let mut starts = Vec::new();
         for (i, step) in schedule.iter().enumerate() {
-            let node = match *step {
-                Step::Scratch { node, .. }
-                | Step::CopyUpdate { node, .. }
-                | Step::InPlace { node, .. } => node,
-                Step::Emit { .. } => continue,
-            };
-            if outer[node as usize].depth == 0 {
+            if outer[step.node as usize].depth == 0 {
                 starts.push(i);
             }
         }
@@ -375,22 +344,18 @@ impl SharingPlan {
             let ins = g.in_neighbors(w);
             let start = lists.len() as u32;
             let parent = arb.parent(v).expect("non-root node has a parent");
+            let ins_p = match parent {
+                0 => &[][..],
+                p => g.in_neighbors(targets[p - 1]),
+            };
             // Eq. 7: update from the parent only when that is strictly
-            // cheaper than summing from scratch.
-            let update = parent != 0 && {
-                let ins_p = g.in_neighbors(targets[parent - 1]);
-                setops::symmetric_difference_size(ins_p, ins) < ins.len().saturating_sub(1)
-            };
-            let split = if update {
-                let (sub, add) = setops::difference_lists(g.in_neighbors(targets[parent - 1]), ins);
-                lists.extend(sub);
-                let split = lists.len() as u32;
-                lists.extend(add);
-                split
-            } else {
-                lists.extend_from_slice(ins);
-                start
-            };
+            // cheaper than summing from scratch, which starts from `∅`.
+            let update =
+                setops::symmetric_difference_size(ins_p, ins) < ins.len().saturating_sub(1);
+            let (sub, add) = setops::difference_lists(if update { ins_p } else { &[] }, ins);
+            lists.extend(sub);
+            let split = lists.len() as u32;
+            lists.extend(add);
             outer.push(OuterStep {
                 t: v as u32 - 1,
                 w,
@@ -443,7 +408,7 @@ impl SharingPlan {
         for ch in children.iter_mut() {
             ch.sort_unstable_by_key(|&c| (sizes[c], c));
         }
-        let mut steps = Vec::with_capacity(3 * n_nodes);
+        let mut steps = Vec::with_capacity(n_nodes);
         let mut slot_of = vec![u32::MAX; n_nodes];
         let mut free: Vec<u32> = Vec::new();
         let mut next_slot: u32 = 0;
@@ -489,17 +454,16 @@ impl SharingPlan {
                     };
                     slot_of[node] = slot;
                     let p = pos[node];
-                    let step = match (outer[p as usize].op.update, inplace) {
-                        (false, _) => Step::Scratch { node: p, slot },
-                        (true, true) => Step::InPlace { node: p, slot },
-                        (true, false) => Step::CopyUpdate {
-                            node: p,
-                            parent_slot,
-                            slot,
-                        },
+                    let from = if outer[p as usize].op.update {
+                        parent_slot
+                    } else {
+                        slot
                     };
-                    steps.push(step);
-                    steps.push(Step::Emit { node: p, slot });
+                    steps.push(Step {
+                        node: p,
+                        from,
+                        slot,
+                    });
                     stack.push(Frame::Children { node, idx: 0 });
                 }
                 Frame::Children { node, idx } => {
@@ -732,54 +696,29 @@ mod tests {
     fn schedule_covers_each_target_once() {
         let plan = default_plan();
         let mut computed = vec![0u32; plan.targets.len()];
-        let mut emitted = vec![0u32; plan.targets.len()];
         for step in &plan.schedule {
-            match *step {
-                Step::Scratch { node, .. }
-                | Step::InPlace { node, .. }
-                | Step::CopyUpdate { node, .. } => computed[node as usize] += 1,
-                Step::Emit { node, .. } => emitted[node as usize] += 1,
-            }
+            computed[step.node as usize] += 1;
         }
         assert!(computed.iter().all(|&c| c == 1));
-        assert!(emitted.iter().all(|&c| c == 1));
     }
 
     #[test]
     fn schedule_respects_buffer_semantics() {
         // Replay the schedule symbolically: a slot must hold the parent's
-        // partial sum when CopyUpdate/InPlace consume it, and Emit must see
-        // the node's own value.
+        // partial sum when an update consumes it.
         let plan = default_plan();
-        let slots = plan.slots;
-        let mut holder: Vec<Option<u32>> = vec![None; slots]; // target in slot
-        let t_of = |node: u32| plan.outer[node as usize].t;
-        let parent_of = |node: u32| plan.arb.parent(t_of(node) as usize + 1).unwrap();
+        let mut holder: Vec<Option<u32>> = vec![None; plan.slots]; // target in slot
         for step in &plan.schedule {
-            match *step {
-                Step::Scratch { node, slot } => holder[slot as usize] = Some(t_of(node)),
-                Step::CopyUpdate {
-                    node,
-                    parent_slot,
-                    slot,
-                } => {
-                    let p = parent_of(node);
-                    assert_eq!(
-                        holder[parent_slot as usize],
-                        Some(p as u32 - 1),
-                        "parent slot must hold the tree parent's partial"
-                    );
-                    holder[slot as usize] = Some(t_of(node));
-                }
-                Step::InPlace { node, slot } => {
-                    let p = parent_of(node);
-                    assert_eq!(holder[slot as usize], Some(p as u32 - 1));
-                    holder[slot as usize] = Some(t_of(node));
-                }
-                Step::Emit { node, slot } => {
-                    assert_eq!(holder[slot as usize], Some(t_of(node)));
-                }
+            let node = &plan.outer[step.node as usize];
+            if node.op.update {
+                let p = plan.arb.parent(node.t as usize + 1).unwrap();
+                assert_eq!(
+                    holder[step.from as usize],
+                    Some(p as u32 - 1),
+                    "the source slot must hold the tree parent's partial"
+                );
             }
+            holder[step.slot as usize] = Some(node.t);
         }
     }
 
@@ -963,42 +902,20 @@ mod tests {
                 .filter(|&v| plan.arb.parent(v) == Some(0))
                 .count();
             assert_eq!(plan.segments.len(), root_children);
+            let update = |step: &Step| plan.outer[step.node as usize].op.update;
             for seg in &plan.segments {
-                assert!(matches!(plan.schedule[seg.start], Step::Scratch { .. }));
+                assert!(!update(&plan.schedule[seg.start]));
             }
-            // Segments are self-contained: every CopyUpdate/InPlace reads a
-            // slot whose current holder was computed inside the same segment.
+            // Segments are self-contained: every update reads a slot last
+            // written inside the same segment.
             for seg in &plan.segments {
-                let mut local: Vec<u32> = Vec::new();
+                let mut local = vec![false; plan.slots];
                 for step in &plan.schedule[seg.clone()] {
-                    match *step {
-                        Step::Scratch { node, slot } => {
-                            if local.len() <= slot as usize {
-                                local.resize(slot as usize + 1, u32::MAX);
-                            }
-                            local[slot as usize] = node;
-                        }
-                        Step::CopyUpdate {
-                            node,
-                            parent_slot,
-                            slot,
-                        } => {
-                            assert_ne!(
-                                local[parent_slot as usize],
-                                u32::MAX,
-                                "parent buffer must come from this segment"
-                            );
-                            if local.len() <= slot as usize {
-                                local.resize(slot as usize + 1, u32::MAX);
-                            }
-                            local[slot as usize] = node;
-                        }
-                        Step::InPlace { node, slot } => {
-                            assert_ne!(local[slot as usize], u32::MAX);
-                            local[slot as usize] = node;
-                        }
-                        Step::Emit { node, slot } => assert_eq!(local[slot as usize], node),
-                    }
+                    assert!(
+                        !update(step) || local[step.from as usize],
+                        "parent buffer from this segment"
+                    );
+                    local[step.slot as usize] = true;
                 }
             }
         }

@@ -106,6 +106,7 @@ mod tests {
     use crate::oip::oip_simrank;
     use simrank_graph::fixtures::paper_fig1a;
     use simrank_graph::gen;
+    use simrank_par as par;
 
     #[test]
     fn lambda_one_recovers_simrank() {
@@ -125,51 +126,53 @@ mod tests {
         assert!(pr.max_abs_diff(&sr_rev) < 1e-12);
     }
 
+    /// Dense matrix-form P-Rank from `S₀ = I`, with the diagonal pinned
+    /// each round: `S ← λC·Q·S·Qᵀ + (1−λ)C·Q′·S·Q′ᵀ`, where `Q′` is the
+    /// transition matrix of `Gᵀ`.
+    fn assert_matches_dense(g: &DiGraph, opts: &PRankOptions) {
+        use simrank_linalg::{CsrMatrix, DenseMatrix};
+        let (c, n) = (opts.base.damping, g.node_count());
+        let q = |g: &DiGraph| par::WorkerPool::scoped(1, |p| CsrMatrix::backward_transition(g, p));
+        let (q_in, q_out) = (q(g), q(&g.reverse()));
+        let mut want = DenseMatrix::identity(n);
+        for _ in 0..opts.base.conventional_iterations() {
+            let mut next = q_in.mul_dense_transposed(&q_in.mul_dense(&want));
+            next.scale(opts.lambda * c);
+            let out = q_out.mul_dense_transposed(&q_out.mul_dense(&want));
+            next.add_assign_scaled(&out, (1.0 - opts.lambda) * c);
+            (0..n).for_each(|i| next.set(i, i, 1.0));
+            want = next;
+        }
+        let got = prank(g, opts).0;
+        for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+            let (v, w) = (got.get(a, b), want.get(a, b));
+            assert!((v - w).abs() < 1e-12, "({a},{b}): {v} vs {w}");
+        }
+    }
+
     #[test]
     fn naive_prank_cross_check() {
-        // Direct double-sum P-Rank for one iteration on a small graph.
-        let g = gen::gnm(20, 60, 5);
-        let opts = PRankOptions {
-            base: SimRankOptions::default()
-                .with_iterations(1)
-                .with_damping(0.6),
-            lambda: 0.5,
-        };
-        let fast = prank(&g, &opts).0;
-        let n = g.node_count();
-        for a in 0..n as u32 {
-            for b in 0..n as u32 {
-                if a == b {
-                    continue;
-                }
-                let mut want = 0.0;
-                let (ia, ib) = (g.in_neighbors(a), g.in_neighbors(b));
-                if !ia.is_empty() && !ib.is_empty() {
-                    let mut sum = 0.0;
-                    for &i in ia {
-                        for &j in ib {
-                            if i == j {
-                                sum += 1.0;
-                            }
-                        }
-                    }
-                    want += 0.5 * 0.6 / (ia.len() * ib.len()) as f64 * sum;
-                }
-                let (oa, ob) = (g.out_neighbors(a), g.out_neighbors(b));
-                if !oa.is_empty() && !ob.is_empty() {
-                    let mut sum = 0.0;
-                    for &i in oa {
-                        for &j in ob {
-                            if i == j {
-                                sum += 1.0;
-                            }
-                        }
-                    }
-                    want += 0.5 * 0.6 / (oa.len() * ob.len()) as f64 * sum;
-                }
-                let got = fast.get(a as usize, b as usize);
-                assert!((got - want).abs() < 1e-12, "({a},{b}): {got} vs {want}");
-            }
+        // One iteration on a small graph against the matrix form.
+        let base = SimRankOptions::default()
+            .with_iterations(1)
+            .with_damping(0.6);
+        assert_matches_dense(&gen::gnm(20, 60, 5), &PRankOptions { base, lambda: 0.5 });
+    }
+
+    #[test]
+    fn out_pass_fills_pairs_the_in_pass_never_assigned() {
+        // Vertex 0 has out-edges but no in-edges and vertex 5 the reverse,
+        // so the Gᵀ pass writes pairs the G pass never assigns. Its `+=`
+        // lands on a grid the driver must clear every sweep.
+        let g = gen::gnm(10, 30, 2);
+        let edges = g.edges().filter(|&(u, v)| v != 0 && u != 5);
+        let g = DiGraph::from_edges(10, edges.collect::<Vec<_>>()).unwrap();
+        assert!(g.out_degree(0) > 0 && g.in_degree(5) > 0);
+        for threads in [1, 2, 4, 8] {
+            let base = SimRankOptions::default()
+                .with_iterations(5)
+                .with_threads(threads);
+            assert_matches_dense(&g, &PRankOptions { base, lambda: 0.5 });
         }
     }
 
