@@ -364,7 +364,7 @@ impl Pass<'_> {
                 (Some(src), dst)
             };
             let step = &plan.outer[node as usize];
-            update_rows(cur, y, base, &step.op, plan);
+            self.update_rows(cur, y, base, &step.op);
             counter.add(step.op.cost() as u64 * n as u64);
             // Stage the finished partial sum as the block's next lane.
             let block = &mut state.block;
@@ -379,6 +379,28 @@ impl Pass<'_> {
             block.len += 1;
             if block.len == B {
                 self.walk_block(block, writer, counter);
+            }
+        }
+    }
+
+    /// Sets `y = ((y₀ − s₁) − s₂ …) + a₁ + …` over the `cur` rows `op`
+    /// subtracts and adds, one [`STRIP`] of `y` at a time, in the per-entry
+    /// order of a copy followed by whole-row subtracts and adds. `y₀` is
+    /// `base` when given, `y` itself for an update in place, and zero for a
+    /// scratch sum.
+    fn update_rows(&self, cur: &ScoreGrid, y: &mut [f64], base: Option<&[f64]>, op: &EdgeOp) {
+        for (i, ys) in y.chunks_mut(STRIP).enumerate() {
+            let r = i * STRIP..i * STRIP + ys.len();
+            match base {
+                Some(src) => ys.copy_from_slice(&src[r.clone()]),
+                None if !op.update => ys.fill(0.0),
+                None => {}
+            }
+            for &x in self.plan.sub(op) {
+                par::kernel::subtract(ys, &cur.row(x as usize)[r.clone()]);
+            }
+            for &x in self.plan.add(op) {
+                par::kernel::accumulate(ys, &cur.row(x as usize)[r.clone()]);
             }
         }
     }
@@ -463,34 +485,6 @@ impl Pass<'_> {
         }
         block.len = 0;
         block.lo = [usize::MAX; B];
-    }
-}
-
-/// Sets `y = ((y₀ − s₁) − s₂ …) + a₁ + …` over the `cur` rows `op`
-/// subtracts and adds, one [`STRIP`] of `y` at a time, in the per-entry
-/// order of a copy followed by whole-row subtracts and adds. `y₀` is
-/// `base` when given, `y` itself for an update in place, and zero for a
-/// scratch sum.
-fn update_rows(
-    cur: &ScoreGrid,
-    y: &mut [f64],
-    base: Option<&[f64]>,
-    op: &EdgeOp,
-    plan: &SharingPlan,
-) {
-    for (i, ys) in y.chunks_mut(STRIP).enumerate() {
-        let r = i * STRIP..i * STRIP + ys.len();
-        match base {
-            Some(src) => ys.copy_from_slice(&src[r.clone()]),
-            None if !op.update => ys.fill(0.0),
-            None => {}
-        }
-        for &x in plan.sub(op) {
-            par::kernel::subtract(ys, &cur.row(x as usize)[r.clone()]);
-        }
-        for &x in plan.add(op) {
-            par::kernel::accumulate(ys, &cur.row(x as usize)[r.clone()]);
-        }
     }
 }
 

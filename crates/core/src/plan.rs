@@ -12,8 +12,9 @@
 //!    tests pin it against full Chu–Liu/Edmonds). A predecessor disjoint
 //!    from a target never beats `∅`, so the greedy only visits pairs that
 //!    share an in-neighbor: `O(Σₓ |O(x)|²)` time, not `O(t²·d)`;
-//! 3. per-tree-edge update *ops* — the `(A ∖ B, B ∖ A)` lists of
-//!    Proposition 3, or `Scratch` when recomputing is cheaper;
+//! 3. a preorder *walk program* of per-node update ops — the
+//!    `(A ∖ B, B ∖ A)` lists of Proposition 3, or all of `B` when summing
+//!    from scratch is cheaper — with the lists back to back in one array;
 //! 4. a replayable *schedule* of buffer steps covering the whole tree with
 //!    `O(log t)` simultaneously-live `n`-vectors: children are visited
 //!    smallest-subtree-first and the largest subtree inherits its parent's
