@@ -350,7 +350,7 @@ impl SharingPlan {
                 p => g.in_neighbors(targets[p - 1]),
             };
             // Eq. 7: update from the parent only when that is strictly
-            // cheaper than summing from scratch, which starts from `∅`.
+            // cheaper than summing from scratch (never from the root `∅`).
             let update =
                 setops::symmetric_difference_size(ins_p, ins) < ins.len().saturating_sub(1);
             let (sub, add) = setops::difference_lists(if update { ins_p } else { &[] }, ins);
