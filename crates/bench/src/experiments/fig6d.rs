@@ -182,7 +182,7 @@ mod tests {
             let ratio =
                 r_oip.peak_intermediate_bytes as f64 / r_psum.peak_intermediate_bytes as f64;
             assert!(
-                ratio < 12.0,
+                ratio < 2.0,
                 "OIP intermediate memory should stay within a small multiple of psum, got {ratio}"
             );
         }

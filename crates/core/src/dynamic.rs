@@ -6,9 +6,10 @@
 //! vanish, a from-scratch rerun discards everything the previous run
 //! converged to. This module reuses it instead: [`resweep`] seeds the
 //! shared iteration driver with the **previously converged scores** and
-//! runs psum-SR sweeps (the partial-sums kernel of [`crate::psum`], same
-//! pool sharding, same op counting) only until the max-norm difference
-//! between consecutive iterates falls under the re-convergence tolerance.
+//! runs psum-SR sweeps (the OIP sweep on psum's flat plan, as
+//! [`crate::psum`] runs it cold: same pool sharding, same op counting)
+//! only until the max-norm difference between consecutive iterates falls
+//! under the re-convergence tolerance.
 //! [`crate::naive::naive_resweep`] runs the same warm iteration on the
 //! Jeh–Widom kernel; it is the test oracle for this one.
 //!
@@ -51,11 +52,12 @@
 //! a dense grid.
 
 use crate::convergence;
+use crate::engine::{Mode, OipKernel};
 use crate::instrument::Report;
 use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
-use crate::psum::PsumKernel;
+use crate::plan::SharingPlan;
 use simrank_graph::{BatchSummary, DiGraph, EdgeDelta, GraphError};
 
 /// Re-convergence tolerance of a warm resweep, derived from the requested
@@ -109,7 +111,9 @@ pub fn resweep_with_report(
     warm: &SimMatrix,
     opts: &SimRankOptions,
 ) -> (SimMatrix, Report) {
-    let mut kernel = PsumKernel::new(g, opts);
+    let plan = SharingPlan::flat(g);
+    let pass = [(g, &plan, opts.damping)];
+    let mut kernel = OipKernel::new(g.node_count(), &pass, opts, Mode::Conventional);
     let (scores, report) = warm_iterate(g, warm, opts, &mut kernel);
     let report = Report {
         peak_intermediate_bytes: kernel.state_bytes(),
@@ -261,9 +265,9 @@ mod tests {
         let cold = naive_simrank(&g, &opts).0;
         assert_close(&warm, &cold, 1e-8);
         assert!(report.iterations > 0);
-        // The warm psum-SR kernel holds the same state as a cold psum run.
+        // The warm sweep holds the same engine state as a cold psum run.
         let (_, cold_psum) = crate::psum::psum_simrank_with_report(&g, &opts);
-        assert_eq!(report.peak_intermediate_bytes, 9 * 8);
+        assert_eq!(report.peak_intermediate_bytes, 904);
         assert_eq!(
             report.peak_intermediate_bytes,
             cold_psum.peak_intermediate_bytes

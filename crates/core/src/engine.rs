@@ -233,10 +233,11 @@ impl<'a> OipKernel<'a> {
             .enumerate()
             .map(|(i, &(g, plan, factor))| {
                 let seg_weights: Vec<usize> = plan.segments.iter().map(|s| s.len()).collect();
-                // Targets are sorted by in-degree, so deduplicating theirs
-                // leaves the distinct degrees ascending.
+                // The distinct target in-degrees, ascending (the flat
+                // plan's targets are not sorted by in-degree).
                 let mut degrees: Vec<usize> =
                     plan.targets.iter().map(|&v| g.in_degree(v)).collect();
+                degrees.sort_unstable();
                 degrees.dedup();
                 let class = plan.outer.iter().map(|step| {
                     degrees
@@ -658,7 +659,7 @@ mod tests {
             for mode in [Mode::Conventional, Mode::Differential] {
                 let (s1, r1) = run(&g, &plan, &base, mode, 4, |_, _| {});
                 if mode == Mode::Conventional {
-                    let oracle = crate::psum::psum_simrank(&g, &base);
+                    let oracle = crate::naive::naive_simrank(&g, &base).0;
                     for a in 0..n {
                         for b in 0..n {
                             assert!((s1.get(a, b) - oracle.get(a, b)).abs() < 1e-12);

@@ -87,14 +87,6 @@ impl ScoreGrid {
         &mut self.data[a * self.n..(a + 1) * self.n]
     }
 
-    /// `out[y] += self[x][y]` for all y — contiguous row accumulation
-    /// through [`kernel::accumulate`] (bitwise identical to the historical
-    /// scalar loop).
-    #[inline]
-    pub fn add_row_into(&self, x: usize, out: &mut [f64]) {
-        kernel::accumulate(out, self.row(x));
-    }
-
     /// Raw backing storage (row-major); used by the parallel executor's
     /// disjoint-row writer.
     pub(crate) fn data_mut(&mut self) -> &mut [f64] {
@@ -169,16 +161,6 @@ mod tests {
         let g = ScoreGrid::identity(3);
         assert_eq!(g.row(1), &[0.0, 1.0, 0.0]);
         assert_eq!(g.get(2, 2), 1.0);
-    }
-
-    #[test]
-    fn row_accumulation() {
-        let mut g = ScoreGrid::zeros(3);
-        g.set(1, 0, 0.5);
-        g.set(1, 2, 0.25);
-        let mut buf = vec![1.0; 3];
-        g.add_row_into(1, &mut buf);
-        assert_eq!(buf, vec![1.5, 1.0, 1.25]);
     }
 
     /// An order-`n` grid whose every entry is distinct, with an upper

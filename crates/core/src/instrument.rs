@@ -22,8 +22,9 @@ pub struct Report {
     /// `baselines/op_counts.txt` gate keeps the halved counts from
     /// silently regressing.
     pub adds: u64,
-    /// Wall time spent building the transition-cost graph and its minimum
-    /// spanning arborescence (`DMST-Reduce`).
+    /// Wall time spent building the sharing plan: the transition-cost graph
+    /// and its minimum spanning arborescence (`DMST-Reduce`), or psum-SR's
+    /// flat plan.
     pub mst_build: Duration,
     /// Wall time spent in the iterative partial-sums phase.
     pub share_sums: Duration,

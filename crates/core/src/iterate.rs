@@ -1,9 +1,10 @@
 //! The one dense all-pairs iteration driver.
 //!
-//! Every dense sweep in this crate — [`crate::naive`], [`crate::psum`],
-//! the OIP engine behind [`crate::oip`] and [`crate::dsr`],
-//! [`crate::prank`], and the warm [`crate::dynamic`] resweep — is the same
-//! ping-pong loop around a different per-sweep kernel. [`iterate`] owns
+//! Every dense sweep in this crate is the same ping-pong loop around one
+//! of two per-sweep kernels: the Jeh–Widom kernel of [`crate::naive`],
+//! and the OIP engine behind [`crate::oip`], [`crate::dsr`],
+//! [`crate::prank`], [`crate::psum`] (on its flat plan) and the warm
+//! [`crate::dynamic`] resweep. [`iterate`] owns
 //! that loop: the two grids and their start state, the single
 //! [`WorkerPool`] for the whole run, the hoisted sweep-item queue, exact
 //! op-count merging, the stop rule, the per-iteration hook, and the shared
@@ -202,22 +203,23 @@ mod tests {
         // breaks the third. Vertex 0 has out-edges only, 9 in-edges only,
         // and 10 none.
         use crate::engine::{Mode, OipKernel};
-        use crate::{naive::NaiveKernel, plan::SharingPlan, psum::PsumKernel};
+        use crate::{naive::NaiveKernel, plan::SharingPlan};
         let g = simrank_graph::gen::gnm(10, 40, 5);
         let edges = g.edges().filter(|&(u, v)| v != 0 && u != 9);
         let g = simrank_graph::DiGraph::from_edges(11, edges.collect::<Vec<_>>()).unwrap();
         let rev = g.reverse();
         for threads in [1usize, 2, 4, 8] {
             let opts = crate::SimRankOptions::default().with_threads(threads);
-            let (plan, rev_plan) = (
+            let (plan, rev_plan, flat) = (
                 SharingPlan::build(&g, &opts),
                 SharingPlan::build(&rev, &opts),
+                SharingPlan::flat(&g),
             );
             let both = [(&g, &plan, 0.3), (&rev, &rev_plan, 0.3)];
             let oip = |passes: &[_], mode| Box::new(OipKernel::new(11, passes, &opts, mode));
             let kernels: [(&str, Box<dyn Kernel>); 5] = [
                 ("naive", Box::new(NaiveKernel::new(&g, &opts))),
-                ("psum", Box::new(PsumKernel::new(&g, &opts))),
+                ("psum", oip(&[(&g, &flat, 0.6)], Mode::Conventional)),
                 ("oip", oip(&both[..1], Mode::Conventional)),
                 ("oip-dsr", oip(&[(&g, &plan, 1.0)], Mode::Differential)),
                 ("prank", oip(&both, Mode::Conventional)),

@@ -34,8 +34,9 @@
 //! (`DMST-Reduce`: transition-cost graph, minimum spanning arborescence,
 //! Proposition-3 update ops, buffer schedule) and the per-sweep OIP
 //! engine that replays it for either the conventional or the
-//! differential recurrence. Every dense all-pairs sweep — naive, psum
-//! (cold, and warm in the [`dynamic`] resweep), the OIP engine and
+//! differential recurrence; psum-SR is that engine on a flat plan, with
+//! every target summed from scratch. Every dense all-pairs sweep — naive,
+//! psum (cold, and warm in the [`dynamic`] resweep), the OIP engine and
 //! P-Rank — runs under one crate-private iteration driver, which owns the
 //! ping-pong grids, the worker pool, the threshold sieve, the diagonal
 //! pin, the mirror pass and the stop rule (its clear and its residual
@@ -82,9 +83,9 @@
 //! **Every** algorithm runs on the persistent worker-pool executor (the
 //! `simrank_par` crate): each run spawns a
 //! [`simrank_par::WorkerPool`] once, parks the workers between
-//! barrier-synchronized sweeps, and shards `naive`/`psum` by row band,
-//! the OIP engine and both `prank` direction passes by sharing-tree
-//! segment, `montecarlo` fingerprint sampling by node band (with
+//! barrier-synchronized sweeps, and shards `naive` by row band, the OIP
+//! engine (`psum` included) and both `prank` direction passes by
+//! sharing-tree segment, `montecarlo` fingerprint sampling by node band (with
 //! deterministic per-walk seeding), `SharingPlan::build`'s in-neighbor
 //! overlap count by column block of near-equal out-list work, and `mtx`
 //! by SVD tournament round / matmul row band / packed triangle band — no

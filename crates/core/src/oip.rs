@@ -81,6 +81,9 @@ mod tests {
         }
     }
 
+    /// Shared plan against flat plan: both run the same engine, so this
+    /// checks the sharing tree, not the sweep (naive and `matrixform` are
+    /// the engine's independent oracles).
     #[test]
     fn matches_psum_on_random_graphs() {
         for seed in 0..5 {

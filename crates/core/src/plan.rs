@@ -114,8 +114,9 @@ pub struct OuterStep {
 #[derive(Clone, Debug)]
 pub struct SharingPlan {
     /// Vertices with non-empty in-neighbor sets, in `DMST-Reduce`'s
-    /// (in-degree, id) sort order. Tree node `i + 1` corresponds to
-    /// `targets[i]`; tree node 0 is the root `∅`.
+    /// (in-degree, id) sort order, or ascending by id in the flat plan.
+    /// Tree node `i + 1` corresponds to `targets[i]`; tree node 0 is the
+    /// root `∅`.
     pub targets: Vec<NodeId>,
     /// The minimum spanning arborescence over `1 + targets.len()` nodes.
     pub arb: Arborescence,
@@ -156,6 +157,24 @@ impl SharingPlan {
         Self::from_tree(g, targets, arb, start)
     }
 
+    /// psum-SR (Lizorkin et al.) as a plan: every target hangs from the
+    /// root `∅` and sums its in-neighbors from scratch, with no inner or
+    /// outer sum shared. Targets ascend by id, so a block of consecutive
+    /// sources needs the walk from the first source on. The largest target
+    /// gets no step: it has no pair `w > u` left to emit.
+    pub(crate) fn flat(g: &DiGraph) -> SharingPlan {
+        let start = Instant::now();
+        let targets = g.nodes_with_in_edges();
+        let parents = std::iter::once(None).chain(targets.iter().map(|_| Some(0)));
+        let costs = targets.iter().map(|&v| g.in_degree(v) as u64 - 1);
+        let weights = std::iter::once(0).chain(costs).collect();
+        let arb = Arborescence::from_parents(0, parents.collect(), weights);
+        let mut plan = Self::from_tree(g, targets, arb, start);
+        plan.schedule.pop();
+        plan.segments.pop();
+        plan
+    }
+
     /// Vertices with non-empty in-neighbor sets, sorted by (in-degree, id).
     fn sorted_targets(g: &DiGraph) -> Vec<NodeId> {
         let mut targets = g.nodes_with_in_edges();
@@ -164,7 +183,8 @@ impl SharingPlan {
     }
 
     /// Builds the ops, schedule and traversal metadata for an already
-    /// chosen arborescence over `targets` (sorted as in [`Self::build`]).
+    /// chosen arborescence over `targets` (ordered as in [`Self::build`]
+    /// or [`Self::flat`]).
     fn from_tree(
         g: &DiGraph,
         targets: Vec<NodeId>,
@@ -879,6 +899,48 @@ mod tests {
         assert!(plan.schedule.is_empty());
         assert!(plan.segments.is_empty());
         assert_eq!(plan.slots, 0);
+    }
+
+    #[test]
+    fn flat_plan_sums_each_target_from_scratch_in_id_order() {
+        let graphs = [
+            paper_fig1a(),
+            gen::gnm(40, 160, 3),
+            gen::preferential_attachment(30, 3, 1),
+        ];
+        for g in &graphs {
+            let plan = SharingPlan::flat(g);
+            let t = plan.targets.len();
+            assert!(plan.targets.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(plan.targets, g.nodes_with_in_edges());
+            let cost: usize = plan.targets.iter().map(|&v| g.in_degree(v) - 1).sum();
+            assert_eq!(plan.tree_weight, cost as u64);
+            // Every node is a root child, summing all of I(w) from zero.
+            assert_eq!(plan.outer.len(), t);
+            for (i, step) in plan.outer.iter().enumerate() {
+                assert_eq!((step.t as usize, step.w), (i, plan.targets[i]));
+                assert_eq!((step.depth, step.subtree_end as usize), (0, i + 1));
+                assert!(!step.op.update);
+                assert!(plan.sub(&step.op).is_empty());
+                assert_eq!(plan.add(&step.op), g.in_neighbors(step.w));
+            }
+            // One step per target but the largest, each its own segment,
+            // all in one slot.
+            let nodes: Vec<usize> = plan.schedule.iter().map(|s| s.node as usize).collect();
+            assert_eq!(nodes, (0..t - 1).collect::<Vec<_>>());
+            assert!(plan.schedule.iter().all(|s| s.from == 0 && s.slot == 0));
+            let segments: Vec<_> = (0..t - 1).map(|i| i..i + 1).collect();
+            assert_eq!(plan.segments, segments);
+            assert_eq!(plan.slots, 1);
+        }
+        // No target, or one: no source has a pair left to emit.
+        let empty = DiGraph::from_edges(4, []).unwrap();
+        let single = DiGraph::from_edges(3, [(0, 2), (1, 2)]).unwrap();
+        for g in [empty, single] {
+            let plan = SharingPlan::flat(&g);
+            assert!(plan.schedule.is_empty());
+            assert!(plan.segments.is_empty());
+        }
     }
 
     #[test]

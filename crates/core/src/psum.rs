@@ -16,19 +16,20 @@
 //! graphs, and `OIP-SR` does not apply it, so the two algorithms compare
 //! on the same pair set.
 //!
-//! This module supplies one sweep; the shared iteration driver runs the
-//! iteration around it, including the sieve and the mirror pass.
-//!
-//! Crucially, each source's partial sum is computed **from scratch** — the
-//! redundancy across overlapping in-neighbor sets that `OIP-SR` eliminates.
+//! psum-SR is OIP-SR with no sharing: every partial sum and every outer
+//! sum is computed **from scratch**, the redundancy across overlapping
+//! in-neighbor sets that `OIP-SR` eliminates. So it is a plan, not a
+//! kernel: it runs the sweep of [`crate::oip`] on the flat plan, where
+//! every target hangs from the root `∅` in ascending id order. The shared
+//! iteration driver runs the iteration around it, including the sieve and
+//! the mirror pass.
 
-use crate::grid::ScoreGrid;
+use crate::engine::{self, Mode};
 use crate::instrument::Report;
-use crate::iterate::{iterate, Kernel, Start, Stop};
 use crate::matrix::SimMatrix;
 use crate::options::SimRankOptions;
-use simrank_graph::{DiGraph, NodeId};
-use simrank_par as par;
+use crate::plan::SharingPlan;
+use simrank_graph::DiGraph;
 
 /// All-pairs SimRank via partial sums memoization.
 pub fn psum_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
@@ -37,142 +38,10 @@ pub fn psum_simrank(g: &DiGraph, opts: &SimRankOptions) -> SimMatrix {
 
 /// As [`psum_simrank`], also returning instrumentation.
 pub fn psum_simrank_with_report(g: &DiGraph, opts: &SimRankOptions) -> (SimMatrix, Report) {
-    let n = g.node_count();
-    let mut kernel = PsumKernel::new(g, opts);
-    let (grid, report) = iterate(
-        n,
-        opts.threshold,
-        &mut kernel,
-        Start::Identity,
-        Stop::Fixed(opts.conventional_iterations()),
-        |_, _| {},
-    );
-    let report = Report {
-        peak_intermediate_bytes: kernel.state_bytes(),
-        ..report
-    };
+    let plan = SharingPlan::flat(g);
+    let iterations = opts.conventional_iterations();
+    let (grid, report) = engine::run(g, &plan, opts, Mode::Conventional, iterations, |_, _| {});
     (grid.to_sim_matrix(), report)
-}
-
-/// One psum-SR sweep over the ascending target list, sharded by weighted
-/// target block. The cold [`psum_simrank_with_report`] run and the warm
-/// [`crate::dynamic`] resweep both run it.
-pub(crate) struct PsumKernel<'a> {
-    g: &'a DiGraph,
-    c: f64,
-    workers: usize,
-    /// Vertices with in-edges, ascending.
-    targets: Vec<NodeId>,
-    target_blocks: Vec<std::ops::Range<usize>>,
-    /// Memoization buffers for `Partial_{I(a)}(·)`: one flat
-    /// `blocks × n` arena allocated once for the whole run, with each
-    /// block claiming its own row through a `RowWriter`.
-    partials_flat: Vec<f64>,
-}
-
-impl<'a> PsumKernel<'a> {
-    pub(crate) fn new(g: &'a DiGraph, opts: &SimRankOptions) -> Self {
-        let n = g.node_count();
-        let targets: Vec<NodeId> = g.nodes_with_in_edges();
-        // Each source's partial-sum chain is independent: shard the
-        // (sorted) target list into contiguous blocks. `targets` ascend,
-        // so a block of target indices maps to a contiguous band of output
-        // rows — the grid splits safely with no locks on the hot path. The
-        // outer loop is *triangular* (source `a` only visits targets
-        // `b > a`), so blocks are carved by work weight — memoization
-        // `(d_a − 1)·n` plus the shrinking outer suffix `Σ_{b>a} (d_b − 1)`
-        // — not by equal length.
-        let workers = par::effective_workers(opts.threads, targets.len());
-        let mut target_weights = vec![0usize; targets.len()];
-        let mut suffix_outer = 0usize;
-        for i in (0..targets.len()).rev() {
-            let d = g.in_neighbors(targets[i]).len();
-            // The globally-last target skips its memoization pass (no
-            // b > a consumers), so it carries no (d−1)·n term.
-            let memo = if i + 1 == targets.len() {
-                0
-            } else {
-                d.saturating_sub(1) * n
-            };
-            target_weights[i] = memo + suffix_outer + (targets.len() - i);
-            suffix_outer += d.saturating_sub(1);
-        }
-        let target_blocks = par::weighted_blocks(&target_weights, workers);
-        PsumKernel {
-            g,
-            c: opts.damping,
-            workers,
-            partials_flat: vec![0.0f64; target_blocks.len() * n],
-            targets,
-            target_blocks,
-        }
-    }
-
-    /// Bytes of intermediate state: one `n`-vector of partial sums per
-    /// target block, at most one block per worker.
-    pub(crate) fn state_bytes(&self) -> usize {
-        self.partials_flat.len() * std::mem::size_of::<f64>()
-    }
-}
-
-impl Kernel for PsumKernel<'_> {
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Writes `next(a, b)` for every `b > a` with both in-sets non-empty.
-    fn assigns(&self) -> bool {
-        true
-    }
-
-    fn sweep(
-        &mut self,
-        pool: &mut par::WorkerPool<'_>,
-        items: &mut Vec<usize>,
-        cur: &ScoreGrid,
-        next: &mut ScoreGrid,
-    ) -> u64 {
-        let (g, c) = (self.g, self.c);
-        let (targets, target_blocks) = (&self.targets, &self.target_blocks);
-        let n = g.node_count();
-        let writer = par::RowWriter::new(next.data_mut(), n);
-        let scratch = par::RowWriter::new(&mut self.partials_flat, n);
-        items.extend(0..target_blocks.len());
-        pool.sweep_drain(items, |bi, counter| {
-            let block = target_blocks[bi].clone();
-            // SAFETY: scratch row `bi` belongs to this block alone.
-            let partial = unsafe { scratch.row_mut(bi) };
-            for (idx, &a) in targets.iter().enumerate().take(block.end).skip(block.start) {
-                if idx + 1 == targets.len() {
-                    // No targets b > a remain: the partial sum would
-                    // have zero consumers, so skip the whole
-                    // memoization pass (its row is mirror-filled).
-                    continue;
-                }
-                let ins_a = g.in_neighbors(a);
-                // Memoize Partial_{I(a)}(y) for all y (Eq. 4), from scratch.
-                partial.fill(0.0);
-                for &x in ins_a {
-                    cur.add_row_into(x as usize, partial);
-                }
-                counter.add((ins_a.len() as u64).saturating_sub(1) * n as u64);
-                let da = ins_a.len() as f64;
-                // SAFETY: `targets` ascend, so the target ids inside a
-                // block form disjoint row sets across blocks.
-                let row = unsafe { writer.row_mut(a as usize) };
-                // Triangular outer accumulation: `targets` ascend, so
-                // the suffix after `idx` is exactly the pair set b > a.
-                for &b in &targets[idx + 1..] {
-                    let ins_b = g.in_neighbors(b);
-                    // Outer sum (Eq. 5) as one lane-chunked gather
-                    // over I(b) — fixed association, thread-invariant.
-                    let sum = par::kernel::gather_sum(partial, ins_b);
-                    counter.add((ins_b.len() as u64).saturating_sub(1));
-                    row[b as usize] = c / (da * ins_b.len() as f64) * sum;
-                }
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -275,8 +144,8 @@ mod tests {
     fn report_counts_match_complexity_model() {
         // For triangular psum-SR the additions per iteration are
         //   inner:  n·Σ_a (|I(a)|−1)  over every source *except the last*
-        //           (its partial sum would have zero b > a consumers and
-        //           is skipped outright),
+        //           (its partial sum would have zero b > a consumers, so
+        //           the flat plan gives it no step),
         //   outer:  Σ_a Σ_{b>a} (|I(b)|−1)  (halved pair set).
         // Target b (ascending id, index i) is visited by exactly the i
         // sources before it, so outer = Σ_i i·(|I(b_i)|−1). On the fixture
@@ -301,14 +170,18 @@ mod tests {
 
     #[test]
     fn peak_memory_is_one_buffer_per_worker() {
+        // Per worker the engine holds one partial-sum buffer (n = 9), an
+        // n × 8 staging block, one depth level of 8 outer lanes and 8
+        // coefficients per distinct in-degree (2, 3 and 4 on the fixture):
+        // (9 + 72 + 8 + 24) · 8 bytes.
         let g = paper_fig1a();
         let opts = SimRankOptions::default().with_iterations(1).with_threads(1);
         let (_, r) = psum_simrank_with_report(&g, &opts);
-        assert_eq!(r.peak_intermediate_bytes, 9 * 8);
+        assert_eq!(r.peak_intermediate_bytes, 904);
         assert_eq!(r.workers, 1);
-        // Two workers double the live memoization state (6 targets split 3+3).
+        // Two workers double the live state (5 memoized sources split 3+2).
         let (_, r2) = psum_simrank_with_report(&g, &opts.with_threads(2));
-        assert_eq!(r2.peak_intermediate_bytes, 2 * 9 * 8);
+        assert_eq!(r2.peak_intermediate_bytes, 2 * 904);
         assert_eq!(r2.workers, 2);
         // ... but never the operation count: shards merge exactly.
         assert_eq!(r2.adds, r.adds);

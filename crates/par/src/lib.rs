@@ -522,9 +522,9 @@ impl WorkerPool<'_> {
 /// Hands out disjoint mutable rows of a row-major write-side buffer to
 /// worker threads.
 ///
-/// The contiguous-band sweeps (`naive`, `psum`, the pooled dense matmul)
+/// The contiguous-band sweeps (`naive`, the pooled dense matmul)
 /// split their buffers safely with band helpers; the plan-replay engines
-/// (OIP, P-Rank) and the Jacobi rotation rounds cannot, because a sharing
+/// (OIP, psum, P-Rank) and the Jacobi rotation rounds cannot, because a sharing
 /// subtree (or a rotation pairing) emits an arbitrary scattered subset of
 /// rows. `RowWriter` is the minimal unsafe escape hatch for that case: it
 /// is a raw view of a `rows × cols` row-major buffer whose **callers must

@@ -46,8 +46,8 @@
 //! executor (the `simrank_par` crate, re-exported at [`par`]): the pool
 //! is spawned once per run, workers park
 //! between barrier-synchronized sweeps, and each path shards its natural
-//! unit — row bands (`naive`/`psum`), sharing-tree segments
-//! (`oip`/`oip_dsr` and both `prank` direction passes), per-walk-seeded
+//! unit — row bands (`naive`), sharing-tree segments
+//! (`oip`/`oip_dsr`/`psum` and both `prank` direction passes), per-walk-seeded
 //! node bands (`Fingerprints::sample`), plan-scan column blocks
 //! (`SharingPlan::build`), or, for `mtx`, SVD tournament rounds of
 //! disjoint column-pair rotations plus banded matrix products — merging
